@@ -63,14 +63,12 @@ bool advance(std::vector<std::size_t>& digits,
 }
 
 std::uint64_t parse_seed(const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("campaign: seed is not an integer: " + text);
+  const auto value = parse_uint64(text);
+  if (!value) {
+    throw std::invalid_argument(
+        "campaign: seed is not an unsigned 64-bit integer: " + text);
   }
+  return *value;
 }
 
 }  // namespace

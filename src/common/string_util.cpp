@@ -1,5 +1,6 @@
 #include "common/string_util.hpp"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -50,6 +51,14 @@ std::string_view trim(std::string_view text) {
   while (!text.empty() && is_space(text.front())) text.remove_prefix(1);
   while (!text.empty() && is_space(text.back())) text.remove_suffix(1);
   return text;
+}
+
+std::optional<std::uint64_t> parse_uint64(std::string_view text) {
+  const char* const end = text.data() + text.size();
+  std::uint64_t value = 0;
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  return value;
 }
 
 std::string render_table(const std::vector<std::string>& header,

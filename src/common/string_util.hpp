@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +24,11 @@ namespace greennfv {
 
 /// Trims ASCII whitespace from both ends.
 [[nodiscard]] std::string_view trim(std::string_view text);
+
+/// Parses all of `text` as an unsigned decimal integer. Digits only: a sign
+/// ("-1" is not 2^64-1), spaces, trailing junk, and values above 2^64-1
+/// all give std::nullopt.
+[[nodiscard]] std::optional<std::uint64_t> parse_uint64(std::string_view text);
 
 /// Renders an aligned text table (used by every bench binary to print the
 /// rows/series the paper reports). All rows must have `header.size()` cells.

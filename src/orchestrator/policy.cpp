@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "orchestrator/fleet_index.hpp"
+#include "scenario/scenario_spec.hpp"
 #include "telemetry/metrics.hpp"
 #include "topology/path_table.hpp"
 
@@ -383,10 +384,7 @@ std::vector<Migration> FleetPolicy::consolidate_indexed(
 }
 
 const std::vector<std::string>& fleet_policy_names() {
-  static const std::vector<std::string> names = {
-      "first-fit", "least-loaded", "energy-bestfit", "consolidate",
-      "topology-aware-bestfit"};
-  return names;
+  return scenario::FleetSpec::policy_names();
 }
 
 std::unique_ptr<FleetPolicy> make_fleet_policy(const std::string& name) {

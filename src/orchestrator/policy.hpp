@@ -123,12 +123,13 @@ class FleetPolicy {
 
 /// Registry lookup by name ("first-fit", "least-loaded", "energy-bestfit",
 /// "consolidate", "topology-aware-bestfit"); throws std::invalid_argument
-/// listing the registry on unknown names. The accepted names are mirrored by
-/// scenario::FleetSpec::policy_names() so campaign expansion validates
-/// fleet.policy before anything runs.
+/// listing the registry on unknown names.
 [[nodiscard]] std::unique_ptr<FleetPolicy> make_fleet_policy(
     const std::string& name);
 
+/// The names make_fleet_policy accepts: scenario::FleetSpec::policy_names(),
+/// the one list, which scenario validation checks fleet.policy against
+/// before anything runs.
 [[nodiscard]] const std::vector<std::string>& fleet_policy_names();
 
 }  // namespace greennfv::orchestrator

@@ -1,8 +1,9 @@
 #include "scenario/scenario_spec.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
 
 #include "common/string_util.hpp"
@@ -12,6 +13,10 @@ namespace greennfv::scenario {
 
 namespace {
 
+[[noreturn]] void fail(const std::string& what) {
+  throw std::invalid_argument("scenario: " + what);
+}
+
 std::string fmt_double(double value) { return format("%.10g", value); }
 
 traffic::ArrivalKind arrival_from_string(const std::string& name) {
@@ -19,44 +24,331 @@ traffic::ArrivalKind arrival_from_string(const std::string& name) {
   if (name == "poisson") return traffic::ArrivalKind::kPoisson;
   if (name == "mmpp") return traffic::ArrivalKind::kMmpp;
   if (name == "onoff") return traffic::ArrivalKind::kOnOff;
-  throw std::invalid_argument("scenario: unknown arrival kind '" + name +
-                              "' (expected cbr|poisson|mmpp|onoff)");
+  fail("unknown arrival kind '" + name + "' (expected cbr|poisson|mmpp|onoff)");
 }
 
-/// Guards the indexed families against silent truncation: a gap in the
-/// chainN=/flowN= sequence (chain0, chain1, chain3) must be an error, not
-/// a quietly shorter list.
-void require_contiguous(const Config& config, const std::string& prefix,
-                        std::size_t collected) {
+/// A numeric flow field: all of `text` must be one finite number.
+double flow_number(const std::string& text, const std::string& what) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(value))
+    fail("flow " + what + " is not a finite number: " + text);
+  return value;
+}
+
+/// A flow field stored as an integer (packet size, chain index): a whole
+/// number in [0, max], checked before the caller's cast.
+double flow_whole(const std::string& text, const std::string& what,
+                  double max) {
+  const double value = flow_number(text, what);
+  if (value < 0.0 || value > max || value != std::floor(value)) {
+    fail("flow " + what + " is not a whole number in [0, " +
+         fmt_double(max) + "]: " + text);
+  }
+  return value;
+}
+
+// --- the key table ----------------------------------------------------------
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Values validate() accepts for a numeric key: [min, max], or (min, max]
+/// when `open_min`. Every double must also be finite, so NaN and inf never
+/// reach the engines.
+struct Range {
+  double min = -kInf;
+  double max = kInf;
+  bool open_min = false;
+};
+constexpr Range kAny{};
+constexpr Range kNonNegative{0.0};
+constexpr Range kPositive{0.0, kInf, true};
+constexpr Range kAtLeastOne{1.0};
+constexpr Range kFraction{0.0, 1.0};
+/// Exponential draws of these means are cast to int window counts; even
+/// the largest draw of a 1e6 mean (about 745 means) fits.
+constexpr Range kMeanWindows{0.0, 1e6, true};
+
+using Names = const std::vector<std::string>& (*)();
+
+/// One scenario key: its name, how it reads, writes and checks its field,
+/// its range if numeric, and the values a string key may take.
+struct Key {
+  std::string name;  ///< a std::string, so Config lookups copy nothing
+  void (*read)(ScenarioSpec&, const Config&, const Key&);
+  void (*write)(const ScenarioSpec&, const Key&, std::string&);
+  void (*check)(const ScenarioSpec&, const Key&) = nullptr;
+  Range range = kAny;
+  Names choices = nullptr;
+};
+
+// Reading a field costs one Config lookup.
+void read_value(const Config& config, const std::string& key, int& value) {
+  // get_int saturates at the int64 limits, which are outside int too.
+  const std::int64_t wide = config.get_int(key, value);
+  if (wide < std::numeric_limits<int>::min() ||
+      wide > std::numeric_limits<int>::max())
+    fail(key + " is out of int range: " + config.get_string(key, ""));
+  value = static_cast<int>(wide);
+}
+void read_value(const Config& config, const std::string& key,
+                std::uint64_t& value) {
+  const auto text = config.get(key);
+  if (!text) return;
+  const auto parsed = parse_uint64(*text);
+  if (!parsed) fail(key + " is not an unsigned 64-bit integer: " + *text);
+  value = *parsed;
+}
+void read_value(const Config& config, const std::string& key, double& value) {
+  value = config.get_double(key, value);
+}
+void read_value(const Config& config, const std::string& key, bool& value) {
+  value = config.get_bool(key, value);
+}
+void read_value(const Config& config, const std::string& key,
+                std::string& value) {
+  if (auto text = config.get(key)) value = std::move(*text);
+}
+
+// Each enum key's to/from-string pair: to_string writes it (overload
+// resolution picks the enum's own), parse_enum reads it.
+auto parse_enum(const std::string& text, cluster::PlacementPolicy) {
+  return placement_from_string(text);
+}
+auto parse_enum(const std::string& text, traffic::RateProfile::Kind) {
+  return traffic::profile_kind_from_string(text);
+}
+auto parse_enum(const std::string& text, core::SlaKind) {
+  return sla_kind_from_string(text);
+}
+template <typename Enum>
+  requires std::is_enum_v<Enum>
+void read_value(const Config& config, const std::string& key, Enum& value) {
+  if (const auto text = config.get(key)) value = parse_enum(*text, value);
+}
+
+void write_value(std::string& out, int value) { out += std::to_string(value); }
+void write_value(std::string& out, std::uint64_t value) {
+  out += std::to_string(value);
+}
+void write_value(std::string& out, double value) { out += fmt_double(value); }
+void write_value(std::string& out, bool value) { out += value ? '1' : '0'; }
+void write_value(std::string& out, const std::string& value) { out += value; }
+void write_value(std::string& out, core::SlaKind value) {
+  out += scenario::to_string(value);  // the key's spelling, not core's
+}
+template <typename Enum>
+  requires std::is_enum_v<Enum>
+void write_value(std::string& out, Enum value) {
+  out += to_string(value);
+}
+
+template <typename T>
+void check_value(const Key& key, const T& value) {
+  if constexpr (std::is_same_v<T, int> || std::is_same_v<T, double>) {
+    const Range& r = key.range;
+    if (!std::isfinite(value) || value < r.min || value > r.max ||
+        (r.open_min && value == r.min)) {
+      fail(format("%s must be a finite number in %c%g, %g], got %s",
+                  key.name.c_str(), r.open_min ? '(' : '[', r.min, r.max,
+                  fmt_double(value).c_str()));
+    }
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!key.choices) return;
+    const auto& names = key.choices();
+    if (std::find(names.begin(), names.end(), value) != names.end()) return;
+    std::string known;
+    for (const auto& name : names) known += (known.empty() ? "" : "|") + name;
+    fail("unknown " + key.name + " '" + value + "' (expected " + known + ")");
+  }
+}
+
+/// A scalar key, its operations all reaching the field through `Access`: a
+/// captureless lambda that returns the member of a const or mutable spec.
+template <typename Access>
+Key field(const char* name, Access, Range range = kAny,
+          Names choices = nullptr) {
+  const auto read = [](ScenarioSpec& spec, const Config& config,
+                       const Key& key) {
+    read_value(config, key.name, Access{}(spec));
+  };
+  const auto write = [](const ScenarioSpec& spec, const Key& key,
+                        std::string& out) {
+    out += key.name;
+    out += '=';
+    write_value(out, Access{}(spec));
+    out += '\n';
+  };
+  const auto check = [](const ScenarioSpec& spec, const Key& key) {
+    check_value(key, Access{}(spec));
+  };
+  return {name, read, write, check, range, choices};
+}
+
+// --- the indexed families (chains=/chainN=, flows=/flowN=) ----------------
+
+/// A count key plus entries prefix0..prefixN-1. Entries, when present,
+/// replace the list and fix the count; a count without entries reverts
+/// the family to its generated/standard form.
+template <typename Entry, typename Parse>
+void apply_family(const Config& config, const std::string& count_key,
+                  const std::string& prefix, int& count,
+                  std::vector<Entry>& entries, Parse parse) {
+  const bool has_count = config.has(count_key);
+  if (has_count) read_value(config, count_key, count);
+  std::vector<Entry> parsed;
+  for (int i = 0;; ++i) {
+    const auto entry = config.get(prefix + std::to_string(i));
+    if (!entry) break;
+    parsed.push_back(parse(*entry, i));
+  }
+  // A gap (chain0 chain1 chain3, or chain1 without chain0) must be an
+  // error, not a quietly shorter list; so is an index past 2^64-1.
   for (const auto& [key, value] : config.entries()) {
-    if (key.size() <= prefix.size() ||
-        key.compare(0, prefix.size(), prefix) != 0)
+    if (key.size() <= prefix.size() || !key.starts_with(prefix)) continue;
+    const std::string_view digits = std::string_view(key).substr(prefix.size());
+    if (digits.find_first_not_of("0123456789") != std::string_view::npos)
       continue;
-    bool all_digits = true;
-    for (std::size_t i = prefix.size(); i < key.size(); ++i)
-      all_digits = all_digits && key[i] >= '0' && key[i] <= '9';
-    if (!all_digits) continue;
-    const std::size_t index = static_cast<std::size_t>(
-        std::stoull(key.substr(prefix.size())));
-    if (index >= collected) {
-      throw std::invalid_argument(
-          "scenario: " + key + " leaves a gap — " + prefix +
-          "N entries must be contiguous from " + prefix + "0");
+    const auto index = parse_uint64(digits);
+    if (!index || *index >= parsed.size()) {
+      fail(key + " leaves a gap — " + prefix +
+           "N entries must be contiguous from " + prefix + "0");
     }
   }
+  if (parsed.empty()) {
+    if (has_count) entries.clear();
+    return;
+  }
+  if (has_count && static_cast<std::size_t>(count) != parsed.size())
+    fail(count_key + "= disagrees with the number of " + prefix +
+         "N= entries");
+  entries = std::move(parsed);
+  count = static_cast<int>(entries.size());
 }
 
-double parse_double(const std::string& text, const std::string& what) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("scenario: " + what + " is not a number: " +
-                                text);
+void apply_chains(ScenarioSpec& spec, const Config& config, const Key& key) {
+  apply_family(config, key.name, "chain", spec.num_chains, spec.chain_nfs,
+               [](const std::string& text, int) {
+                 std::vector<std::string> nfs;
+                 for (auto& nf : split(text, '+'))
+                   if (!nf.empty()) nfs.push_back(std::move(nf));
+                 return nfs;
+               });
+}
+
+void apply_flows(ScenarioSpec& spec, const Config& config, const Key& key) {
+  apply_family(config, key.name, "flow", spec.num_flows, spec.flows,
+               flow_from_text);
+}
+
+void write_chains(const ScenarioSpec& spec, const Key& key,
+                  std::string& out) {
+  out += key.name + "=" + std::to_string(spec.num_chains) + "\n";
+  for (std::size_t c = 0; c < spec.chain_nfs.size(); ++c) {
+    out += "chain" + std::to_string(c) + "=";
+    for (std::size_t i = 0; i < spec.chain_nfs[c].size(); ++i)
+      out += (i ? "+" : "") + spec.chain_nfs[c][i];
+    out += '\n';
   }
 }
+
+void write_flows(const ScenarioSpec& spec, const Key& key, std::string& out) {
+  out += key.name + "=" + std::to_string(spec.num_flows) + "\n";
+  for (std::size_t f = 0; f < spec.flows.size(); ++f)
+    out += "flow" + std::to_string(f) + "=" + flow_to_text(spec.flows[f]) +
+           "\n";
+}
+
+/// One table row: the key, the ScenarioSpec member it sets, and optionally
+/// its Range and the names a string key accepts.
+#define KEY(name, member, ...)                              \
+  field(name, [](auto& spec) -> auto& { return spec.member; } \
+        __VA_OPT__(, ) __VA_ARGS__)
+
+/// Every scenario key, once, in to_text() order: apply(), to_text(),
+/// validate()'s per-key checks and known_keys() all walk this table.
+/// Defaults live only in the member initialisers of scenario_spec.hpp.
+/// topology::validate_spec checks the topology.* ranges and names, and
+/// RateProfile::validate the profile_* ranges (they depend on the kind).
+const std::vector<Key>& key_table() {
+  static const std::vector<Key> table = {
+      KEY("name", name),
+      KEY("nodes", num_nodes, kAtLeastOne),
+      KEY("placement", placement),
+      KEY("node_cores", node.total_cores, kAtLeastOne),
+      KEY("node_fmin_ghz", node.fmin_ghz),
+      KEY("node_fmax_ghz", node.fmax_ghz),
+      KEY("node_line_rate_gbps", node.line_rate_gbps),
+      KEY("node_p_idle_w", node.p_idle_w),
+      KEY("node_p_max_w", node.p_max_w),
+      KEY("node_p_sleep_w", node.p_sleep_w, kNonNegative),
+      KEY("node_wake_latency_s", node.wake_latency_s, kNonNegative),
+      KEY("fleet.enabled", fleet.enabled),
+      KEY("fleet.horizon", fleet.horizon_windows, kNonNegative),
+      KEY("fleet.arrival_rate", fleet.arrival_rate, kNonNegative),
+      KEY("fleet.mean_holding", fleet.mean_holding_windows, kMeanWindows),
+      KEY("fleet.flows_per_chain", fleet.flows_per_chain, kAtLeastOne),
+      KEY("fleet.chain_gbps", fleet.chain_offered_gbps, kPositive),
+      KEY("fleet.policy", fleet.policy, kAny, FleetSpec::policy_names),
+      KEY("fleet.migration", fleet.migration),
+      KEY("fleet.migration_downtime_s", fleet.migration_downtime_s,
+          kNonNegative),
+      KEY("fleet.migration_energy_j", fleet.migration_energy_j, kNonNegative),
+      KEY("fleet.consolidate_below", fleet.consolidate_below, kFraction),
+      KEY("fleet.power_gating", fleet.power_gating),
+      KEY("fleet.sleep_after", fleet.sleep_after_windows, kAtLeastOne),
+      KEY("topology.enabled", topology.enabled),
+      KEY("topology.preset", topology.preset),
+      KEY("topology.routing", topology.routing),
+      KEY("topology.hosts_per_leaf", topology.hosts_per_leaf),
+      KEY("topology.spines", topology.spines),
+      KEY("topology.fat_k", topology.fat_k),
+      KEY("topology.link_gbps", topology.link_gbps),
+      KEY("topology.link_latency_us", topology.link_latency_us),
+      KEY("topology.core_gbps", topology.core_gbps),
+      KEY("topology.core_latency_us", topology.core_latency_us),
+      KEY("topology.link_idle_w", topology.link_idle_w),
+      KEY("topology.link_nj_per_bit", topology.link_nj_per_bit),
+      KEY("sla.latency", latency_sla_us, kNonNegative),
+      KEY("fault.enabled", fault.enabled),
+      KEY("fault.node_crash_rate", fault.node_crash_rate, kNonNegative),
+      KEY("fault.link_fail_rate", fault.link_fail_rate, kNonNegative),
+      KEY("fault.rack_outage_rate", fault.rack_outage_rate, kNonNegative),
+      KEY("fault.rack_size", fault.rack_size, kAtLeastOne),
+      KEY("fault.mean_repair", fault.mean_repair_windows, kMeanWindows),
+      KEY("fault.replace_downtime_s", fault.replace_downtime_s, kNonNegative),
+      KEY("fault.replace_energy_j", fault.replace_energy_j, kNonNegative),
+      KEY("fault.wake_storm_prob", fault.wake_storm_prob, kFraction),
+      KEY("fault.wake_storm_factor", fault.wake_storm_factor, kAtLeastOne),
+      {"chains", apply_chains, write_chains},
+      {"flows", apply_flows, write_flows},
+      KEY("offered_gbps", total_offered_gbps),
+      KEY("profile", profile.kind),
+      KEY("profile_period_s", profile.period_s),
+      KEY("profile_amplitude", profile.amplitude),
+      KEY("profile_surge_start_s", profile.surge_start_s),
+      KEY("profile_surge_duration_s", profile.surge_duration_s),
+      KEY("profile_surge_factor", profile.surge_factor),
+      KEY("sla", sla_kind),
+      KEY("energy_budget", energy_budget_j),
+      KEY("throughput_floor", throughput_floor_gbps),
+      KEY("shaped_reward", shaped_reward),
+      KEY("window_s", window_s, kPositive),
+      KEY("sub_windows", sub_windows, kAtLeastOne),
+      KEY("steps_per_episode", steps_per_episode, kAtLeastOne),
+      KEY("eval_windows", eval_windows, kAtLeastOne),
+      KEY("episodes", episodes, kAtLeastOne),
+      KEY("q_episodes", q_episodes, kAtLeastOne),
+      KEY("candidates", candidates, kAtLeastOne),
+      KEY("prioritized", prioritized_replay),
+      KEY("noise_sigma", noise_sigma, kNonNegative),
+      KEY("noise_decay", noise_decay, Range{0.0, 1.0, true}),
+      KEY("seed", seed),
+  };
+  return table;
+}
+
+#undef KEY
 
 }  // namespace
 
@@ -73,8 +365,7 @@ core::SlaKind sla_kind_from_string(const std::string& name) {
   if (name == "maxt") return core::SlaKind::kMaxThroughput;
   if (name == "mine") return core::SlaKind::kMinEnergy;
   if (name == "ee") return core::SlaKind::kEnergyEfficiency;
-  throw std::invalid_argument("scenario: unknown sla '" + name +
-                              "' (expected maxt|mine|ee)");
+  fail("unknown sla '" + name + "' (expected maxt|mine|ee)");
 }
 
 cluster::PlacementPolicy placement_from_string(const std::string& name) {
@@ -84,9 +375,8 @@ cluster::PlacementPolicy placement_from_string(const std::string& name) {
     return cluster::PlacementPolicy::kFirstFitDecreasing;
   if (name == "energy-bestfit" || name == "bestfit")
     return cluster::PlacementPolicy::kEnergyBestFit;
-  throw std::invalid_argument(
-      "scenario: unknown placement '" + name +
-      "' (expected least-loaded|first-fit-decreasing|energy-bestfit)");
+  fail("unknown placement '" + name +
+       "' (expected least-loaded|first-fit-decreasing|energy-bestfit)");
 }
 
 std::string flow_to_text(const traffic::FlowSpec& flow) {
@@ -100,31 +390,25 @@ std::string flow_to_text(const traffic::FlowSpec& flow) {
 traffic::FlowSpec flow_from_text(const std::string& text, int id) {
   const std::vector<std::string> fields = split(text, ':');
   if (fields.size() < 5 || fields.size() > 7) {
-    throw std::invalid_argument(
-        "scenario: flow '" + text +
-        "' must be proto:arrival:pkt_bytes:rate_pps:chain"
-        "[:peak_to_mean[:dwell_s]]");
+    fail("flow '" + text +
+         "' must be proto:arrival:pkt_bytes:rate_pps:chain"
+         "[:peak_to_mean[:dwell_s]]");
   }
   traffic::FlowSpec flow;
   flow.id = id;
-  if (fields[0] == "udp") {
-    flow.proto = traffic::Protocol::kUdp;
-  } else if (fields[0] == "tcp") {
-    flow.proto = traffic::Protocol::kTcp;
-  } else {
-    throw std::invalid_argument("scenario: flow protocol '" + fields[0] +
-                                "' (expected udp|tcp)");
-  }
+  if (fields[0] != "udp" && fields[0] != "tcp")
+    fail("flow protocol '" + fields[0] + "' (expected udp|tcp)");
+  flow.proto = fields[0] == "tcp" ? traffic::Protocol::kTcp
+                                  : traffic::Protocol::kUdp;
   flow.arrival = arrival_from_string(fields[1]);
-  flow.pkt_bytes = static_cast<std::uint32_t>(
-      parse_double(fields[2], "flow pkt_bytes"));
-  flow.mean_rate_pps = parse_double(fields[3], "flow rate_pps");
-  flow.chain_index =
-      static_cast<int>(parse_double(fields[4], "flow chain index"));
+  flow.pkt_bytes = static_cast<std::uint32_t>(flow_whole(
+      fields[2], "pkt_bytes", std::numeric_limits<std::uint32_t>::max()));
+  flow.mean_rate_pps = flow_number(fields[3], "rate_pps");
+  flow.chain_index = static_cast<int>(flow_whole(
+      fields[4], "chain index", std::numeric_limits<int>::max()));
   if (fields.size() > 5)
-    flow.peak_to_mean = parse_double(fields[5], "flow peak_to_mean");
-  if (fields.size() > 6)
-    flow.dwell_s = parse_double(fields[6], "flow dwell_s");
+    flow.peak_to_mean = flow_number(fields[5], "peak_to_mean");
+  if (fields.size() > 6) flow.dwell_s = flow_number(fields[6], "dwell_s");
   return flow;
 }
 
@@ -181,299 +465,27 @@ core::TrainerConfig ScenarioSpec::trainer_config(const core::Sla& sla)
 }
 
 void ScenarioSpec::apply(const Config& config) {
-  name = config.get_string("name", name);
-  num_nodes = static_cast<int>(config.get_int("nodes", num_nodes));
-  if (const auto p = config.get("placement"))
-    placement = placement_from_string(*p);
-
-  node.total_cores =
-      static_cast<int>(config.get_int("node_cores", node.total_cores));
-  node.fmin_ghz = config.get_double("node_fmin_ghz", node.fmin_ghz);
-  node.fmax_ghz = config.get_double("node_fmax_ghz", node.fmax_ghz);
-  node.line_rate_gbps =
-      config.get_double("node_line_rate_gbps", node.line_rate_gbps);
-  node.p_idle_w = config.get_double("node_p_idle_w", node.p_idle_w);
-  node.p_max_w = config.get_double("node_p_max_w", node.p_max_w);
-  node.p_sleep_w = config.get_double("node_p_sleep_w", node.p_sleep_w);
-  node.wake_latency_s =
-      config.get_double("node_wake_latency_s", node.wake_latency_s);
-
-  // --- fleet (dynamic multi-node simulation) -------------------------------
-  fleet.enabled = config.get_bool("fleet.enabled", fleet.enabled);
-  fleet.horizon_windows = static_cast<int>(
-      config.get_int("fleet.horizon", fleet.horizon_windows));
-  fleet.arrival_rate =
-      config.get_double("fleet.arrival_rate", fleet.arrival_rate);
-  fleet.mean_holding_windows =
-      config.get_double("fleet.mean_holding", fleet.mean_holding_windows);
-  fleet.flows_per_chain = static_cast<int>(
-      config.get_int("fleet.flows_per_chain", fleet.flows_per_chain));
-  fleet.chain_offered_gbps =
-      config.get_double("fleet.chain_gbps", fleet.chain_offered_gbps);
-  fleet.policy = config.get_string("fleet.policy", fleet.policy);
-  fleet.migration = config.get_bool("fleet.migration", fleet.migration);
-  fleet.migration_downtime_s = config.get_double(
-      "fleet.migration_downtime_s", fleet.migration_downtime_s);
-  fleet.migration_energy_j = config.get_double("fleet.migration_energy_j",
-                                               fleet.migration_energy_j);
-  fleet.consolidate_below =
-      config.get_double("fleet.consolidate_below", fleet.consolidate_below);
-  fleet.power_gating =
-      config.get_bool("fleet.power_gating", fleet.power_gating);
-  fleet.sleep_after_windows = static_cast<int>(
-      config.get_int("fleet.sleep_after", fleet.sleep_after_windows));
-
-  // --- topology (inter-node network fabric) --------------------------------
-  topology.enabled = config.get_bool("topology.enabled", topology.enabled);
-  topology.preset = config.get_string("topology.preset", topology.preset);
-  topology.routing = config.get_string("topology.routing", topology.routing);
-  topology.hosts_per_leaf = static_cast<int>(
-      config.get_int("topology.hosts_per_leaf", topology.hosts_per_leaf));
-  topology.spines =
-      static_cast<int>(config.get_int("topology.spines", topology.spines));
-  topology.fat_k =
-      static_cast<int>(config.get_int("topology.fat_k", topology.fat_k));
-  topology.link_gbps =
-      config.get_double("topology.link_gbps", topology.link_gbps);
-  topology.link_latency_us =
-      config.get_double("topology.link_latency_us", topology.link_latency_us);
-  topology.core_gbps =
-      config.get_double("topology.core_gbps", topology.core_gbps);
-  topology.core_latency_us =
-      config.get_double("topology.core_latency_us", topology.core_latency_us);
-  topology.link_idle_w =
-      config.get_double("topology.link_idle_w", topology.link_idle_w);
-  topology.link_nj_per_bit =
-      config.get_double("topology.link_nj_per_bit", topology.link_nj_per_bit);
-  latency_sla_us = config.get_double("sla.latency", latency_sla_us);
-
-  // --- faults (deterministic failure injection) ----------------------------
-  fault.enabled = config.get_bool("fault.enabled", fault.enabled);
-  fault.node_crash_rate =
-      config.get_double("fault.node_crash_rate", fault.node_crash_rate);
-  fault.link_fail_rate =
-      config.get_double("fault.link_fail_rate", fault.link_fail_rate);
-  fault.rack_outage_rate =
-      config.get_double("fault.rack_outage_rate", fault.rack_outage_rate);
-  fault.rack_size =
-      static_cast<int>(config.get_int("fault.rack_size", fault.rack_size));
-  fault.mean_repair_windows =
-      config.get_double("fault.mean_repair", fault.mean_repair_windows);
-  fault.replace_downtime_s = config.get_double("fault.replace_downtime_s",
-                                               fault.replace_downtime_s);
-  fault.replace_energy_j =
-      config.get_double("fault.replace_energy_j", fault.replace_energy_j);
-  fault.wake_storm_prob =
-      config.get_double("fault.wake_storm_prob", fault.wake_storm_prob);
-  fault.wake_storm_factor =
-      config.get_double("fault.wake_storm_factor", fault.wake_storm_factor);
-
-  // Scalar counts first: an explicit count without indexed entries reverts
-  // the family to its generated/standard form.
-  if (config.has("chains")) {
-    num_chains = static_cast<int>(config.get_int("chains", num_chains));
-    if (!config.has("chain0")) chain_nfs.clear();
-  }
-  if (config.has("flows")) {
-    num_flows = static_cast<int>(config.get_int("flows", num_flows));
-    if (!config.has("flow0")) flows.clear();
-  }
-
-  // Indexed families: contiguous from 0.
-  if (config.has("chain0")) {
-    chain_nfs.clear();
-    for (int c = 0;; ++c) {
-      const auto entry = config.get(format("chain%d", c));
-      if (!entry) break;
-      std::vector<std::string> nfs;
-      for (const auto& nf : split(*entry, '+'))
-        if (!nf.empty()) nfs.push_back(nf);
-      chain_nfs.push_back(std::move(nfs));
-    }
-    require_contiguous(config, "chain", chain_nfs.size());
-    if (config.has("chains") &&
-        static_cast<std::size_t>(num_chains) != chain_nfs.size()) {
-      throw std::invalid_argument(
-          "scenario: chains= disagrees with the number of chainN= entries");
-    }
-    num_chains = static_cast<int>(chain_nfs.size());
-  } else {
-    require_contiguous(config, "chain", 0);  // chain1= without chain0=
-  }
-  if (config.has("flow0")) {
-    flows.clear();
-    for (int f = 0;; ++f) {
-      const auto entry = config.get(format("flow%d", f));
-      if (!entry) break;
-      flows.push_back(flow_from_text(*entry, f));
-    }
-    require_contiguous(config, "flow", flows.size());
-    if (config.has("flows") &&
-        static_cast<std::size_t>(num_flows) != flows.size()) {
-      throw std::invalid_argument(
-          "scenario: flows= disagrees with the number of flowN= entries");
-    }
-    num_flows = static_cast<int>(flows.size());
-  } else {
-    require_contiguous(config, "flow", 0);  // flow1= without flow0=
-  }
-
-  total_offered_gbps =
-      config.get_double("offered_gbps", total_offered_gbps);
-  if (const auto p = config.get("profile"))
-    profile.kind = traffic::profile_kind_from_string(*p);
-  profile.period_s =
-      config.get_double("profile_period_s", profile.period_s);
-  profile.amplitude =
-      config.get_double("profile_amplitude", profile.amplitude);
-  profile.surge_start_s =
-      config.get_double("profile_surge_start_s", profile.surge_start_s);
-  profile.surge_duration_s = config.get_double("profile_surge_duration_s",
-                                               profile.surge_duration_s);
-  profile.surge_factor =
-      config.get_double("profile_surge_factor", profile.surge_factor);
-
-  if (const auto s = config.get("sla")) sla_kind = sla_kind_from_string(*s);
-  energy_budget_j = config.get_double("energy_budget", energy_budget_j);
-  throughput_floor_gbps =
-      config.get_double("throughput_floor", throughput_floor_gbps);
-  shaped_reward = config.get_bool("shaped_reward", shaped_reward);
-
-  window_s = config.get_double("window_s", window_s);
-  sub_windows = static_cast<int>(config.get_int("sub_windows", sub_windows));
-  steps_per_episode = static_cast<int>(
-      config.get_int("steps_per_episode", steps_per_episode));
-  eval_windows =
-      static_cast<int>(config.get_int("eval_windows", eval_windows));
-
-  episodes = static_cast<int>(config.get_int("episodes", episodes));
-  q_episodes = static_cast<int>(config.get_int("q_episodes", q_episodes));
-  candidates = static_cast<int>(config.get_int("candidates", candidates));
-  prioritized_replay = config.get_bool("prioritized", prioritized_replay);
-  noise_sigma = config.get_double("noise_sigma", noise_sigma);
-  noise_decay = config.get_double("noise_decay", noise_decay);
-  seed = static_cast<std::uint64_t>(
-      config.get_int("seed", static_cast<std::int64_t>(seed)));
+  for (const Key& key : key_table()) key.read(*this, config, key);
 }
 
 std::string ScenarioSpec::to_text() const {
-  std::ostringstream out;
-  out << "name=" << name << "\n";
-  out << "nodes=" << num_nodes << "\n";
-  out << "placement=" << cluster::to_string(placement) << "\n";
-  out << "node_cores=" << node.total_cores << "\n";
-  out << "node_fmin_ghz=" << fmt_double(node.fmin_ghz) << "\n";
-  out << "node_fmax_ghz=" << fmt_double(node.fmax_ghz) << "\n";
-  out << "node_line_rate_gbps=" << fmt_double(node.line_rate_gbps) << "\n";
-  out << "node_p_idle_w=" << fmt_double(node.p_idle_w) << "\n";
-  out << "node_p_max_w=" << fmt_double(node.p_max_w) << "\n";
-  out << "node_p_sleep_w=" << fmt_double(node.p_sleep_w) << "\n";
-  out << "node_wake_latency_s=" << fmt_double(node.wake_latency_s) << "\n";
-  out << "fleet.enabled=" << (fleet.enabled ? 1 : 0) << "\n";
-  out << "fleet.horizon=" << fleet.horizon_windows << "\n";
-  out << "fleet.arrival_rate=" << fmt_double(fleet.arrival_rate) << "\n";
-  out << "fleet.mean_holding=" << fmt_double(fleet.mean_holding_windows)
-      << "\n";
-  out << "fleet.flows_per_chain=" << fleet.flows_per_chain << "\n";
-  out << "fleet.chain_gbps=" << fmt_double(fleet.chain_offered_gbps)
-      << "\n";
-  out << "fleet.policy=" << fleet.policy << "\n";
-  out << "fleet.migration=" << (fleet.migration ? 1 : 0) << "\n";
-  out << "fleet.migration_downtime_s="
-      << fmt_double(fleet.migration_downtime_s) << "\n";
-  out << "fleet.migration_energy_j=" << fmt_double(fleet.migration_energy_j)
-      << "\n";
-  out << "fleet.consolidate_below=" << fmt_double(fleet.consolidate_below)
-      << "\n";
-  out << "fleet.power_gating=" << (fleet.power_gating ? 1 : 0) << "\n";
-  out << "fleet.sleep_after=" << fleet.sleep_after_windows << "\n";
-  out << "topology.enabled=" << (topology.enabled ? 1 : 0) << "\n";
-  out << "topology.preset=" << topology.preset << "\n";
-  out << "topology.routing=" << topology.routing << "\n";
-  out << "topology.hosts_per_leaf=" << topology.hosts_per_leaf << "\n";
-  out << "topology.spines=" << topology.spines << "\n";
-  out << "topology.fat_k=" << topology.fat_k << "\n";
-  out << "topology.link_gbps=" << fmt_double(topology.link_gbps) << "\n";
-  out << "topology.link_latency_us=" << fmt_double(topology.link_latency_us)
-      << "\n";
-  out << "topology.core_gbps=" << fmt_double(topology.core_gbps) << "\n";
-  out << "topology.core_latency_us=" << fmt_double(topology.core_latency_us)
-      << "\n";
-  out << "topology.link_idle_w=" << fmt_double(topology.link_idle_w) << "\n";
-  out << "topology.link_nj_per_bit=" << fmt_double(topology.link_nj_per_bit)
-      << "\n";
-  out << "sla.latency=" << fmt_double(latency_sla_us) << "\n";
-  out << "fault.enabled=" << (fault.enabled ? 1 : 0) << "\n";
-  out << "fault.node_crash_rate=" << fmt_double(fault.node_crash_rate)
-      << "\n";
-  out << "fault.link_fail_rate=" << fmt_double(fault.link_fail_rate) << "\n";
-  out << "fault.rack_outage_rate=" << fmt_double(fault.rack_outage_rate)
-      << "\n";
-  out << "fault.rack_size=" << fault.rack_size << "\n";
-  out << "fault.mean_repair=" << fmt_double(fault.mean_repair_windows)
-      << "\n";
-  out << "fault.replace_downtime_s=" << fmt_double(fault.replace_downtime_s)
-      << "\n";
-  out << "fault.replace_energy_j=" << fmt_double(fault.replace_energy_j)
-      << "\n";
-  out << "fault.wake_storm_prob=" << fmt_double(fault.wake_storm_prob)
-      << "\n";
-  out << "fault.wake_storm_factor=" << fmt_double(fault.wake_storm_factor)
-      << "\n";
-  out << "chains=" << num_chains << "\n";
-  for (std::size_t c = 0; c < chain_nfs.size(); ++c) {
-    out << "chain" << c << "=";
-    for (std::size_t i = 0; i < chain_nfs[c].size(); ++i) {
-      if (i) out << "+";
-      out << chain_nfs[c][i];
-    }
-    out << "\n";
-  }
-  out << "flows=" << num_flows << "\n";
-  for (std::size_t f = 0; f < flows.size(); ++f)
-    out << "flow" << f << "=" << flow_to_text(flows[f]) << "\n";
-  out << "offered_gbps=" << fmt_double(total_offered_gbps) << "\n";
-  out << "profile=" << traffic::to_string(profile.kind) << "\n";
-  out << "profile_period_s=" << fmt_double(profile.period_s) << "\n";
-  out << "profile_amplitude=" << fmt_double(profile.amplitude) << "\n";
-  out << "profile_surge_start_s=" << fmt_double(profile.surge_start_s)
-      << "\n";
-  out << "profile_surge_duration_s=" << fmt_double(profile.surge_duration_s)
-      << "\n";
-  out << "profile_surge_factor=" << fmt_double(profile.surge_factor) << "\n";
-  out << "sla=" << scenario::to_string(sla_kind) << "\n";
-  out << "energy_budget=" << fmt_double(energy_budget_j) << "\n";
-  out << "throughput_floor=" << fmt_double(throughput_floor_gbps) << "\n";
-  out << "shaped_reward=" << (shaped_reward ? 1 : 0) << "\n";
-  out << "window_s=" << fmt_double(window_s) << "\n";
-  out << "sub_windows=" << sub_windows << "\n";
-  out << "steps_per_episode=" << steps_per_episode << "\n";
-  out << "eval_windows=" << eval_windows << "\n";
-  out << "episodes=" << episodes << "\n";
-  out << "q_episodes=" << q_episodes << "\n";
-  out << "candidates=" << candidates << "\n";
-  out << "prioritized=" << (prioritized_replay ? 1 : 0) << "\n";
-  out << "noise_sigma=" << fmt_double(noise_sigma) << "\n";
-  out << "noise_decay=" << fmt_double(noise_decay) << "\n";
-  out << "seed=" << seed << "\n";
-  return out.str();
+  std::string out;
+  for (const Key& key : key_table()) key.write(*this, key, out);
+  return out;
 }
 
 void ScenarioSpec::save(const std::string& path) const {
   std::ofstream out(path);
-  if (!out)
-    throw std::runtime_error("scenario: cannot write " + path);
+  if (!out) throw std::runtime_error("scenario: cannot write " + path);
   out << "# GreenNFV scenario file (key=value; '#' to end of line is a"
          " comment)\n";
   out << to_text();
-  if (!out)
-    throw std::runtime_error("scenario: failed writing " + path);
+  if (!out) throw std::runtime_error("scenario: failed writing " + path);
 }
 
 ScenarioSpec ScenarioSpec::load(const std::string& path) {
   std::ifstream in(path);
-  if (!in)
-    throw std::runtime_error("scenario: cannot read " + path);
+  if (!in) throw std::runtime_error("scenario: cannot read " + path);
   std::string text;
   std::string line;
   while (std::getline(in, line)) {
@@ -491,206 +503,69 @@ ScenarioSpec ScenarioSpec::load(const std::string& path) {
 }
 
 void ScenarioSpec::validate() const {
-  if (num_nodes < 1)
-    throw std::invalid_argument("scenario: need at least one node");
-  if (num_chains < 1)
-    throw std::invalid_argument(
-        "scenario: need at least one chain (zero-chain topology)");
+  for (const Key& key : key_table())
+    if (key.check) key.check(*this, key);
+
+  // --- cross-field rules ---------------------------------------------------
+  if (num_chains < 1) fail("need at least one chain (zero-chain topology)");
   if (flows.empty()) {
-    if (num_flows < 1)
-      throw std::invalid_argument("scenario: empty traffic mix (no flows)");
-    if (total_offered_gbps <= 0.0)
-      throw std::invalid_argument(
-          "scenario: offered_gbps must be positive");
+    if (num_flows < 1) fail("empty traffic mix (no flows)");
+    if (total_offered_gbps <= 0.0) fail("offered_gbps must be positive");
   } else {
     for (const auto& flow : flows) {
       traffic::validate(flow);
-      if (flow.mean_rate_pps <= 0.0)
-        throw std::invalid_argument(
-            "scenario: flow rates must be positive");
+      if (flow.mean_rate_pps <= 0.0) fail("flow rates must be positive");
       if (flow.chain_index >= num_chains)
-        throw std::invalid_argument(
-            format("scenario: flow %d targets chain %d but only %d chains"
-                   " exist",
-                   flow.id, flow.chain_index, num_chains));
+        fail(format("flow %d targets chain %d but only %d chains exist",
+                    flow.id, flow.chain_index, num_chains));
     }
   }
   if (!chain_nfs.empty()) {
     if (chain_nfs.size() != static_cast<std::size_t>(num_chains))
-      throw std::invalid_argument(
-          "scenario: chainN entries must cover every chain");
+      fail("chainN entries must cover every chain");
     for (const auto& nfs : chain_nfs) {
-      if (nfs.empty())
-        throw std::invalid_argument("scenario: chain with no NFs");
+      if (nfs.empty()) fail("chain with no NFs");
       for (const auto& nf : nfs)
         (void)hwmodel::nf_catalog::by_name(nf);  // throws on unknown names
     }
   }
   profile.validate();
-  if (window_s <= 0.0)
-    throw std::invalid_argument("scenario: window_s must be positive");
-  if (sub_windows < 1)
-    throw std::invalid_argument("scenario: sub_windows must be >= 1");
-  if (steps_per_episode < 1)
-    throw std::invalid_argument(
-        "scenario: steps_per_episode must be >= 1");
-  if (eval_windows < 1)
-    throw std::invalid_argument("scenario: eval_windows must be >= 1");
-  if (episodes < 1 || q_episodes < 1)
-    throw std::invalid_argument("scenario: training episodes must be >= 1");
-  if (candidates < 1)
-    throw std::invalid_argument("scenario: candidates must be >= 1");
-  if (noise_sigma < 0.0)
-    throw std::invalid_argument("scenario: noise_sigma must be >= 0");
-  if (noise_decay <= 0.0 || noise_decay > 1.0)
-    throw std::invalid_argument("scenario: noise_decay must be in (0, 1]");
   if (sla_kind == core::SlaKind::kMaxThroughput && energy_budget_j <= 0.0)
-    throw std::invalid_argument(
-        "scenario: energy_budget must be positive for the maxt SLA");
-  if (sla_kind == core::SlaKind::kMinEnergy &&
-      throughput_floor_gbps <= 0.0)
-    throw std::invalid_argument(
-        "scenario: throughput_floor must be positive for the mine SLA");
+    fail("energy_budget must be positive for the maxt SLA");
+  if (sla_kind == core::SlaKind::kMinEnergy && throughput_floor_gbps <= 0.0)
+    fail("throughput_floor must be positive for the mine SLA");
   if (num_nodes > 1 && num_chains < num_nodes && !fleet.enabled)
-    throw std::invalid_argument(
-        "scenario: cluster runs need at least one chain per node");
-
-  // --- fleet block ---------------------------------------------------------
-  if (node.p_sleep_w < 0.0)
-    throw std::invalid_argument("scenario: node_p_sleep_w must be >= 0");
+    fail("cluster runs need at least one chain per node");
   // Sleep draw above idle draw only matters (and only makes gating
   // nonsensical) when the orchestrator actually gates nodes — a plain
   // scenario with a tiny node_p_idle_w must stay valid as before.
   if (fleet.enabled && node.p_sleep_w > node.p_idle_w)
-    throw std::invalid_argument(
-        "scenario: node_p_sleep_w must be <= node_p_idle_w for fleet runs");
-  if (node.wake_latency_s < 0.0)
-    throw std::invalid_argument(
-        "scenario: node_wake_latency_s must be >= 0");
-  const auto& policies = FleetSpec::policy_names();
-  if (std::find(policies.begin(), policies.end(), fleet.policy) ==
-      policies.end()) {
-    std::string known;
-    for (const auto& name : policies) {
-      if (!known.empty()) known += "|";
-      known += name;
-    }
-    throw std::invalid_argument("scenario: unknown fleet.policy '" +
-                                fleet.policy + "' (expected " + known + ")");
-  }
-  if (fleet.horizon_windows < 0)
-    throw std::invalid_argument("scenario: fleet.horizon must be >= 0");
-  if (fleet.arrival_rate < 0.0)
-    throw std::invalid_argument(
-        "scenario: fleet.arrival_rate must be >= 0");
-  if (fleet.mean_holding_windows <= 0.0)
-    throw std::invalid_argument(
-        "scenario: fleet.mean_holding must be positive");
-  if (fleet.flows_per_chain < 1)
-    throw std::invalid_argument(
-        "scenario: fleet.flows_per_chain must be >= 1");
-  if (fleet.chain_offered_gbps <= 0.0)
-    throw std::invalid_argument(
-        "scenario: fleet.chain_gbps must be positive");
-  if (fleet.migration_downtime_s < 0.0 || fleet.migration_energy_j < 0.0)
-    throw std::invalid_argument(
-        "scenario: fleet migration costs must be >= 0");
-  if (fleet.consolidate_below < 0.0 || fleet.consolidate_below > 1.0)
-    throw std::invalid_argument(
-        "scenario: fleet.consolidate_below must be in [0, 1]");
-  if (fleet.sleep_after_windows < 1)
-    throw std::invalid_argument(
-        "scenario: fleet.sleep_after must be >= 1");
+    fail("node_p_sleep_w must be <= node_p_idle_w for fleet runs");
 
-  // --- topology block ------------------------------------------------------
-  // Name/numeric checks always run (campaign expansion rejects a typo'd
-  // topology.preset on disabled cells too); host-capacity fit binds only
-  // when the fabric is actually built.
+  // Topology name/numeric checks always run (campaign expansion rejects a
+  // typo'd topology.preset on disabled cells too); host-capacity fit binds
+  // only when the fabric is actually built.
   topology::validate_spec(topology, num_nodes);
-  if (latency_sla_us < 0.0)
-    throw std::invalid_argument("scenario: sla.latency must be >= 0");
   if (topology.enabled && !fleet.enabled)
-    throw std::invalid_argument(
-        "scenario: topology.enabled=1 requires fleet.enabled=1 (the fabric"
-        " is routed by the fleet orchestrator)");
+    fail("topology.enabled=1 requires fleet.enabled=1 (the fabric is routed"
+         " by the fleet orchestrator)");
   if (latency_sla_us > 0.0 && !topology.enabled)
-    throw std::invalid_argument(
-        "scenario: sla.latency needs topology.enabled=1 (path latency comes"
-        " from the fabric)");
-
-  // --- fault block ---------------------------------------------------------
-  // Numeric checks always run (campaign expansion rejects a bad fault.*
-  // value on disabled cells too); the cross-requirements bind only when
-  // injection is actually on.
-  if (fault.node_crash_rate < 0.0 || fault.link_fail_rate < 0.0 ||
-      fault.rack_outage_rate < 0.0)
-    throw std::invalid_argument("scenario: fault rates must be >= 0");
-  if (fault.rack_size < 1)
-    throw std::invalid_argument("scenario: fault.rack_size must be >= 1");
-  if (fault.mean_repair_windows <= 0.0)
-    throw std::invalid_argument(
-        "scenario: fault.mean_repair must be positive");
-  if (fault.replace_downtime_s < 0.0 || fault.replace_energy_j < 0.0)
-    throw std::invalid_argument(
-        "scenario: fault replacement costs must be >= 0");
-  if (fault.wake_storm_prob < 0.0 || fault.wake_storm_prob > 1.0)
-    throw std::invalid_argument(
-        "scenario: fault.wake_storm_prob must be in [0, 1]");
-  if (fault.wake_storm_factor < 1.0)
-    throw std::invalid_argument(
-        "scenario: fault.wake_storm_factor must be >= 1");
+    fail("sla.latency needs topology.enabled=1 (path latency comes from the"
+         " fabric)");
   if (fault.enabled && !fleet.enabled)
-    throw std::invalid_argument(
-        "scenario: fault.enabled=1 requires fleet.enabled=1 (faults are"
-        " injected by the fleet orchestrator)");
+    fail("fault.enabled=1 requires fleet.enabled=1 (faults are injected by"
+         " the fleet orchestrator)");
   if (fault.enabled && fault.link_fail_rate > 0.0 && !topology.enabled)
-    throw std::invalid_argument(
-        "scenario: fault.link_fail_rate needs topology.enabled=1 (there is"
-        " no fabric to fail)");
+    fail("fault.link_fail_rate needs topology.enabled=1 (there is no fabric"
+         " to fail)");
 }
 
 const std::vector<std::string>& ScenarioSpec::known_keys() {
-  static const std::vector<std::string> keys = {
-      "scenario",       "scenario_file",
-      "name",           "nodes",
-      "placement",      "node_cores",
-      "node_fmin_ghz",  "node_fmax_ghz",
-      "node_line_rate_gbps", "node_p_idle_w",
-      "node_p_max_w",   "node_p_sleep_w",
-      "node_wake_latency_s",
-      "fleet.enabled",  "fleet.horizon",
-      "fleet.arrival_rate", "fleet.mean_holding",
-      "fleet.flows_per_chain", "fleet.chain_gbps",
-      "fleet.policy",   "fleet.migration",
-      "fleet.migration_downtime_s", "fleet.migration_energy_j",
-      "fleet.consolidate_below", "fleet.power_gating",
-      "fleet.sleep_after",
-      "topology.enabled", "topology.preset",
-      "topology.routing", "topology.hosts_per_leaf",
-      "topology.spines",  "topology.fat_k",
-      "topology.link_gbps", "topology.link_latency_us",
-      "topology.core_gbps", "topology.core_latency_us",
-      "topology.link_idle_w", "topology.link_nj_per_bit",
-      "sla.latency",
-      "fault.enabled",  "fault.node_crash_rate",
-      "fault.link_fail_rate", "fault.rack_outage_rate",
-      "fault.rack_size", "fault.mean_repair",
-      "fault.replace_downtime_s", "fault.replace_energy_j",
-      "fault.wake_storm_prob", "fault.wake_storm_factor",
-      "chains",
-      "flows",          "offered_gbps",
-      "profile",        "profile_period_s",
-      "profile_amplitude", "profile_surge_start_s",
-      "profile_surge_duration_s", "profile_surge_factor",
-      "sla",            "energy_budget",
-      "throughput_floor", "shaped_reward",
-      "window_s",       "sub_windows",
-      "steps_per_episode", "eval_windows",
-      "episodes",       "q_episodes",
-      "candidates",     "prioritized",
-      "noise_sigma",    "noise_decay",
-      "seed",
-  };
+  static const std::vector<std::string> keys = [] {
+    std::vector<std::string> names = {"scenario", "scenario_file"};
+    for (const Key& key : key_table()) names.push_back(key.name);
+    return names;
+  }();
   return keys;
 }
 

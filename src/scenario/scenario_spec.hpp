@@ -58,8 +58,9 @@ struct FleetSpec {
   bool power_gating = true;   ///< fleet.power_gating
   int sleep_after_windows = 2;  ///< fleet.sleep_after
 
-  /// The policy names the orchestrator registry accepts (validated here so
-  /// a typo'd fleet.policy fails at expansion, before anything runs).
+  /// The policy names the orchestrator registry accepts — the one list;
+  /// orchestrator::fleet_policy_names() returns it. Validated here so a
+  /// typo'd fleet.policy fails at expansion, before anything runs.
   [[nodiscard]] static const std::vector<std::string>& policy_names();
 };
 
@@ -195,7 +196,8 @@ struct ScenarioSpec {
   [[nodiscard]] static ScenarioSpec load(const std::string& path);
 
   /// Throws std::invalid_argument naming the offending field (zero chains,
-  /// empty traffic mix, negative rates, unknown NF names...).
+  /// empty traffic mix, negative rates, non-finite numbers, unknown NF
+  /// names...).
   void validate() const;
 
   /// Every scalar key apply() understands, plus the indexed-family

@@ -46,6 +46,17 @@ std::string joined(const std::vector<std::string>& names) {
   throw std::invalid_argument("topology: " + what);
 }
 
+/// Throws unless fat-tree(k) attaches `hosts` hosts. Its capacity, k^3/4,
+/// overflows int from k = 1291, so compare pods instead: (k/2)^2 hosts per
+/// pod fits 64 bits for every int k, and the product is formed only when
+/// it is below `hosts`.
+void require_fat_tree_fits(int k, int hosts) {
+  const std::int64_t per_pod = std::int64_t{k / 2} * (k / 2);
+  if (per_pod > 0 && (hosts + per_pod - 1) / per_pod <= k) return;
+  fail("fat-tree with fat_k=" + std::to_string(k) + " attaches at most " +
+       std::to_string(per_pod * k) + " hosts, got " + std::to_string(hosts));
+}
+
 }  // namespace
 
 void validate_spec(const TopologySpec& spec, int num_hosts) {
@@ -69,12 +80,7 @@ void validate_spec(const TopologySpec& spec, int num_hosts) {
   if (spec.link_idle_w < 0.0) fail("topology.link_idle_w must be >= 0");
   if (spec.link_nj_per_bit < 0.0) fail("topology.link_nj_per_bit must be >= 0");
   if (spec.enabled && spec.preset == "fat-tree") {
-    const int capacity = spec.fat_k * spec.fat_k * spec.fat_k / 4;
-    if (num_hosts > capacity) {
-      fail("fat-tree with fat_k=" + std::to_string(spec.fat_k) +
-           " attaches at most " + std::to_string(capacity) +
-           " hosts, scenario has " + std::to_string(num_hosts));
-    }
+    require_fat_tree_fits(spec.fat_k, num_hosts);
   }
 }
 
@@ -195,11 +201,7 @@ Topology build_leaf_spine(const TopologySpec& s, int hosts) {
 Topology build_fat_tree(const TopologySpec& s, int hosts) {
   const int k = s.fat_k;
   const int half = k / 2;
-  const int capacity = k * k * k / 4;
-  if (hosts > capacity) {
-    fail("fat-tree with fat_k=" + std::to_string(k) + " attaches at most " +
-         std::to_string(capacity) + " hosts, got " + std::to_string(hosts));
-  }
+  require_fat_tree_fits(k, hosts);
   Topology t(hosts);
   // Pods are only instantiated as needed to attach `hosts` hosts.
   const int hosts_per_pod = half * half;

@@ -197,6 +197,42 @@ TEST(CampaignSpec, ExpandRejectsUnknownTopologyPresets) {
   EXPECT_THROW((void)spec.expand(), std::invalid_argument);
 }
 
+TEST(CampaignSpec, SeedsRejectSignsAndOverflow) {
+  for (const char* seeds :
+       {"-1", "1,-2", "+3", "18446744073709551616", "1e3", " "}) {
+    CampaignSpec spec;
+    EXPECT_THROW(spec.apply(make_config({{"seeds", seeds}})),
+                 std::invalid_argument)
+        << seeds;
+  }
+  CampaignSpec spec;
+  spec.apply(make_config({{"seeds", "0,18446744073709551615"}}));
+  EXPECT_EQ(spec.seeds,
+            (std::vector<std::uint64_t>{0, 18446744073709551615ull}));
+}
+
+TEST(CampaignPresets, EveryExpandedCellValidatesAndReplaysItsEcho) {
+  // The scenario echo stored with each run must replay to the same spec,
+  // including derived seeds above 2^63 (fig9 at auto_seeds=8 has five).
+  std::vector<CampaignSpec> campaigns;
+  for (const std::string& name : preset_names())
+    campaigns.push_back(preset(name));
+  campaigns.push_back(preset("fig9"));
+  campaigns.back().auto_seeds = 8;
+  int high_seeds = 0;
+  for (const CampaignSpec& campaign : campaigns) {
+    for (const RunSpec& run : campaign.expand()) {
+      EXPECT_NO_THROW(run.scenario.validate()) << run.run_id;
+      scenario::ScenarioSpec replayed;
+      replayed.apply(Config::from_string(run.scenario.to_text()));
+      EXPECT_EQ(replayed.seed, run.seed) << run.run_id;
+      EXPECT_EQ(replayed.to_text(), run.scenario.to_text()) << run.run_id;
+      high_seeds += run.seed > 9223372036854775807ull ? 1 : 0;
+    }
+  }
+  EXPECT_GT(high_seeds, 0);
+}
+
 TEST(CampaignPresets, RegistryResolvesAndRejectsTypos) {
   const std::vector<std::string> names = preset_names();
   ASSERT_GE(names.size(), 4u);

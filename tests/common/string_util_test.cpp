@@ -32,6 +32,16 @@ TEST(Trim, StripsWhitespace) {
   EXPECT_EQ(trim("a b"), "a b");
 }
 
+TEST(ParseUint64, AcceptsDigitsOnlyOverTheWholeRange) {
+  EXPECT_EQ(parse_uint64("0"), 0u);
+  EXPECT_EQ(parse_uint64("42"), 42u);
+  EXPECT_EQ(parse_uint64("18446744073709551615"), 18446744073709551615ull);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10", "1e3",
+                          "18446744073709551616", "99999999999999999999"}) {
+    EXPECT_FALSE(parse_uint64(bad).has_value()) << '"' << bad << '"';
+  }
+}
+
 TEST(RenderTable, AlignsColumns) {
   const std::string table =
       render_table({"name", "v"}, {{"a", "1"}, {"long_name", "22"}});

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace greennfv::topology {
@@ -53,6 +54,20 @@ TEST(Topology, FatTreeRejectsMoreHostsThanItsCapacity) {
   spec.fat_k = 2;  // capacity k^3/4 = 2
   EXPECT_THROW(Topology::build(spec, 3), std::invalid_argument);
   EXPECT_NO_THROW(Topology::build(spec, 2));
+}
+
+TEST(Topology, FatTreeCapacityCheckDoesNotOverflowInt) {
+  // k^3/4 overflows int from k = 1291; the fit check must stay exact
+  // there and beyond (this suite runs under UBSan in scripts/ci.sh).
+  TopologySpec spec = spec_for("fat-tree");
+  spec.fat_k = 1300;  // 549,250,000 hosts
+  EXPECT_NO_THROW(validate_spec(spec, 3));
+  EXPECT_NO_THROW(validate_spec(spec, 549250000));
+  EXPECT_THROW(validate_spec(spec, 549250001), std::invalid_argument);
+  spec.fat_k = 2048;  // 2^31 hosts: more than any int host count
+  EXPECT_NO_THROW(validate_spec(spec, std::numeric_limits<int>::max()));
+  spec.fat_k = std::numeric_limits<int>::max() - 1;
+  EXPECT_NO_THROW(validate_spec(spec, std::numeric_limits<int>::max()));
 }
 
 TEST(Topology, EdgeCoreGatewayHangsOffCoreZeroOnly) {
