@@ -3,7 +3,8 @@
 #   1. the tier-1 verify line from ROADMAP.md (Release build, full ctest),
 #      then a run_scenario smoke over the ci-smoke preset so the
 #      Scenario/Experiment API (full scheduler roster, tiny budgets) is
-#      exercised end to end in the gate
+#      exercised end to end in the gate, and the end-to-end benchmark's
+#      self-test (perfbench/run.py --selftest)
 #   2. an ASan/UBSan Debug build of the test suite, with the nfvsim suites
 #      (threaded engine, mempool, ring) always run under the sanitizers —
 #      that's where data races and lifetime bugs would land.
@@ -176,6 +177,15 @@ echo "=== [1d] RL training microbench: smoke mode + baseline check ==="
 # cannot silently lose the batched-GEMM win but a noisy machine cannot
 # block the gate either.
 ./build/bench_train smoke=1 baseline=bench/baselines/BENCH_train.json
+
+echo
+echo "=== [1e] end-to-end benchmark self-test ==="
+# Builds the perfbench harness against this tree's public API, checks that
+# its wrapped roster evaluates fleet-smoke bit-identically to the plain
+# one, and runs every workload at tiny size on two seeds, traced and
+# untraced. A non-zero exit fails the gate: the benchmark must keep
+# building and agreeing with the program it measures.
+python3 perfbench/run.py --selftest
 
 echo
 echo "=== [2/2] sanitizer gate: ASan/UBSan Debug build ==="

@@ -5,16 +5,11 @@
 namespace greennfv::nfvsim {
 
 ServiceChain::ServiceChain(std::string name,
-                           const std::vector<std::string>& nf_names,
-                           std::size_t ring_capacity)
+                           const std::vector<std::string>& nf_names)
     : name_(std::move(name)) {
   GNFV_REQUIRE(!nf_names.empty(), "ServiceChain: empty NF list");
   nfs_.reserve(nf_names.size());
   for (const auto& nf_name : nf_names) nfs_.push_back(make_nf(nf_name));
-  // One input ring per NF plus the TX ring.
-  rings_.reserve(nfs_.size() + 1);
-  for (std::size_t i = 0; i <= nfs_.size(); ++i)
-    rings_.push_back(std::make_unique<SpscRing<Packet*>>(ring_capacity));
 }
 
 std::vector<hwmodel::NfCostProfile> ServiceChain::cost_profiles() const {

@@ -8,22 +8,21 @@
 #include "hwmodel/nf_cost.hpp"
 #include "nfvsim/nf.hpp"
 #include "nfvsim/packet.hpp"
-#include "nfvsim/ring.hpp"
 
 /// \file chain.hpp
 /// A service chain: NFs in series connection (the paper's deployment:
 /// "Each node hosts an NF chain with three Network functions. Network
-/// functions are chained with a series connection."). The chain owns the
-/// inter-NF SPSC rings used by the threaded engine and exposes the cost
-/// profiles consumed by the analytic model.
+/// functions are chained with a series connection."). The chain owns its
+/// NFs and exposes the cost profiles consumed by the analytic model. It
+/// holds no packet queues: the threaded engine owns the RX ring it feeds
+/// each chain through, so an analytic node carries no packet buffers.
 
 namespace greennfv::nfvsim {
 
 class ServiceChain {
  public:
   /// Builds a chain from catalog names, e.g. {"firewall","router","ids"}.
-  ServiceChain(std::string name, const std::vector<std::string>& nf_names,
-               std::size_t ring_capacity = 4096);
+  ServiceChain(std::string name, const std::vector<std::string>& nf_names);
 
   ServiceChain(const ServiceChain&) = delete;
   ServiceChain& operator=(const ServiceChain&) = delete;
@@ -38,13 +37,6 @@ class ServiceChain {
 
   /// Cost profiles of all NFs, in chain order (for hwmodel::CostModel).
   [[nodiscard]] std::vector<hwmodel::NfCostProfile> cost_profiles() const;
-
-  /// Input ring of NF `i` (ring 0 is the chain's RX queue); ring
-  /// `num_nfs()` is the TX/output ring.
-  [[nodiscard]] SpscRing<Packet*>& ring(std::size_t i) {
-    return *rings_.at(i);
-  }
-  [[nodiscard]] std::size_t num_rings() const { return rings_.size(); }
 
   /// Runs one packet through every NF inline (no rings); returns false if
   /// some NF dropped it. Used by tests and the quickstart example.
@@ -61,7 +53,6 @@ class ServiceChain {
  private:
   std::string name_;
   std::vector<std::unique_ptr<NetworkFunction>> nfs_;
-  std::vector<std::unique_ptr<SpscRing<Packet*>>> rings_;
 };
 
 /// The 3-NF chains used throughout the paper's evaluation. Index selects a

@@ -2,12 +2,21 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <thread>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "nfvsim/ring.hpp"
 
 namespace greennfv::nfvsim {
+
+namespace {
+
+/// Slots per chain RX ring (a typical DPDK RX descriptor ring size).
+constexpr std::size_t kRxRingCapacity = 4096;
+
+}  // namespace
 
 ThreadedEngine::ThreadedEngine(OnvmController& controller, Options options)
     : controller_(controller), options_(options) {
@@ -27,6 +36,12 @@ ThreadedRunReport ThreadedEngine::run(
 
   const std::size_t n_chains = controller_.num_chains();
   Mempool pool(options_.pool_capacity);
+  // One RX ring per chain, owned here so chains carry no packet buffers;
+  // declared before the threads, so every ring outlives every join.
+  std::vector<std::unique_ptr<SpscRing<Packet*>>> rx_rings;
+  rx_rings.reserve(n_chains);
+  for (std::size_t c = 0; c < n_chains; ++c)
+    rx_rings.push_back(std::make_unique<SpscRing<Packet*>>(kRxRingCapacity));
 
   ThreadedRunReport report;
   report.per_chain_delivered.assign(n_chains, 0);
@@ -48,7 +63,7 @@ ThreadedRunReport ThreadedEngine::run(
   for (std::size_t c = 0; c < n_chains; ++c) {
     workers.emplace_back([&, c] {
       ServiceChain& chain = controller_.chain(c);
-      SpscRing<Packet*>& rx = chain.ring(0);
+      SpscRing<Packet*>& rx = *rx_rings[c];
       const std::uint32_t batch = controller_.knobs(c).batch;
       std::vector<Packet*> burst(batch);
       int idle_polls = 0;
@@ -114,10 +129,8 @@ ThreadedRunReport ThreadedEngine::run(
         pkt->ttl = 64;
         pkt->payload_digest = pkt->id * 0x9E3779B97F4A7C15ull;
 
-        SpscRing<Packet*>& rx = controller_
-                                    .chain(static_cast<std::size_t>(
-                                        flow.chain_index))
-                                    .ring(0);
+        SpscRing<Packet*>& rx =
+            *rx_rings[static_cast<std::size_t>(flow.chain_index)];
         // Bounded retry: real NICs buffer briefly, then tail-drop.
         bool pushed = false;
         for (int attempt = 0; attempt < 128 && !pushed; ++attempt) {

@@ -11,11 +11,11 @@
 /// \file engine_threaded.hpp
 /// The real multi-threaded data path: a generator/RX thread allocates
 /// packets from the shared mempool and bursts them into each chain's RX
-/// ring; one worker thread per chain polls its ring in batches (the batch
-/// knob), runs the packets through the chain's NFs inline, counts
-/// deliveries, and returns packets to the pool. In hybrid mode workers
-/// back off (yield/sleep) on empty polls — the paper's callback+polling
-/// mix; in poll mode they spin.
+/// ring (the engine owns the rings for the length of a run); one worker
+/// thread per chain polls its ring in batches (the batch knob), runs the
+/// packets through the chain's NFs inline, counts deliveries, and returns
+/// packets to the pool. In hybrid mode workers back off (yield/sleep) on
+/// empty polls — the paper's callback+polling mix; in poll mode they spin.
 ///
 /// This engine is about *correctness of the plumbing* (conservation,
 /// backpressure, burst handling), not about reproducing the paper's

@@ -74,9 +74,7 @@ std::uint64_t five_tuple_key(const Packet& pkt) {
 
 NatNf::NatNf()
     : NetworkFunction(hwmodel::nf_catalog::nat()),
-      external_ip_(0xC6336401) {  // 198.51.100.1 (TEST-NET-2)
-  table_.reserve(1 << 16);
-}
+      external_ip_(0xC6336401) {}  // 198.51.100.1 (TEST-NET-2)
 
 void NatNf::process(Packet& pkt) {
   const std::uint64_t key = five_tuple_key(pkt);
@@ -196,9 +194,7 @@ void TunnelGwNf::process(Packet& pkt) {
 
 // --- EPC -----------------------------------------------------------------------
 
-EpcNf::EpcNf() : NetworkFunction(hwmodel::nf_catalog::epc()) {
-  bearers_.reserve(1 << 12);
-}
+EpcNf::EpcNf() : NetworkFunction(hwmodel::nf_catalog::epc()) {}
 
 void EpcNf::process(Packet& pkt) {
   // Bearer = subscriber session keyed by inner source address.
@@ -217,9 +213,7 @@ void EpcNf::process(Packet& pkt) {
 // --- Flow monitor ---------------------------------------------------------------
 
 FlowMonitorNf::FlowMonitorNf()
-    : NetworkFunction(hwmodel::nf_catalog::flow_monitor()) {
-  counters_.reserve(1 << 12);
-}
+    : NetworkFunction(hwmodel::nf_catalog::flow_monitor()) {}
 
 void FlowMonitorNf::process(Packet& pkt) {
   Counter& counter = counters_[pkt.flow_id];

@@ -1,7 +1,9 @@
 #include "orchestrator/fleet.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -450,9 +452,8 @@ void FleetOrchestrator::build_timeline() {
             timeline_.chains.push_back(std::move(chain));
             ChainInstance& arrived = timeline_.chains.back();
             place(arrived.id, w, win);
-            // A rejected chain never joins the flow pool — its flows
-            // would otherwise be dead weight re-scanned on every
-            // node-env rebuild.
+            // A rejected chain never joins the flow pool — no node
+            // ever hosts it, so its flows would be dead weight.
             if (arrived.first_node >= 0) {
               timeline_.flows.insert(timeline_.flows.end(),
                                      arrived.flows.begin(),
@@ -648,6 +649,9 @@ scenario::ModelReport FleetOrchestrator::run_model(
       telemetry::trace::intern("fleet/run_model:" + entry.name),
       &mc::counter("fleet.phase.run_model_ns"));
   auto& c_phase_measure = mc::counter("fleet.phase.measure_ns");
+  auto& c_phase_train = mc::counter("fleet.phase.train_ns");
+  const char* const train_span_name =
+      telemetry::trace::intern("fleet/train:" + entry.name);
   auto& c_node_windows = mc::counter("fleet.node_windows");
   auto& c_rebuilds = mc::counter("fleet.env_rebuilds");
   scenario::ModelReport report;
@@ -665,6 +669,32 @@ scenario::ModelReport FleetOrchestrator::run_model(
   comps.reserve(timeline_.chains.size());
   for (const ChainInstance& chain : timeline_.chains)
     comps.push_back(chain.nfs);
+
+  // Each chain's flows as positions in the fleet flow pool, so a rebuild
+  // hands partition_node_env only its members' flows instead of the whole
+  // pool. Members' flows are merged back into ascending pool position —
+  // the order a full scan visits them; the initial chains' flows are
+  // interleaved, and per-flow traffic draws follow that order.
+  std::vector<std::vector<std::size_t>> chain_flows(timeline_.chains.size());
+  for (std::size_t i = 0; i < timeline_.flows.size(); ++i) {
+    const auto c = static_cast<std::size_t>(timeline_.flows[i].chain_index);
+    chain_flows.at(c).push_back(i);
+  }
+  const auto flows_of = [&](const std::vector<int>& members) {
+    std::vector<std::size_t> positions;
+    std::vector<std::size_t> merged;
+    for (const int c : members) {
+      const auto& own = chain_flows[static_cast<std::size_t>(c)];
+      merged.clear();
+      std::merge(positions.begin(), positions.end(), own.begin(), own.end(),
+                 std::back_inserter(merged));
+      positions.swap(merged);
+    }
+    std::vector<traffic::FlowSpec> flows;
+    flows.reserve(positions.size());
+    for (const std::size_t i : positions) flows.push_back(timeline_.flows[i]);
+    return flows;
+  };
 
   // The static single-node fleet takes the exact ExperimentRunner path:
   // the whole-deployment EnvConfig (flows resolved inside the environment
@@ -698,9 +728,9 @@ scenario::ModelReport FleetOrchestrator::run_model(
   MembershipReplay replay(timeline_, num_nodes);
 
   for (int w = 0; w < horizon_; ++w) {
-    const telemetry::trace::Span window_span(
-        "fleet/measure_window", static_cast<std::uint64_t>(w),
-        &c_phase_measure);
+    std::optional<telemetry::trace::Span> window_span;
+    window_span.emplace("fleet/measure_window", static_cast<std::uint64_t>(w),
+                        &c_phase_measure);
     const FleetTimeline::Window& win =
         timeline_.windows[static_cast<std::size_t>(w)];
     const double t = w * window_s;
@@ -721,7 +751,7 @@ scenario::ModelReport FleetOrchestrator::run_model(
       core::EnvConfig env_config =
           degenerate ? spec_.env_config()
                      : scenario::partition_node_env(
-                           spec_, comps, timeline_.flows, members, n);
+                           spec_, comps, flows_of(members), members, n);
       const std::uint64_t env_seed =
           scenario::node_eval_seed(spec_, static_cast<std::size_t>(n)) +
           kEpochSeedStride * static_cast<std::uint64_t>(rt.epochs);
@@ -730,8 +760,18 @@ scenario::ModelReport FleetOrchestrator::run_model(
       const std::pair<int, int> key{n, env_config.num_chains};
       auto it = schedulers.find(key);
       if (it == schedulers.end()) {
-        it = schedulers.emplace(key, entry.make(env_config, spec_.seed))
-                 .first;
+        // Training is not replay: the window's measure span closes around
+        // it, so fleet.phase.measure_ns and fleet.phase.train_ns are
+        // disjoint parts of run_model_ns.
+        window_span.reset();
+        {
+          const telemetry::trace::Span train_span(train_span_name,
+                                                  &c_phase_train);
+          it = schedulers.emplace(key, entry.make(env_config, spec_.seed))
+                   .first;
+        }
+        window_span.emplace("fleet/measure_window",
+                            static_cast<std::uint64_t>(w), &c_phase_measure);
       }
       core::Scheduler& scheduler = *it->second;
       scheduler.reset();

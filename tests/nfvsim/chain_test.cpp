@@ -11,7 +11,6 @@ TEST(Chain, BuildsFromCatalogNames) {
   EXPECT_EQ(chain.name(), "c0");
   EXPECT_EQ(chain.nf(0).name(), "firewall");
   EXPECT_EQ(chain.nf(2).name(), "ids");
-  EXPECT_EQ(chain.num_rings(), 4u);  // 3 NF input rings + TX
 }
 
 TEST(Chain, CostProfilesMatchOrder) {
