@@ -264,5 +264,98 @@ TEST(FleetGolden, FaultEvalMatchesPinnedHistory) {
   expect_matches_golden("eval_fleet-fault-crash", eval_to_text(report));
 }
 
+/// A static deployment (fleet.enabled=0) with the roster it is run under.
+struct StaticCell {
+  std::string name;
+  scenario::ScenarioSpec spec;
+  std::string models;
+};
+
+/// The pinned static cells, all on CI-sized windows: the nine
+/// placement-sweep cells (heterogeneous-cluster x nodes x placement), five
+/// chains (15 NF cores) on one 14-core node, and one node with a chain
+/// that receives no flows.
+std::vector<StaticCell> static_cells() {
+  const auto small = [](const std::string& preset_name) {
+    scenario::ScenarioSpec spec = scenario::preset(preset_name);
+    spec.eval_windows = 3;
+    spec.sub_windows = 2;
+    spec.window_s = 2.0;
+    return spec;
+  };
+  std::vector<StaticCell> cells;
+  for (const int nodes : {2, 3, 4}) {
+    for (const char* placement :
+         {"first-fit-decreasing", "least-loaded", "energy-bestfit"}) {
+      StaticCell cell{format("heterogeneous-cluster-n%d-%s", nodes, placement),
+                      small("heterogeneous-cluster"), "baseline,ee-pstate"};
+      cell.spec.num_nodes = nodes;
+      cell.spec.placement = scenario::placement_from_string(placement);
+      cells.push_back(std::move(cell));
+    }
+  }
+  {
+    StaticCell cell{"paper-default-chains5", small("paper-default"),
+                    "baseline,heuristics,ee-pstate"};
+    cell.spec.num_chains = 5;
+    cell.spec.num_flows = 10;
+    cells.push_back(std::move(cell));
+  }
+  {
+    StaticCell cell{"paper-default-flowless-chain", small("paper-default"),
+                    "baseline,heuristics,ee-pstate"};
+    cell.spec.flows = {scenario::flow_from_text("udp:poisson:512:1e6:0", 0),
+                       scenario::flow_from_text("tcp:poisson:1024:4e5:1", 1),
+                       scenario::flow_from_text("udp:cbr:256:8e5:0", 2)};
+    cell.spec.num_flows = static_cast<int>(cell.spec.flows.size());
+    cells.push_back(std::move(cell));
+  }
+  return cells;
+}
+
+/// Every model's six means and every sample of its six aggregate series,
+/// doubles as raw bit patterns.
+std::string static_eval_text(const scenario::EvalReport& report) {
+  std::string text = "# greennfv static deployment eval v1\n";
+  text += format("scenario=%s nodes=%d models=%d\n", report.scenario.c_str(),
+                 report.nodes, static_cast<int>(report.models.size()));
+  for (const auto& model : report.models) {
+    const core::EvalResult& r = model.result;
+    text += format("model %s windows=%d\n", r.scheduler.c_str(), r.windows);
+    text += format(
+        "means gbps=%s energy_j=%s power_w=%s efficiency=%s sla=%s drop=%s\n",
+        orchestrator::double_bits(r.mean_gbps).c_str(),
+        orchestrator::double_bits(r.mean_energy_j).c_str(),
+        orchestrator::double_bits(r.mean_power_w).c_str(),
+        orchestrator::double_bits(r.mean_efficiency).c_str(),
+        orchestrator::double_bits(r.sla_satisfaction).c_str(),
+        orchestrator::double_bits(r.drop_fraction).c_str());
+    for (const char* series : {"throughput_gbps", "energy_j", "power_w",
+                               "efficiency", "drop_fraction",
+                               "offered_pps"}) {
+      const TimeSeries& s = report.series.series(model.prefix + series);
+      text += "series " + model.prefix + series + "\n";
+      for (std::size_t i = 0; i < s.size(); ++i) {
+        text += "  " + orchestrator::double_bits(s.times()[i]) + " " +
+                orchestrator::double_bits(s.values()[i]) + "\n";
+      }
+    }
+  }
+  return text;
+}
+
+TEST(FleetGolden, StaticDeploymentGolden) {
+  // Static deployments pinned bit-exact: multi-node placement and
+  // partitioning, idle-node power, an over-full single node that still
+  // hosts every chain, and a chain that runs without traffic.
+  for (const auto& cell : static_cells()) {
+    SCOPED_TRACE(cell.name);
+    scenario::ExperimentRunner runner(cell.spec);
+    const scenario::EvalReport report = runner.run(scenario::filter_roster(
+        scenario::untrained_roster(cell.spec), cell.models));
+    expect_matches_golden("static_" + cell.name, static_eval_text(report));
+  }
+}
+
 }  // namespace
 }  // namespace greennfv
