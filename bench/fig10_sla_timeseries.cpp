@@ -16,6 +16,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
+#include "orchestrator/fleet.hpp"
 #include "scenario/experiment.hpp"
 
 using namespace greennfv;
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
 
   std::printf("[train+run] (a) MaxTh, energy constraint %.1f KJ...\n",
               maxt_spec.energy_budget_j / 1000.0);
-  scenario::ExperimentRunner maxt_runner(maxt_spec);
+  orchestrator::FleetOrchestrator maxt_runner(maxt_spec);
   scenario::SchedulerFactory maxt_entry =
       scenario::filter_roster(scenario::default_roster(maxt_spec),
                               "greennfv-maxt")
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
 
   std::printf("[train+run] (b) MinE, throughput constraint %.1f Gbps...\n",
               mine_spec.throughput_floor_gbps);
-  scenario::ExperimentRunner mine_runner(mine_spec);
+  orchestrator::FleetOrchestrator mine_runner(mine_spec);
   scenario::SchedulerFactory mine_entry =
       scenario::filter_roster(scenario::default_roster(mine_spec),
                               "greennfv-mine")

@@ -7,8 +7,8 @@
 /// parallelizes across seeds, artifacts land under out/fig9/, and an
 /// interrupted run resumes (resume=1) — while the default single-seed run
 /// reproduces the pre-campaign wiring bit for bit (the per-run seed is
-/// the scenario seed, and the evaluation path is the same
-/// ExperimentRunner).
+/// the scenario seed, and a one-node static deployment evaluates exactly
+/// like core::evaluate_scheduler).
 ///
 /// Expected shape (paper): baseline lowest (~2 Gbps at the highest energy);
 /// Heuristics / EE-Pstate / Q-Learning roughly 2x baseline; GreenNFV

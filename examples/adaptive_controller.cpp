@@ -11,6 +11,7 @@
 #include <exception>
 
 #include "common/log.hpp"
+#include "orchestrator/fleet.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/presets.hpp"
 
@@ -36,13 +37,13 @@ int run(const Config& cli) {
   defaulted("eval_windows", "16");
   const scenario::ScenarioSpec spec = scenario::resolve(config);
 
-  scenario::ExperimentRunner runner(spec);
+  orchestrator::FleetOrchestrator runner(spec);
   std::vector<scenario::SchedulerFactory> roster =
       scenario::untrained_roster(spec);
   // The cold start IS the story here: no settling windows, so the
   // timeline shows each policy reacting from its initial allocation.
   for (auto& entry : roster) entry.warmup = 0;
-  const scenario::EvalReport report = runner.run(roster);
+  const scenario::EvalReport report = runner.run(roster).report;
 
   std::printf("reaction timeline (Gbps | W) over %d %.0f-second windows of"
               " scenario %s:\n\n",

@@ -9,13 +9,14 @@
 ///   2. NfvEnvironment — chains + knobs + traffic compiled from the spec
 ///   3. run_window — one measured control interval (Gbps, joules, drops)
 ///   4. ThreadedEngine — the real multi-threaded packet path
-///   5. ExperimentRunner — the full model-comparison harness in two lines
+///   5. FleetOrchestrator — the full model-comparison harness in two lines
 
 #include <cstdio>
 
 #include "common/units.hpp"
 #include "core/environment.hpp"
 #include "nfvsim/engine_threaded.hpp"
+#include "orchestrator/fleet.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/presets.hpp"
 
@@ -75,9 +76,9 @@ int main() {
 
   // --- 5. the full harness in two lines ----------------------------------------
   scenario::ScenarioSpec quick = scenario::preset("ci-smoke");
-  scenario::ExperimentRunner runner(quick);
+  orchestrator::FleetOrchestrator runner(quick);
   const scenario::EvalReport eval =
-      runner.run(scenario::untrained_roster(quick));
+      runner.run(scenario::untrained_roster(quick)).report;
   std::printf("\nreactive roster on the %s scenario:\n\n%s",
               quick.name.c_str(), eval.table().c_str());
   std::printf("\ndone — examples/sla_training.cpp adds the learning loop,"

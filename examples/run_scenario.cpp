@@ -1,6 +1,8 @@
-/// Run any named or file-loaded scenario against the scheduler roster and
-/// print the uniform EvalReport — the one declarative entry point for
-/// every workload, scheduler, and figure.
+/// Run any named or file-loaded scenario against the scheduler roster
+/// through orchestrator::FleetOrchestrator and print the uniform
+/// EvalReport — the one declarative entry point for every workload,
+/// scheduler, and figure. A static scenario (fleet.enabled=0) is the fleet
+/// engine with nothing arriving; fleet scenarios add the history block.
 ///
 ///   build/example_run_scenario                         # paper-default
 ///   build/example_run_scenario scenario=flash-crowd
@@ -190,12 +192,9 @@ int run(const Config& config) {
   if (const auto models = config.get("models"))
     roster = scenario::filter_roster(roster, *models);
 
-  scenario::EvalReport report;
-  std::string fleet_summary;
-  std::shared_ptr<const telemetry::SeriesTable> fleet_series;
+  orchestrator::FleetOrchestrator fleet(spec);
   if (spec.fleet.enabled) {
     // Dynamic fleet: online arrivals/departures, migration, power gating.
-    orchestrator::FleetOrchestrator fleet(spec);
     std::printf("fleet: %d window horizon, policy %s, %.2f arrivals/window,"
                 " migration %s, power gating %s\n",
                 fleet.horizon(), spec.fleet.policy.c_str(),
@@ -209,17 +208,19 @@ int run(const Config& config) {
         std::printf(", latency SLA %.0f us", spec.latency_sla_us);
       std::printf("\n");
     }
-    orchestrator::FleetReport fleet_report = fleet.run(roster);
-    fleet_summary = fleet_report.fleet_summary();
-    report = std::move(fleet_report.report);
-    fleet_series = fleet.timeline().series;
-  } else {
-    scenario::ExperimentRunner runner(spec);
-    if (runner.idle_nodes() > 0)
-      std::printf("placement left %d node(s) idle (charged at %.0f W)\n",
-                  runner.idle_nodes(), spec.node.p_idle_w);
-    report = runner.run(roster);
+  } else if (const int idle = fleet.timeline().windows.front().idle_nodes;
+             idle > 0) {
+    std::printf("placement left %d node(s) idle (charged at %.0f W)\n", idle,
+                spec.node.p_idle_w);
   }
+  orchestrator::FleetReport fleet_report = fleet.run(roster);
+  const scenario::EvalReport& report = fleet_report.report;
+  // The history block and health series describe fleet dynamics; a static
+  // scenario has none to show.
+  const std::string fleet_summary =
+      spec.fleet.enabled ? fleet_report.fleet_summary() : "";
+  const std::shared_ptr<const telemetry::SeriesTable> fleet_series =
+      fleet.timeline().series;
 
   std::printf("\n");
   std::fputs(report.table().c_str(), stdout);

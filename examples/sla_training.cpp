@@ -14,6 +14,7 @@
 
 #include "common/log.hpp"
 #include "core/greennfv.hpp"
+#include "orchestrator/fleet.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/presets.hpp"
 
@@ -64,12 +65,12 @@ int run(const Config& cli) {
            throw std::invalid_argument(
                "sla_training trains one policy for the full deployment;"
                " multi-node scenarios need example_run_scenario, whose"
-               " roster trains per node shape");
+               " roster trains per node");
          }
          return trainer.make_scheduler(label);
        }});
-  scenario::ExperimentRunner runner(spec);
-  const scenario::EvalReport report = runner.run(roster);
+  orchestrator::FleetOrchestrator runner(spec);
+  const scenario::EvalReport report = runner.run(roster).report;
   std::fputs(report.table().c_str(), stdout);
 
   const EvalResult& base = report.models[0].result;

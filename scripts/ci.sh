@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Per-PR gate for the GreenNFV tree:
 #   1. the tier-1 verify line from ROADMAP.md (Release build, full ctest),
-#      then a run_scenario smoke over the ci-smoke preset so the
-#      Scenario/Experiment API (full scheduler roster, tiny budgets) is
-#      exercised end to end in the gate, and the end-to-end benchmark's
-#      self-test (perfbench/run.py --selftest)
+#      then a run_scenario smoke over the ci-smoke preset so the one
+#      evaluation path (a static scenario through the fleet orchestrator,
+#      full scheduler roster, tiny budgets) is exercised end to end in the
+#      gate, and the end-to-end benchmark's self-test
+#      (perfbench/run.py --selftest)
 #   2. an ASan/UBSan Debug build of the test suite, with the nfvsim suites
 #      (threaded engine, mempool, ring) always run under the sanitizers —
 #      that's where data races and lifetime bugs would land.
@@ -47,12 +48,15 @@ echo "=== [1c2] fleet smoke: dynamic 3-node fleet through the orchestrator ==="
 ./build/example_run_scenario scenario=fleet-smoke models=baseline,ee-pstate
 
 echo
-echo "=== [1c3] placement-sweep smoke: 2 cells at jobs=2 ==="
-# A 2-cell expansion of the placement-sweep preset (one fleet size, two
-# placement policies) with CI-sized windows, then the manifest must parse
-# with every aggregate field finite — same contract as the campaign smoke.
+echo "=== [1c3] placement-sweep smoke: 3 cells at jobs=2 ==="
+# A 3-cell expansion of the placement-sweep preset (one fleet size, every
+# placement value: static deployments placed once through the fleet
+# orchestrator's policy registry, first-fit-decreasing as first-fit) with
+# CI-sized windows, then the manifest must parse with every aggregate
+# field finite — same contract as the campaign smoke.
 ./build/example_run_campaign campaign=placement-sweep \
-  sweep.nodes=3 sweep.placement=least-loaded,energy-bestfit \
+  sweep.nodes=3 \
+  sweep.placement=first-fit-decreasing,least-loaded,energy-bestfit \
   models=baseline eval_windows=3 sub_windows=2 window_s=2 \
   jobs=2 fresh=1
 ./build/example_run_campaign \

@@ -42,7 +42,7 @@ struct RunResult {
   /// failed run writes no artifact and is excluded from aggregation.
   bool failed = false;
   std::string error;
-  /// Per-model results + telemetry, exactly as ExperimentRunner returns.
+  /// Per-model results + telemetry, exactly as FleetOrchestrator returns.
   scenario::EvalReport report;
   /// Per-window fleet health series (fleet runs with
   /// telemetry::series::enabled() only; null otherwise). Exported as a

@@ -37,19 +37,11 @@ RunResult CampaignRunner::execute(const RunSpec& run,
   result.assignments = run.assignments;
   result.seed = run.seed;
   result.scenario_text = run.scenario.to_text();
-  if (run.scenario.fleet.enabled) {
-    // Dynamic fleets run through the orchestrator; its EvalReport has the
-    // same shape (per-model means + telemetry series), so artifacts,
-    // resume, and aggregation work unchanged.
-    orchestrator::FleetOrchestrator fleet(run.scenario);
-    result.report = fleet.run(roster(run.scenario)).report;
-    // Null unless telemetry::series::enabled() — the sampler armed
-    // itself inside the timeline build.
-    result.fleet_series = fleet.timeline().series;
-  } else {
-    scenario::ExperimentRunner runner(run.scenario);
-    result.report = runner.run(roster(run.scenario));
-  }
+  orchestrator::FleetOrchestrator fleet(run.scenario);
+  result.report = fleet.run(roster(run.scenario)).report;
+  // Null unless telemetry::series::enabled() on a fleet scenario — the
+  // sampler armed itself inside the timeline build.
+  result.fleet_series = fleet.timeline().series;
   return result;
 }
 

@@ -11,7 +11,7 @@
 
 /// \file runner.hpp
 /// Executes a campaign's run matrix: each matrix entry is an independent
-/// (scenario, roster, seed) evaluation through ExperimentRunner, so the
+/// (scenario, roster, seed) evaluation through FleetOrchestrator, so the
 /// work-stealing pool can run them in any interleaving — results land in
 /// index-addressed slots and every run derives its randomness from its own
 /// RunSpec seed, which is what makes `--jobs N` bit-identical to

@@ -1,5 +1,6 @@
 #include "common/config.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -78,10 +79,15 @@ std::int64_t Config::get_int(const std::string& key,
   const auto value = get(key);
   if (!value) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(value->c_str(), &end, 10);
   if (end == value->c_str() || *end != '\0') {
     throw std::invalid_argument("Config: key '" + key +
                                 "' is not an integer: " + *value);
+  }
+  if (errno == ERANGE) {
+    throw std::invalid_argument("Config: key '" + key +
+                                "' is out of 64-bit integer range: " + *value);
   }
   return parsed;
 }

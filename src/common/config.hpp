@@ -30,7 +30,8 @@ class Config {
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
 
   /// Typed getters with defaults. Throw std::invalid_argument on parse
-  /// failure — a malformed experiment parameter must not silently fall back.
+  /// failure (get_int also outside 64-bit range) — a malformed experiment
+  /// parameter must not silently fall back or saturate.
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& key,

@@ -39,8 +39,7 @@ namespace {
 constexpr std::uint64_t kTimelineSeedSalt = 0xF1EE7C0FFEEull;
 /// Per-epoch stride on the node evaluation seed: a node whose chain set
 /// changed re-seeds its environment on a fresh stream; epoch 0 IS
-/// scenario::node_eval_seed, which is what keeps the static fleet
-/// bit-identical to ExperimentRunner.
+/// scenario::node_eval_seed, the seed a static node has always run on.
 constexpr std::uint64_t kEpochSeedStride = 0x9E3779B97F4A7C15ull;
 
 /// Event phases within one window, in the order the reference engine ran
@@ -65,6 +64,15 @@ void copy_series(const telemetry::Recorder& from, telemetry::Recorder* to,
   }
 }
 
+/// The registry policy that places a static deployment's chains: the one
+/// its `placement` names, with first-fit for first-fit-decreasing (chains
+/// are placed in id order).
+std::string placement_policy_name(scenario::PlacementPolicy placement) {
+  return placement == scenario::PlacementPolicy::kFirstFitDecreasing
+             ? "first-fit"
+             : scenario::to_string(placement);
+}
+
 }  // namespace
 
 FleetOrchestrator::FleetOrchestrator(scenario::ScenarioSpec spec)
@@ -74,14 +82,11 @@ FleetOrchestrator::FleetOrchestrator(scenario::ScenarioSpec spec,
                                      std::unique_ptr<FleetPolicy> policy)
     : spec_(std::move(spec)), policy_override_(std::move(policy)) {
   spec_.validate();
-  if (!spec_.fleet.enabled) {
-    throw std::invalid_argument(
-        "orchestrator: scenario '" + spec_.name +
-        "' has fleet.enabled=0 — run it through ExperimentRunner");
-  }
-  horizon_ = spec_.fleet.horizon_windows > 0 ? spec_.fleet.horizon_windows
-                                             : spec_.eval_windows;
-  static_fleet_ = spec_.fleet.arrival_rate == 0.0;
+  static_deployment_ = !spec_.fleet.enabled;
+  horizon_ = !static_deployment_ && spec_.fleet.horizon_windows > 0
+                 ? spec_.fleet.horizon_windows
+                 : spec_.eval_windows;
+  static_fleet_ = static_deployment_ || spec_.fleet.arrival_rate == 0.0;
   capacity_cores_ = static_cast<double>(spec_.node.total_cores) -
                     spec_.node.controller_cores;
   if (capacity_cores_ <= 0.0) {
@@ -103,15 +108,18 @@ void FleetOrchestrator::build_timeline() {
   const double window_s = spec_.window_s;
   timeline_.num_nodes = num_nodes;
   Rng rng(spec_.seed ^ kTimelineSeedSalt);
+  const std::string policy_name = static_deployment_
+                                      ? placement_policy_name(spec_.placement)
+                                      : spec_.fleet.policy;
   const std::unique_ptr<FleetPolicy> owned_policy =
-      policy_override_ == nullptr ? make_fleet_policy(spec_.fleet.policy)
-                                  : nullptr;
+      policy_override_ == nullptr ? make_fleet_policy(policy_name) : nullptr;
   const FleetPolicy* policy = policy_override_ != nullptr
                                   ? policy_override_.get()
                                   : owned_policy.get();
   const PowerStateConfig ps_config{
       spec_.node.p_idle_w, spec_.node.p_sleep_w, spec_.node.wake_latency_s,
-      spec_.fleet.sleep_after_windows, spec_.fleet.power_gating};
+      spec_.fleet.sleep_after_windows,
+      spec_.fleet.power_gating && !static_deployment_};
   std::vector<NodePowerStateMachine> power(
       static_cast<std::size_t>(num_nodes), NodePowerStateMachine(ps_config));
   FleetIndex index(num_nodes, capacity_cores_);
@@ -173,7 +181,9 @@ void FleetOrchestrator::build_timeline() {
       chain.offered_gbps += flow.mean_rate_gbps();
       chain.offered_pps += flow.mean_rate_pps;
     }
-    if (chain.flows.empty()) {
+    // A static chain may run without traffic beside chains that have it
+    // (checked per node once placed).
+    if (chain.flows.empty() && !static_deployment_) {
       throw std::invalid_argument(format(
           "orchestrator: initial chain %d receives no flows (fleet runs"
           " need traffic on every initial chain)",
@@ -203,7 +213,15 @@ void FleetOrchestrator::build_timeline() {
   const auto place = [&](int id, int w, FleetTimeline::Window& win) {
     ChainInstance& chain = timeline_.chains[static_cast<std::size_t>(id)];
     const ArrivalRequest request{chain.cores, chain.offered_gbps};
-    const int node = policy->choose_arrival_indexed(index, request, net);
+    // A one-node static deployment hosts every chain, however full.
+    const int node = static_deployment_ && num_nodes == 1
+                         ? 0
+                         : policy->choose_arrival_indexed(index, request, net);
+    if (node < 0 && static_deployment_) {
+      throw std::invalid_argument(format(
+          "orchestrator: static chain %d (%.0f cores) fits on no node", id,
+          chain.cores));
+    }
     if (node < 0) {
       ++win.rejected;
       ++timeline_.rejected;
@@ -320,7 +338,8 @@ void FleetOrchestrator::build_timeline() {
   // Per-window health sampler — inert unless telemetry::series::enabled().
   // It only *reads* window state after accounting closes, so arming it
   // cannot perturb the timeline.
-  FleetSeriesSampler sampler(horizon_, window_s);
+  FleetSeriesSampler sampler(horizon_, window_s,
+                             /*armed=*/!static_deployment_);
 
   while (!events.empty()) {
     const auto event = events.pop();
@@ -428,6 +447,13 @@ void FleetOrchestrator::build_timeline() {
                   .departure_window = draw_holding();
             }
             place(c, w, win);
+          }
+          // Partitioning each static node once here raises the error for a
+          // node whose chains all lack traffic before anything runs.
+          for (int n = 0; static_deployment_ && n < num_nodes; ++n) {
+            if (index.hosted(n).empty()) continue;
+            (void)scenario::partition_node_env(spec_, comps, timeline_.flows,
+                                               index.hosted(n), n);
           }
         }
         if (!static_fleet_) {
@@ -561,6 +587,13 @@ void FleetOrchestrator::build_timeline() {
           // placement queries see it on the asleep list.
           if (machine.asleep() && !index.asleep(n)) index.sleep(n);
         }
+        // Static idle nodes are billed as one product, the rounding their
+        // numbers have always had (a per-node sum can differ in the last
+        // bit from three idle nodes on).
+        if (static_deployment_) {
+          win.standby_energy_j =
+              win.idle_nodes * spec_.node.p_idle_w * window_s;
+        }
         if (net != nullptr) {
           // End-of-window fabric snapshot from the table's exact running
           // counters — no per-link sweep except the fixed-order energy sum.
@@ -662,8 +695,10 @@ scenario::ModelReport FleetOrchestrator::run_model(
   const double window_s = spec_.window_s;
   const core::Sla sla = spec_.sla();
   // Per-node series are a per-node-per-window artifact — prohibitive at
-  // hyperscale, so they stop at 64 nodes (every paper-shaped fleet).
-  const bool node_series = num_nodes <= 64;
+  // hyperscale, so they stop at 64 nodes (every paper-shaped fleet). A
+  // one-node static deployment's would repeat its aggregate.
+  const bool node_series =
+      num_nodes <= 64 && (!static_deployment_ || num_nodes > 1);
 
   std::vector<std::vector<std::string>> comps;
   comps.reserve(timeline_.chains.size());
@@ -696,7 +731,7 @@ scenario::ModelReport FleetOrchestrator::run_model(
     return flows;
   };
 
-  // The static single-node fleet takes the exact ExperimentRunner path:
+  // A frozen one-node deployment runs exactly core::evaluate_scheduler:
   // the whole-deployment EnvConfig (flows resolved inside the environment
   // at the node evaluation seed), warmup, profile alignment, then one
   // NfController window per fleet window — same seeds, same loop, same
@@ -714,8 +749,8 @@ scenario::ModelReport FleetOrchestrator::run_model(
   };
   std::vector<NodeRuntime> nodes(static_cast<std::size_t>(num_nodes));
   // Trained policies are tied to the chain count (state/action dims), so
-  // each node reuses its scheduler across epochs with the same shape —
-  // mirroring ExperimentRunner's "train once, run many" per shape.
+  // each node reuses its scheduler across epochs with the same shape:
+  // one policy per (node, chain count), "train once, run many".
   std::map<std::pair<int, int>, std::unique_ptr<core::Scheduler>>
       schedulers;
 
@@ -813,7 +848,9 @@ scenario::ModelReport FleetOrchestrator::run_model(
       gbps += outcome.throughput_gbps;
       energy += outcome.energy_j;
       offered_pps += outcome.offered_pps;
-      // Drops are a fraction of *offered* load (see ExperimentRunner).
+      // Drops are a fraction of *offered* load: a node that drops 90% of
+      // a big offered stream must dominate the fleet figure, not vanish
+      // because it delivered little.
       drop_weighted += outcome.drop_fraction * outcome.offered_pps;
       if (node_series) {
         local.record(format("node%d_throughput_gbps", n), t,
@@ -884,16 +921,18 @@ scenario::ModelReport FleetOrchestrator::run_model(
     local.record("efficiency", t, w_efficiency);
     local.record("drop_fraction", t, w_drop);
     local.record("offered_pps", t, offered_pps);
-    local.record("active_nodes", t, win.active_nodes);
-    local.record("asleep_nodes", t, win.asleep_nodes);
-    local.record("live_chains", t, win.live_chains);
-    local.record("arrivals", t,
-                 static_cast<double>(win.arrivals.size()));
-    local.record("departures", t,
-                 static_cast<double>(win.departures.size()));
-    local.record("migrations", t,
-                 static_cast<double>(win.migrations.size()));
-    local.record("rejected", t, win.rejected);
+    if (!static_deployment_) {
+      local.record("active_nodes", t, win.active_nodes);
+      local.record("asleep_nodes", t, win.asleep_nodes);
+      local.record("live_chains", t, win.live_chains);
+      local.record("arrivals", t,
+                   static_cast<double>(win.arrivals.size()));
+      local.record("departures", t,
+                   static_cast<double>(win.departures.size()));
+      local.record("migrations", t,
+                   static_cast<double>(win.migrations.size()));
+      local.record("rejected", t, win.rejected);
+    }
     if (spec_.topology.enabled) {
       local.record("link_energy_j", t, win.link_energy_j);
       local.record("path_latency_us", t,

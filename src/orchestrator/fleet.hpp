@@ -20,8 +20,9 @@
 /// replayed identically for every roster model, so models are compared
 /// against the same sequence of events. Per-node scheduling runs through
 /// the existing per-node evaluation path (NfvEnvironment + NfController),
-/// which is what keeps a static single-node fleet bit-identical to
-/// ExperimentRunner.
+/// which is what keeps a one-node static deployment equal to
+/// core::evaluate_scheduler. It is the one evaluator: a static scenario
+/// (fleet.enabled=0) is this engine with nothing arriving.
 
 namespace greennfv::telemetry {
 class SeriesTable;
@@ -222,9 +223,13 @@ struct FleetReport {
 
 class FleetOrchestrator {
  public:
-  /// Validates the spec (must have fleet.enabled) and pre-computes the
-  /// fleet timeline. Throws std::invalid_argument on bad specs — before
-  /// anything trains or runs.
+  /// Validates the spec and pre-computes the fleet timeline. A spec with
+  /// fleet.enabled=0 is a static deployment: its chains are placed once at
+  /// window 0 by `placement` (all of them on the node when there is one),
+  /// nothing arrives, migrates or sleeps, and every empty node draws
+  /// node_p_idle_w. Throws std::invalid_argument on bad specs, including a
+  /// static chain no node can take and a static node without traffic —
+  /// before anything trains or runs.
   explicit FleetOrchestrator(scenario::ScenarioSpec spec);
 
   /// Same, but drives placement/consolidation with `policy` instead of
@@ -245,7 +250,10 @@ class FleetOrchestrator {
   /// scenario::series_prefix(entry.name) into `recorder` (may be null).
   /// Per-node series (`node<i>_throughput_gbps`, `node<i>_energy_j`) are
   /// recorded only for fleets of at most 64 nodes — at hyperscale they
-  /// would dwarf every other artifact.
+  /// would dwarf every other artifact — and not on one-node static
+  /// deployments. The fleet-history series (active_nodes, asleep_nodes,
+  /// live_chains, arrivals, departures, migrations, rejected) are
+  /// fleet-only.
   scenario::ModelReport run_model(const scenario::SchedulerFactory& entry,
                                   telemetry::Recorder* recorder);
 
@@ -255,8 +263,11 @@ class FleetOrchestrator {
   /// constructor; otherwise the spec's named policy is instantiated.
   std::unique_ptr<FleetPolicy> policy_override_;
   int horizon_ = 0;
-  /// arrival_rate == 0 freezes the fleet: no arrivals, no departures, no
-  /// migrations — the ExperimentRunner degeneration case.
+  /// fleet.enabled=0: placement by `placement`, no power gating, and the
+  /// report carries no fleet-history series.
+  bool static_deployment_ = false;
+  /// arrival_rate == 0 (or a static deployment) freezes the fleet: no
+  /// arrivals, no departures, no migrations.
   bool static_fleet_ = true;
   double capacity_cores_ = 0.0;
   FleetTimeline timeline_;

@@ -62,7 +62,7 @@ FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
   // PR 10 addition, read-only: the per-window health sampler. Inert
   // unless telemetry::series::enabled(); samples after step 4 closes the
   // window, so it cannot perturb the frozen accounting above/below.
-  FleetSeriesSampler sampler(horizon, window_s);
+  FleetSeriesSampler sampler(horizon, window_s, /*armed=*/true);
 
   // The network fabric (topology runs only). PathTable's integer kbps/ns
   // accounting makes its state a pure function of the active chain set,

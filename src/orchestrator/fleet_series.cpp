@@ -28,9 +28,10 @@ const std::vector<std::string>& fleet_series_columns() {
   return kColumns;
 }
 
-FleetSeriesSampler::FleetSeriesSampler(int horizon, double window_s)
+FleetSeriesSampler::FleetSeriesSampler(int horizon, double window_s,
+                                       bool armed)
     : window_s_(window_s) {
-  if (!telemetry::series::enabled()) return;
+  if (!armed || !telemetry::series::enabled()) return;
   table_ = std::make_shared<telemetry::SeriesTable>(fleet_series_columns());
   if (horizon > 0) table_->reserve_rows(static_cast<std::size_t>(horizon));
   row_.resize(fleet_series_columns().size());

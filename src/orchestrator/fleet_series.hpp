@@ -29,9 +29,11 @@ namespace greennfv::orchestrator {
 
 class FleetSeriesSampler {
  public:
-  /// Arms the sampler iff the global series gate is on; `horizon` sizes
-  /// the table up front so steady-state sampling never allocates.
-  FleetSeriesSampler(int horizon, double window_s);
+  /// Arms the sampler iff `armed` (health series are a fleet artifact;
+  /// static deployments pass false) and the global series gate is on;
+  /// `horizon` sizes the table up front so steady-state sampling never
+  /// allocates.
+  FleetSeriesSampler(int horizon, double window_s, bool armed);
 
   /// False when the gate was off at construction — callers skip the
   /// per-window derivation work entirely.

@@ -5,14 +5,14 @@
 #include <vector>
 
 /// \file policy.hpp
-/// Online placement policies for the fleet orchestrator. Unlike
-/// `cluster::place_chains` (one-shot, whole chain set known up front),
-/// these decide per *arrival* against the live fleet state — committed
-/// cores, power states — and the consolidating policy additionally
-/// proposes migrations that drain underutilized nodes so power gating can
-/// put them to sleep. This is the joint placement + allocation lever the
-/// related work (Tajiki et al., Sang et al.) identifies as where the
-/// energy/QoS trade-off is decided.
+/// Online placement policies for the fleet orchestrator. They decide per
+/// *arrival* against the live fleet state — committed cores, power states
+/// — and the consolidating policy additionally proposes migrations that
+/// drain underutilized nodes so power gating can put them to sleep. A
+/// static deployment's chains arrive once, in id order, at window 0. This
+/// is the joint placement + allocation lever the related work (Tajiki et
+/// al., Sang et al.) identifies as where the energy/QoS trade-off is
+/// decided.
 
 namespace greennfv::topology {
 class PathTable;

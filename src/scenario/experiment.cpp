@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <map>
 #include <stdexcept>
 
 #include "common/string_util.hpp"
@@ -30,16 +29,6 @@ std::string sanitize(const std::string& name) {
   }
   while (!out.empty() && out.back() == '_') out.pop_back();
   return out;
-}
-
-void copy_series(const telemetry::Recorder& from, telemetry::Recorder* to,
-                 const std::string& prefix) {
-  if (to == nullptr) return;
-  for (const std::string& name : from.series_names()) {
-    const TimeSeries& s = from.series(name);
-    for (std::size_t i = 0; i < s.size(); ++i)
-      to->record(prefix + name, s.times()[i], s.values()[i]);
-  }
 }
 
 /// Fig. 9's seed discipline, centralized: training seed offsets per
@@ -177,6 +166,12 @@ std::vector<SchedulerFactory> filter_roster(
   for (const auto& token : split(csv, ',')) {
     const std::string want = sanitize(std::string(trim(token)));
     if (want.empty()) continue;
+    for (const auto& entry : picked) {
+      if (sanitize(entry.name) == want) {
+        throw std::invalid_argument("scenario: model '" + entry.name +
+                                    "' picked twice in models=");
+      }
+    }
     bool found = false;
     for (const auto& entry : roster) {
       if (sanitize(entry.name) == want) {
@@ -226,158 +221,6 @@ std::string EvalReport::table() const {
   return render_table({"model", "Gbps", "Energy(J)", "T vs base",
                        "E vs base", "Efficiency", "SLA met", "drop"},
                       rows);
-}
-
-ExperimentRunner::ExperimentRunner(ScenarioSpec spec)
-    : spec_(std::move(spec)) {
-  spec_.validate();
-  if (spec_.fleet.enabled) {
-    throw std::invalid_argument(
-        "scenario: '" + spec_.name +
-        "' enables fleet.* dynamics — run it through"
-        " orchestrator::FleetOrchestrator, not ExperimentRunner");
-  }
-  if (spec_.num_nodes == 1) {
-    node_envs_.push_back(spec_.env_config());
-    return;
-  }
-
-  // --- cluster: place chains, partition the traffic ----------------------
-  const std::vector<traffic::FlowSpec> flows = resolved_flows(spec_);
-  const std::vector<std::vector<std::string>> comps =
-      resolved_chain_nfs(spec_);
-
-  std::vector<cluster::ChainDemand> demands;
-  for (int c = 0; c < spec_.num_chains; ++c) {
-    cluster::ChainDemand demand;
-    demand.name = format("chain%d", c);
-    // Algorithm 1 line 1 allocates one core per NF.
-    demand.cores = static_cast<double>(
-        comps[static_cast<std::size_t>(c)].size());
-    for (const auto& flow : flows)
-      if (flow.chain_index == c) demand.offered_gbps += flow.mean_rate_gbps();
-    demands.push_back(std::move(demand));
-  }
-  const std::vector<cluster::NodeCapacity> capacities(
-      static_cast<std::size_t>(spec_.num_nodes),
-      cluster::NodeCapacity{static_cast<double>(spec_.node.total_cores) -
-                            spec_.node.controller_cores});
-  const cluster::Placement placement =
-      cluster::place_chains(demands, capacities, spec_.placement);
-
-  for (int n = 0; n < spec_.num_nodes; ++n) {
-    std::vector<int> local_chains;
-    for (int c = 0; c < spec_.num_chains; ++c)
-      if (placement.node_of(static_cast<std::size_t>(c)) == n)
-        local_chains.push_back(c);
-    if (local_chains.empty()) {
-      ++idle_nodes_;
-      continue;
-    }
-    node_envs_.push_back(
-        partition_node_env(spec_, comps, flows, local_chains, n));
-  }
-}
-
-ModelReport ExperimentRunner::run_model(const SchedulerFactory& entry,
-                                        telemetry::Recorder* recorder) {
-  ModelReport report;
-  report.prefix = series_prefix(entry.name);
-  telemetry::Recorder local;
-
-  // One scheduler per environment shape: trained policies are tied to the
-  // chain count (state/action dims), so cluster nodes hosting the same
-  // number of chains share one trained model — "train once, run many".
-  std::map<int, std::unique_ptr<core::Scheduler>> by_shape;
-  for (const auto& env : node_envs_) {
-    if (by_shape.count(env.num_chains) == 0)
-      by_shape[env.num_chains] = entry.make(env, spec_.seed);
-  }
-
-  if (node_envs_.size() == 1 && idle_nodes_ == 0) {
-    // Single node: exactly the pre-scenario evaluation path (same seeds,
-    // same warmup, same loop -> same numbers).
-    report.result = core::evaluate_scheduler(
-        node_envs_[0], *by_shape[node_envs_[0].num_chains],
-        spec_.eval_windows, node_eval_seed(spec_, 0), entry.warmup, &local, "");
-    report.result.scheduler = entry.name;
-    copy_series(local, recorder, report.prefix);
-    return report;
-  }
-
-  // Cluster: evaluate every node independently, then aggregate per-window
-  // fleet metrics (idle nodes are charged at p_idle_w).
-  std::vector<core::EvalResult> node_results;
-  for (std::size_t n = 0; n < node_envs_.size(); ++n) {
-    const core::EnvConfig& env = node_envs_[n];
-    node_results.push_back(core::evaluate_scheduler(
-        env, *by_shape[env.num_chains], spec_.eval_windows,
-        node_eval_seed(spec_, n), entry.warmup, &local, format("node%zu_", n)));
-  }
-
-  const double idle_energy_j =
-      idle_nodes_ * spec_.node.p_idle_w * spec_.window_s;
-  const core::Sla sla = spec_.sla();
-  core::EvalResult& result = report.result;
-  result.scheduler = entry.name;
-  result.windows = spec_.eval_windows;
-  for (int w = 0; w < spec_.eval_windows; ++w) {
-    const double t = w * spec_.window_s;
-    double gbps = 0.0;
-    double energy = idle_energy_j;
-    double offered_pps = 0.0;
-    double drop_weighted = 0.0;
-    for (std::size_t n = 0; n < node_envs_.size(); ++n) {
-      const std::string p = format("node%zu_", n);
-      const auto wi = static_cast<std::size_t>(w);
-      gbps += local.series(p + "throughput_gbps").values()[wi];
-      energy += local.series(p + "energy_j").values()[wi];
-      const double node_offered =
-          local.series(p + "offered_pps").values()[wi];
-      offered_pps += node_offered;
-      // Drops are a fraction of *offered* load: a node that drops 90% of
-      // a big offered stream must dominate the fleet figure, not vanish
-      // because it delivered little.
-      drop_weighted +=
-          local.series(p + "drop_fraction").values()[wi] * node_offered;
-    }
-    const double efficiency = core::Sla::efficiency(gbps, energy);
-    const double drop =
-        offered_pps > 0.0 ? drop_weighted / offered_pps : 0.0;
-    const bool satisfied = sla.satisfied(gbps, energy);
-    result.mean_gbps += gbps;
-    result.mean_energy_j += energy;
-    result.mean_power_w += energy / spec_.window_s;
-    result.mean_efficiency += efficiency;
-    result.sla_satisfaction += satisfied ? 1.0 : 0.0;
-    result.drop_fraction += drop;
-    local.record("throughput_gbps", t, gbps);
-    local.record("energy_j", t, energy);
-    local.record("power_w", t, energy / spec_.window_s);
-    local.record("efficiency", t, efficiency);
-    local.record("drop_fraction", t, drop);
-    local.record("offered_pps", t, offered_pps);
-  }
-  const auto n = static_cast<double>(spec_.eval_windows);
-  result.mean_gbps /= n;
-  result.mean_energy_j /= n;
-  result.mean_power_w /= n;
-  result.mean_efficiency /= n;
-  result.sla_satisfaction /= n;
-  result.drop_fraction /= n;
-
-  copy_series(local, recorder, report.prefix);
-  return report;
-}
-
-EvalReport ExperimentRunner::run(
-    const std::vector<SchedulerFactory>& roster) {
-  EvalReport report;
-  report.scenario = spec_.name;
-  report.nodes = spec_.num_nodes;
-  for (const auto& entry : roster)
-    report.models.push_back(run_model(entry, &report.series));
-  return report;
 }
 
 }  // namespace greennfv::scenario

@@ -11,13 +11,11 @@
 #include "telemetry/recorder.hpp"
 
 /// \file experiment.hpp
-/// The uniform evaluation surface: a roster of scheduler factories run
-/// through one ExperimentRunner against one ScenarioSpec, every model
-/// measured by the identical NfvEnvironment::run_window loop the paper's
-/// Fig. 9 comparison uses. Single-node scenarios evaluate exactly like the
-/// pre-existing harness (same seeds -> same numbers); multi-node scenarios
-/// place chains over the fleet, partition the traffic per node, and
-/// aggregate fleet-level metrics (idle nodes still burn idle power).
+/// The uniform evaluation surface: the roster of scheduler factories, the
+/// per-node deployment plumbing, and the EvalReport every evaluation
+/// returns. orchestrator::FleetOrchestrator is the one evaluator: it runs
+/// each model through the identical NfvEnvironment::run_window loop the
+/// paper's Fig. 9 comparison uses, static scenarios included.
 
 namespace greennfv::scenario {
 
@@ -49,7 +47,8 @@ struct SchedulerFactory {
 
 /// Picks roster entries by comma-separated name list (case and punctuation
 /// insensitive: "greennfv-maxt" matches "GreenNFV(MaxT)"). Unknown names
-/// are a hard error listing what the roster offers.
+/// are a hard error listing what the roster offers, and so is a model
+/// picked twice (its runs would share one set of series).
 [[nodiscard]] std::vector<SchedulerFactory> filter_roster(
     const std::vector<SchedulerFactory>& roster, const std::string& csv);
 
@@ -57,7 +56,7 @@ struct SchedulerFactory {
 /// ("GreenNFV(MaxT)" -> "greennfv_maxt_").
 [[nodiscard]] std::string series_prefix(const std::string& model_name);
 
-// --- deployment plumbing shared with orchestrator::FleetOrchestrator -------
+// --- deployment plumbing for orchestrator::FleetOrchestrator --------------
 
 /// Fig. 9's evaluation-seed discipline: the seed a node's evaluation
 /// environment is built from (base + eval offset + per-node stride, so
@@ -90,8 +89,8 @@ struct ModelReport {
   core::EvalResult result;
   /// This model's series live at `<series_prefix>throughput_gbps`,
   /// `...energy_j`, `...power_w`, `...efficiency`, `...drop_fraction`,
-  /// `...offered_pps` in the report recorder (plus `<prefix>node<i>_...`
-  /// per node on clusters).
+  /// `...offered_pps` in the report recorder (plus the fleet's own series,
+  /// see FleetOrchestrator::run_model).
   std::string prefix;
 };
 
@@ -103,40 +102,6 @@ struct EvalReport {
 
   /// The Fig. 9-style comparison table (ratios vs the first row).
   [[nodiscard]] std::string table() const;
-};
-
-class ExperimentRunner {
- public:
-  /// Validates the spec and, for clusters, places chains and partitions
-  /// the traffic (throws std::invalid_argument when a node would host
-  /// chains without traffic).
-  explicit ExperimentRunner(ScenarioSpec spec);
-
-  [[nodiscard]] const ScenarioSpec& spec() const { return spec_; }
-
-  /// Per-node evaluation environments after placement; size 1 for
-  /// single-node scenarios. Bespoke experiments (ablations) build their
-  /// environments from these instead of re-deriving them.
-  [[nodiscard]] const std::vector<core::EnvConfig>& node_envs() const {
-    return node_envs_;
-  }
-
-  /// Nodes the placement left without chains (they idle at p_idle_w and
-  /// are charged to every model's fleet energy).
-  [[nodiscard]] int idle_nodes() const { return idle_nodes_; }
-
-  /// Runs every roster model through the identical evaluation loop.
-  EvalReport run(const std::vector<SchedulerFactory>& roster);
-
-  /// Runs one model, recording its per-window series under
-  /// series_prefix(entry.name) into `recorder` (ignored when null).
-  ModelReport run_model(const SchedulerFactory& entry,
-                        telemetry::Recorder* recorder);
-
- private:
-  ScenarioSpec spec_;
-  std::vector<core::EnvConfig> node_envs_;
-  int idle_nodes_ = 0;
 };
 
 }  // namespace greennfv::scenario

@@ -71,7 +71,7 @@ ScenarioSpec heterogeneous_cluster() {
       "Three hosting nodes (the paper's testbed shape), six mixed-NF"
       " chains placed least-loaded, 12 flows at 30 Gbps";
   spec.num_nodes = 3;
-  spec.placement = cluster::PlacementPolicy::kLeastLoaded;
+  spec.placement = PlacementPolicy::kLeastLoaded;
   spec.num_chains = 6;
   spec.chain_nfs = {
       {"firewall", "router", "ids"},

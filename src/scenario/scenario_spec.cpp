@@ -112,7 +112,7 @@ void read_value(const Config& config, const std::string& key,
 
 // Each enum key's to/from-string pair: to_string writes it (overload
 // resolution picks the enum's own), parse_enum reads it.
-auto parse_enum(const std::string& text, cluster::PlacementPolicy) {
+auto parse_enum(const std::string& text, PlacementPolicy) {
   return placement_from_string(text);
 }
 auto parse_enum(const std::string& text, traffic::RateProfile::Kind) {
@@ -368,13 +368,22 @@ core::SlaKind sla_kind_from_string(const std::string& name) {
   fail("unknown sla '" + name + "' (expected maxt|mine|ee)");
 }
 
-cluster::PlacementPolicy placement_from_string(const std::string& name) {
+std::string to_string(PlacementPolicy policy) {
+  switch (policy) {
+    case PlacementPolicy::kFirstFitDecreasing: return "first-fit-decreasing";
+    case PlacementPolicy::kLeastLoaded: return "least-loaded";
+    case PlacementPolicy::kEnergyBestFit: return "energy-bestfit";
+  }
+  return "?";
+}
+
+PlacementPolicy placement_from_string(const std::string& name) {
   if (name == "least-loaded" || name == "balanced")
-    return cluster::PlacementPolicy::kLeastLoaded;
+    return PlacementPolicy::kLeastLoaded;
   if (name == "first-fit-decreasing" || name == "ffd")
-    return cluster::PlacementPolicy::kFirstFitDecreasing;
+    return PlacementPolicy::kFirstFitDecreasing;
   if (name == "energy-bestfit" || name == "bestfit")
-    return cluster::PlacementPolicy::kEnergyBestFit;
+    return PlacementPolicy::kEnergyBestFit;
   fail("unknown placement '" + name +
        "' (expected least-loaded|first-fit-decreasing|energy-bestfit)");
 }

@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/placement.hpp"
 #include "common/config.hpp"
 #include "core/environment.hpp"
 #include "core/greennfv.hpp"
@@ -22,11 +21,22 @@
 
 namespace greennfv::scenario {
 
+/// How a static deployment (fleet.enabled=0) spreads its chains over its
+/// nodes, once, before the first window: through the orchestrator policy
+/// of the same name, in chain id order (first-fit-decreasing runs
+/// first-fit).
+enum class PlacementPolicy {
+  kFirstFitDecreasing,
+  kLeastLoaded,
+  kEnergyBestFit,
+};
+
 /// Dynamic-fleet block of a scenario (the `fleet.*` key family): online
 /// chain arrivals/departures, the placement/consolidation policy, the
 /// migration cost model, and node power gating. Consumed by
-/// `orchestrator::FleetOrchestrator`; a spec with `enabled == false` runs
-/// the static `ExperimentRunner` path untouched.
+/// `orchestrator::FleetOrchestrator`; a spec with `enabled == false` is a
+/// static deployment there: chains placed once by `placement`, nothing
+/// arriving, leaving or sleeping.
 struct FleetSpec {
   bool enabled = false;  ///< fleet.enabled
   /// Simulated (measured) windows. 0 -> the scenario's eval_windows.
@@ -104,11 +114,11 @@ struct ScenarioSpec {
   std::string description;
 
   // --- deployment ----------------------------------------------------------
-  /// Hosting nodes. 1 = the single-node evaluations of Figs 9-10; >1 runs
-  /// the cluster path (chains placed via `placement`, traffic partitioned
-  /// per node, fleet metrics aggregated).
+  /// Hosting nodes. 1 = the single-node evaluations of Figs 9-10 (every
+  /// chain on the one node); >1 places chains via `placement`, partitions
+  /// the traffic per node, and aggregates fleet metrics.
   int num_nodes = 1;
-  cluster::PlacementPolicy placement = cluster::PlacementPolicy::kLeastLoaded;
+  PlacementPolicy placement = PlacementPolicy::kLeastLoaded;
   hwmodel::NodeSpec node;
   /// Dynamic-fleet simulation (arrivals, migration, power gating). Off by
   /// default — every pre-fleet scenario is bit-identical to before.
@@ -213,7 +223,7 @@ struct ScenarioSpec {
 
 [[nodiscard]] std::string to_string(core::SlaKind kind);
 [[nodiscard]] core::SlaKind sla_kind_from_string(const std::string& name);
-[[nodiscard]] cluster::PlacementPolicy placement_from_string(
-    const std::string& name);
+[[nodiscard]] std::string to_string(PlacementPolicy policy);
+[[nodiscard]] PlacementPolicy placement_from_string(const std::string& name);
 
 }  // namespace greennfv::scenario

@@ -8,6 +8,7 @@
 #include "campaign/presets.hpp"
 #include "campaign/runner.hpp"
 #include "common/fs_util.hpp"
+#include "core/nf_controller.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/presets.hpp"
 
@@ -16,7 +17,7 @@
 /// one; a resumed campaign skips completed runs and reproduces identical
 /// aggregates (doubles round-trip through the artifacts exactly); and a
 /// Fig. 9-equivalent one-cell campaign reproduces the direct
-/// ExperimentRunner numbers for the base seed.
+/// core::evaluate_scheduler numbers for the base seed.
 
 namespace greennfv::campaign {
 namespace {
@@ -296,9 +297,9 @@ TEST(CampaignRunner, FreshRunIgnoresExistingArtifacts) {
 }
 
 /// Acceptance: a Fig. 9-equivalent campaign (one cell, base scenario,
-/// base seed) reproduces the direct ExperimentRunner numbers — the
+/// base seed) reproduces the direct core::evaluate_scheduler numbers — the
 /// campaign path adds orchestration, never different physics.
-TEST(CampaignRunner, Fig9EquivalentCampaignMatchesDirectExperimentRunner) {
+TEST(CampaignRunner, Fig9EquivalentCampaignMatchesEvaluateScheduler) {
   scenario::ScenarioSpec spec = scenario::preset("paper-default");
   spec.eval_windows = 3;
   spec.episodes = 2;
@@ -308,9 +309,15 @@ TEST(CampaignRunner, Fig9EquivalentCampaignMatchesDirectExperimentRunner) {
 
   // Direct single-run path (what the golden-equivalence test pins to the
   // pre-scenario wiring).
-  scenario::ExperimentRunner direct(spec);
-  const scenario::EvalReport expected = direct.run(scenario::filter_roster(
-      scenario::default_roster(spec), "baseline,heuristics,ee-pstate"));
+  std::vector<core::EvalResult> expected;
+  for (const scenario::SchedulerFactory& entry : scenario::filter_roster(
+           scenario::default_roster(spec), "baseline,heuristics,ee-pstate")) {
+    const auto scheduler = entry.make(spec.env_config(), spec.seed);
+    expected.push_back(core::evaluate_scheduler(
+        spec.env_config(), *scheduler, spec.eval_windows,
+        scenario::node_eval_seed(spec, 0), entry.warmup));
+    expected.back().scheduler = entry.name;
+  }
 
   // The same scenario as a one-cell campaign through the parallel runner.
   CampaignSpec camp;
@@ -323,9 +330,9 @@ TEST(CampaignRunner, Fig9EquivalentCampaignMatchesDirectExperimentRunner) {
   ASSERT_EQ(report.runs.size(), 1u);
   EXPECT_EQ(report.runs[0].seed, spec.seed);
   const scenario::EvalReport& actual = report.runs[0].report;
-  ASSERT_EQ(actual.models.size(), expected.models.size());
-  for (std::size_t m = 0; m < expected.models.size(); ++m) {
-    const core::EvalResult& want = expected.models[m].result;
+  ASSERT_EQ(actual.models.size(), expected.size());
+  for (std::size_t m = 0; m < expected.size(); ++m) {
+    const core::EvalResult& want = expected[m];
     const core::EvalResult& got = actual.models[m].result;
     SCOPED_TRACE(want.scheduler);
     EXPECT_EQ(got.scheduler, want.scheduler);
@@ -337,8 +344,7 @@ TEST(CampaignRunner, Fig9EquivalentCampaignMatchesDirectExperimentRunner) {
     EXPECT_EQ(got.drop_fraction, want.drop_fraction);
   }
   // And the per-cell aggregate mean over one seed IS the single-run value.
-  EXPECT_EQ(report.summary.cells[0].gbps.mean,
-            expected.models[0].result.mean_gbps);
+  EXPECT_EQ(report.summary.cells[0].gbps.mean, expected[0].mean_gbps);
 }
 
 TEST(CampaignRunner, ManifestListsEveryRunAndParses) {

@@ -211,6 +211,18 @@ TEST(CampaignSpec, SeedsRejectSignsAndOverflow) {
             (std::vector<std::uint64_t>{0, 18446744073709551615ull}));
 }
 
+TEST(CampaignSpec, AutoSeedsRejectsValuesOutsideInt) {
+  for (const char* count : {"4294967297", "-4294967295"}) {
+    CampaignSpec spec;
+    EXPECT_THROW(spec.apply(make_config({{"auto_seeds", count}})),
+                 std::invalid_argument)
+        << count;
+  }
+  CampaignSpec spec;
+  spec.apply(make_config({{"auto_seeds", "3"}}));
+  EXPECT_EQ(spec.auto_seeds, 3);
+}
+
 TEST(CampaignPresets, EveryExpandedCellValidatesAndReplaysItsEcho) {
   // The scenario echo stored with each run must replay to the same spec,
   // including derived seeds above 2^63 (fig9 at auto_seeds=8 has five).

@@ -82,8 +82,8 @@ TEST(FleetCampaign, RunsExecuteThroughTheOrchestrator) {
   const CampaignReport report = runner.run(/*jobs=*/2);
   for (const RunResult& run : report.runs) {
     SCOPED_TRACE(run.run_id);
-    // Fleet-only series prove the orchestrator (not ExperimentRunner)
-    // produced the run.
+    // Fleet-history series prove the run was a fleet, not a static
+    // deployment.
     const std::string prefix = run.report.models.front().prefix;
     EXPECT_TRUE(run.report.series.has(prefix + "active_nodes"));
     EXPECT_TRUE(run.report.series.has(prefix + "live_chains"));
@@ -92,7 +92,8 @@ TEST(FleetCampaign, RunsExecuteThroughTheOrchestrator) {
 
 TEST(FleetCampaign, MatchesDirectOrchestratorForTheBaseSeed) {
   // A one-cell fleet campaign reproduces FleetOrchestrator numbers
-  // exactly, the same guarantee the fig9 campaign gives ExperimentRunner.
+  // exactly, the same guarantee the fig9 campaign gives
+  // core::evaluate_scheduler.
   scenario::ScenarioSpec scenario = scenario::preset("fleet-smoke");
   scenario.fleet.horizon_windows = 6;
 

@@ -42,6 +42,15 @@ TEST(Config, ThrowsOnMalformedNumbers) {
   EXPECT_THROW((void)c.get_bool("b", false), std::invalid_argument);
 }
 
+TEST(Config, GetIntRejectsValuesOutside64Bits) {
+  const Config c = Config::from_string(
+      "big=9223372036854775808 small=-9223372036854775809"
+      " max=9223372036854775807");
+  EXPECT_THROW((void)c.get_int("big", 0), std::invalid_argument);
+  EXPECT_THROW((void)c.get_int("small", 0), std::invalid_argument);
+  EXPECT_EQ(c.get_int("max", 0), 9223372036854775807LL);
+}
+
 TEST(Config, CheckKnownAcceptsListedKeysAndPrefixes) {
   const Config c = Config::from_string("seed=7 flow0=udp flow12=tcp");
   EXPECT_NO_THROW(c.check_known({"seed"}, {"flow"}));

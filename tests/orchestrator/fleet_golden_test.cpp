@@ -350,9 +350,12 @@ TEST(FleetGolden, StaticDeploymentGolden) {
   // hosts every chain, and a chain that runs without traffic.
   for (const auto& cell : static_cells()) {
     SCOPED_TRACE(cell.name);
-    scenario::ExperimentRunner runner(cell.spec);
-    const scenario::EvalReport report = runner.run(scenario::filter_roster(
-        scenario::untrained_roster(cell.spec), cell.models));
+    FleetOrchestrator orchestrator(cell.spec);
+    const scenario::EvalReport report =
+        orchestrator
+            .run(scenario::filter_roster(
+                scenario::untrained_roster(cell.spec), cell.models))
+            .report;
     expect_matches_golden("static_" + cell.name, static_eval_text(report));
   }
 }

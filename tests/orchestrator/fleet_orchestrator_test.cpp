@@ -2,13 +2,14 @@
 
 #include <cmath>
 
+#include "core/nf_controller.hpp"
 #include "orchestrator/fleet.hpp"
 #include "orchestrator/timeline_io.hpp"
 #include "scenario/presets.hpp"
 
 /// FleetOrchestrator contract — the acceptance criteria of the fleet
 /// subsystem: a static single-node fleet degenerates bit-identically to
-/// ExperimentRunner; same seed => bit-identical fleet telemetry; the
+/// core::evaluate_scheduler; same seed => bit-identical fleet telemetry; the
 /// pre-computed timeline is model-independent and internally consistent
 /// (every migration/wake carries its downtime + energy charge, and the
 /// per-window energy series decomposes exactly into node + standby +
@@ -46,11 +47,11 @@ void expect_eval_results_bit_identical(const core::EvalResult& a,
   EXPECT_EQ(a.windows, b.windows);
 }
 
-TEST(FleetOrchestrator, StaticSingleNodeDegeneratesToExperimentRunner) {
-  // nodes=1, no arrivals/departures, migration disabled: the fleet path
-  // must reproduce the existing ExperimentRunner single-node numbers bit
-  // for bit — including a trained model, so the factory seed discipline
-  // is covered too.
+TEST(FleetOrchestrator, StaticSingleNodeDegeneratesToEvaluateScheduler) {
+  // nodes=1, no arrivals/departures, migration disabled — as a frozen
+  // fleet and as a static deployment: both must reproduce the direct
+  // core::evaluate_scheduler numbers bit for bit — including a trained
+  // model, so the factory seed discipline is covered too.
   scenario::ScenarioSpec fleet_scenario = scenario::preset("ci-smoke");
   fleet_scenario.fleet.enabled = true;
   fleet_scenario.fleet.arrival_rate = 0.0;
@@ -64,34 +65,52 @@ TEST(FleetOrchestrator, StaticSingleNodeDegeneratesToExperimentRunner) {
           scenario::default_roster(fleet_scenario),
           "baseline,heuristics,ee-pstate,q-learning");
 
+  scenario::EvalReport golden;
+  for (const scenario::SchedulerFactory& entry : roster) {
+    const core::EnvConfig env = static_scenario.env_config();
+    const auto scheduler = entry.make(env, static_scenario.seed);
+    scenario::ModelReport model;
+    model.prefix = scenario::series_prefix(entry.name);
+    model.result = core::evaluate_scheduler(
+        env, *scheduler, static_scenario.eval_windows,
+        scenario::node_eval_seed(static_scenario, 0), entry.warmup,
+        &golden.series, model.prefix);
+    model.result.scheduler = entry.name;
+    golden.models.push_back(std::move(model));
+  }
+
   FleetOrchestrator orchestrator(fleet_scenario);
   const FleetReport fleet = orchestrator.run(roster);
-  scenario::ExperimentRunner runner(static_scenario);
-  const scenario::EvalReport golden = runner.run(roster);
+  const FleetReport deployed = FleetOrchestrator(static_scenario).run(roster);
 
-  ASSERT_EQ(fleet.report.models.size(), golden.models.size());
-  for (std::size_t m = 0; m < golden.models.size(); ++m) {
-    SCOPED_TRACE(golden.models[m].result.scheduler);
-    expect_eval_results_bit_identical(fleet.report.models[m].result,
-                                      golden.models[m].result);
-  }
-  // The shared per-window series are bit-identical too.
-  for (const auto& model : golden.models) {
-    for (const char* series : {"throughput_gbps", "energy_j", "power_w",
-                               "efficiency", "drop_fraction",
-                               "offered_pps"}) {
-      const std::string name = model.prefix + series;
-      SCOPED_TRACE(name);
-      ASSERT_TRUE(fleet.report.series.has(name));
-      const TimeSeries& a = fleet.report.series.series(name);
-      const TimeSeries& b = golden.series.series(name);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a.times()[i], b.times()[i]);
-        EXPECT_EQ(a.values()[i], b.values()[i]);
+  for (const FleetReport* report : {&fleet, &deployed}) {
+    ASSERT_EQ(report->report.models.size(), golden.models.size());
+    for (std::size_t m = 0; m < golden.models.size(); ++m) {
+      SCOPED_TRACE(golden.models[m].result.scheduler);
+      expect_eval_results_bit_identical(report->report.models[m].result,
+                                        golden.models[m].result);
+    }
+    // The shared per-window series are bit-identical too.
+    for (const auto& model : golden.models) {
+      for (const char* series : {"throughput_gbps", "energy_j", "power_w",
+                                 "efficiency", "drop_fraction",
+                                 "offered_pps"}) {
+        const std::string name = model.prefix + series;
+        SCOPED_TRACE(name);
+        ASSERT_TRUE(report->report.series.has(name));
+        const TimeSeries& a = report->report.series.series(name);
+        const TimeSeries& b = golden.series.series(name);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          EXPECT_EQ(a.times()[i], b.times()[i]);
+          EXPECT_EQ(a.values()[i], b.values()[i]);
+        }
       }
     }
   }
+  // The static deployment reports only those six series per model.
+  EXPECT_EQ(deployed.report.series.series_names(),
+            golden.series.series_names());
   // Static fleet: nothing arrived beyond the initial set, nothing moved.
   EXPECT_EQ(fleet.departures, 0);
   EXPECT_EQ(fleet.migrations, 0);
@@ -244,7 +263,7 @@ TEST(FleetOrchestrator, EnergySeriesDecomposesIntoNodeStandbyAndCharges) {
 TEST(FleetOrchestrator, PowerGatingSleepsDrainedStaticNodes) {
   // 3 nodes, 2 static chains: one node never hosts anything. With gating
   // it idles sleep_after windows then sleeps — cheaper than the p_idle
-  // forever that ExperimentRunner charges.
+  // forever that a static deployment charges.
   scenario::ScenarioSpec spec = fleet_spec(3, 0.0, "least-loaded");
   spec.num_chains = 2;
   spec.num_flows = 4;
@@ -270,7 +289,7 @@ TEST(FleetOrchestrator, PowerGatingSleepsDrainedStaticNodes) {
     }
   }
   EXPECT_DOUBLE_EQ(timeline.standby_energy_j, expected_standby);
-  // Strictly cheaper than the always-idle fleet ExperimentRunner models.
+  // Strictly cheaper than a static deployment's always-idle node.
   EXPECT_LT(timeline.standby_energy_j,
             spec.node.p_idle_w * window_s * horizon);
 }
@@ -293,12 +312,32 @@ TEST(FleetOrchestrator, OversubscribedFleetRejectsInsteadOfFailing) {
   EXPECT_DOUBLE_EQ(fleet.occupancy_fractions[4], 1.0);
 }
 
-TEST(FleetOrchestrator, RequiresFleetEnabledAndRejectsStaticRunner) {
+TEST(FleetOrchestrator, RunsStaticSpecsAndRejectsUnplaceableStaticChains) {
+  // A static spec runs, and a one-node one hosts every chain however
+  // full: five 3-core chains on one 14-core node, none rejected.
   scenario::ScenarioSpec spec = scenario::preset("ci-smoke");
+  spec.num_chains = 5;
+  spec.num_flows = 5;
+  FleetOrchestrator single(spec);
+  EXPECT_EQ(single.timeline().arrivals, 5);
+  EXPECT_EQ(single.timeline().rejected, 0);
+  const FleetReport report = single.run(
+      scenario::filter_roster(scenario::untrained_roster(spec), "baseline"));
+  EXPECT_GT(report.report.models[0].result.mean_gbps, 0.0);
+
+  // Across nodes a static chain that fits nowhere is an error from the
+  // constructor, before any scheduler is made (3-core chains, 2 free
+  // cores per node) ...
+  spec.num_nodes = 2;
+  spec.node.total_cores = 4;
   EXPECT_THROW((void)FleetOrchestrator(spec), std::invalid_argument);
-  spec.fleet.enabled = true;
-  EXPECT_THROW((void)scenario::ExperimentRunner(spec),
-               std::invalid_argument);
+
+  // ... and so is a static node whose chains all lack traffic.
+  scenario::ScenarioSpec quiet = scenario::preset("heterogeneous-cluster");
+  quiet.flows = {scenario::flow_from_text("udp:poisson:512:1e6:0", 0),
+                 scenario::flow_from_text("udp:poisson:512:1e6:1", 1)};
+  quiet.num_flows = 2;
+  EXPECT_THROW((void)FleetOrchestrator(quiet), std::invalid_argument);
 }
 
 TEST(FleetOrchestrator, HorizonDefaultsToEvalWindows) {

@@ -2,13 +2,16 @@
 
 #include "common/string_util.hpp"
 #include "core/nf_controller.hpp"
+#include "orchestrator/fleet.hpp"
+#include "orchestrator/timeline_io.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/presets.hpp"
 
-/// ExperimentRunner contract: the single-node path is byte-for-byte the
-/// pre-scenario evaluation harness; the cluster path partitions chains and
-/// traffic per node and aggregates fleet metrics; rosters filter by name
-/// with hard errors on typos.
+/// Static deployment contract (fleet.enabled=0 through FleetOrchestrator):
+/// the single-node path is byte-for-byte the pre-scenario evaluation
+/// harness; the cluster path partitions chains and traffic per node and
+/// aggregates fleet metrics; rosters filter by name with hard errors on
+/// typos.
 
 namespace greennfv::scenario {
 namespace {
@@ -23,11 +26,11 @@ ScenarioSpec tiny(const std::string& name) {
   return spec;
 }
 
-TEST(ExperimentRunner, SingleNodeMatchesEvaluateSchedulerExactly) {
+TEST(StaticDeployment, SingleNodeMatchesEvaluateSchedulerExactly) {
   const ScenarioSpec spec = tiny("paper-default");
-  ExperimentRunner runner(spec);
+  orchestrator::FleetOrchestrator runner(spec);
   const std::vector<SchedulerFactory> roster = untrained_roster(spec);
-  const EvalReport report = runner.run(roster);
+  const EvalReport report = runner.run(roster).report;
 
   // Replay the legacy call for the same models: identical numbers.
   for (const auto& entry : roster) {
@@ -47,10 +50,10 @@ TEST(ExperimentRunner, SingleNodeMatchesEvaluateSchedulerExactly) {
   }
 }
 
-TEST(ExperimentRunner, RecordsPerWindowSeriesUnderModelPrefixes) {
+TEST(StaticDeployment, RecordsPerWindowSeriesUnderModelPrefixes) {
   const ScenarioSpec spec = tiny("paper-default");
-  ExperimentRunner runner(spec);
-  const EvalReport report = runner.run(untrained_roster(spec));
+  orchestrator::FleetOrchestrator runner(spec);
+  const EvalReport report = runner.run(untrained_roster(spec)).report;
   for (const char* series :
        {"throughput_gbps", "energy_j", "power_w", "efficiency",
         "drop_fraction"}) {
@@ -61,14 +64,20 @@ TEST(ExperimentRunner, RecordsPerWindowSeriesUnderModelPrefixes) {
   }
 }
 
-TEST(ExperimentRunner, ClusterPartitionsChainsAndAggregatesFleetMetrics) {
+TEST(StaticDeployment, ClusterPartitionsChainsAndAggregatesFleetMetrics) {
   const ScenarioSpec spec = tiny("heterogeneous-cluster");
-  ExperimentRunner runner(spec);
+  orchestrator::FleetOrchestrator runner(spec);
+  const orchestrator::FleetTimeline& timeline = runner.timeline();
 
   // Placement must cover all six chains over the populated nodes.
+  orchestrator::MembershipReplay replay(timeline, spec.num_nodes);
+  replay.advance();
+  const auto comps = resolved_chain_nfs(spec);
   int chains = 0;
   int flows = 0;
-  for (const auto& env : runner.node_envs()) {
+  for (const int n : replay.occupied()) {
+    const core::EnvConfig env = partition_node_env(
+        spec, comps, timeline.flows, replay.members(n), n);
     EXPECT_GE(env.num_chains, 1);
     EXPECT_EQ(env.chain_nfs.size(),
               static_cast<std::size_t>(env.num_chains));
@@ -78,45 +87,77 @@ TEST(ExperimentRunner, ClusterPartitionsChainsAndAggregatesFleetMetrics) {
   }
   EXPECT_EQ(chains, spec.num_chains);
   EXPECT_EQ(flows, spec.num_flows);
-  EXPECT_EQ(static_cast<int>(runner.node_envs().size()) +
-                runner.idle_nodes(),
+  EXPECT_EQ(static_cast<int>(replay.occupied().size()) +
+                timeline.windows.front().idle_nodes,
             spec.num_nodes);
 
   const std::vector<SchedulerFactory> roster =
       filter_roster(untrained_roster(spec), "baseline");
-  const EvalReport report = runner.run(roster);
+  const EvalReport report = runner.run(roster).report;
   const auto& model = report.models.at(0);
 
   // The aggregate series is the per-window sum over node series (plus the
   // idle-node charge), and the reported means are its window means.
   const auto& agg = report.series.series(model.prefix + "throughput_gbps");
   ASSERT_EQ(agg.size(), static_cast<std::size_t>(spec.eval_windows));
-  const auto& agg_drop =
-      report.series.series(model.prefix + "drop_fraction");
   double mean = 0.0;
   for (std::size_t w = 0; w < agg.size(); ++w) {
     double sum = 0.0;
-    double offered = 0.0;
-    double drop_weighted = 0.0;
-    for (std::size_t n = 0; n < runner.node_envs().size(); ++n) {
-      const std::string p = model.prefix + format("node%zu_", n);
+    for (const int n : replay.occupied()) {
+      const std::string p = model.prefix + format("node%d_", n);
       sum += report.series.series(p + "throughput_gbps").values()[w];
-      const double node_offered =
-          report.series.series(p + "offered_pps").values()[w];
-      offered += node_offered;
-      drop_weighted +=
-          report.series.series(p + "drop_fraction").values()[w] *
-          node_offered;
     }
     EXPECT_NEAR(agg.values()[w], sum, 1e-9);
-    // Fleet drops weight each node by its *offered* load.
-    EXPECT_NEAR(agg_drop.values()[w], drop_weighted / offered, 1e-9);
     mean += agg.values()[w];
   }
   mean /= static_cast<double>(spec.eval_windows);
   EXPECT_NEAR(model.result.mean_gbps, mean, 1e-9);
   // A 3-node fleet must burn at least 3x idle power.
   EXPECT_GT(model.result.mean_power_w, 3 * 0.9 * spec.node.p_idle_w);
+}
+
+TEST(StaticDeployment, IdleNodesAreBilledAsOneProduct) {
+  // Five nodes, best fit: two host the six chains, three idle. Their draw
+  // is (3 * p_idle) * window_s, which at a 0.7 s window differs in the
+  // last bit from summing p_idle * window_s three times.
+  ScenarioSpec spec = tiny("heterogeneous-cluster");
+  spec.num_nodes = 5;
+  spec.placement = PlacementPolicy::kEnergyBestFit;
+  spec.window_s = 0.7;
+  orchestrator::FleetOrchestrator runner(spec);
+  const EvalReport report =
+      runner.run(filter_roster(untrained_roster(spec), "baseline")).report;
+  const std::string& prefix = report.models.at(0).prefix;
+  const auto& energy = report.series.series(prefix + "energy_j");
+  for (std::size_t w = 0; w < energy.size(); ++w) {
+    EXPECT_EQ(runner.timeline().windows[w].idle_nodes, 3);
+    double expected = 3 * spec.node.p_idle_w * spec.window_s;
+    for (const char* node : {"node0_energy_j", "node1_energy_j"})
+      expected += report.series.series(prefix + node).values()[w];
+    EXPECT_EQ(energy.values()[w], expected) << "window " << w;
+  }
+}
+
+TEST(StaticDeployment, TrainsOnePolicyPerNodeAndChainCount) {
+  // heterogeneous-cluster spreads its six chains two per node: a trained
+  // model is made once per node (one per (node, chain count), as fleets
+  // do), and once on a single node.
+  ScenarioSpec spec = tiny("heterogeneous-cluster");
+  int makes = 0;
+  SchedulerFactory counted = untrained_roster(spec).front();
+  const auto make = counted.make;
+  counted.make = [&makes, make](const core::EnvConfig& env,
+                                std::uint64_t seed) {
+    ++makes;
+    return make(env, seed);
+  };
+  (void)orchestrator::FleetOrchestrator(spec).run({counted});
+  EXPECT_EQ(makes, 3);
+
+  spec.num_nodes = 1;
+  makes = 0;
+  (void)orchestrator::FleetOrchestrator(spec).run({counted});
+  EXPECT_EQ(makes, 1);
 }
 
 TEST(Roster, FilterPicksByForgivingNameAndRejectsTypos) {
@@ -133,13 +174,23 @@ TEST(Roster, FilterPicksByForgivingNameAndRejectsTypos) {
                std::invalid_argument);
 }
 
+TEST(Roster, FilterRejectsAModelPickedTwice) {
+  // Two runs of one model would append to the same series.
+  const auto roster = untrained_roster(tiny("paper-default"));
+  for (const char* models :
+       {"baseline,Baseline", "ee-pstate,baseline,EE_Pstate"}) {
+    EXPECT_THROW((void)filter_roster(roster, models), std::invalid_argument)
+        << models;
+  }
+}
+
 TEST(Roster, SeriesPrefixSanitizesModelNames) {
   EXPECT_EQ(series_prefix("GreenNFV(MaxT)"), "greennfv_maxt_");
   EXPECT_EQ(series_prefix("EE-Pstate"), "ee_pstate_");
   EXPECT_EQ(series_prefix("Q-Learning"), "q_learning_");
 }
 
-TEST(ExperimentRunner, WarmupDoesNotShiftTheProfileModelsAreMeasuredOn) {
+TEST(StaticDeployment, WarmupDoesNotShiftTheProfileModelsAreMeasuredOn) {
   // Deterministic CBR workload + static Baseline: two roster entries that
   // differ only in warmup must measure identical per-window series — the
   // flash crowd has to hit both at the same recorded time.
@@ -164,7 +215,7 @@ TEST(ExperimentRunner, WarmupDoesNotShiftTheProfileModelsAreMeasuredOn) {
   late.name = "Baseline-late";
   late.warmup = 4;
 
-  ExperimentRunner runner(spec);
+  orchestrator::FleetOrchestrator runner(spec);
   telemetry::Recorder series;
   const ModelReport a = runner.run_model(early, &series);
   const ModelReport b = runner.run_model(late, &series);
@@ -180,7 +231,7 @@ TEST(ExperimentRunner, WarmupDoesNotShiftTheProfileModelsAreMeasuredOn) {
   EXPECT_GT(peak, thr_a.values()[0]);
 }
 
-TEST(ExperimentRunner, NonSteadyProfileChangesTheMeasurement) {
+TEST(StaticDeployment, NonSteadyProfileChangesTheMeasurement) {
   // Same seed, same topology: a flash-crowd envelope must change what the
   // identical scheduler measures — proof the profile reaches the engine.
   ScenarioSpec steady = tiny("paper-default");
@@ -192,10 +243,10 @@ TEST(ExperimentRunner, NonSteadyProfileChangesTheMeasurement) {
 
   const auto roster = untrained_roster(steady);
   const auto& baseline = roster.front();
-  ExperimentRunner steady_runner(steady);
-  ExperimentRunner crowd_runner(crowd);
-  const auto steady_report = steady_runner.run({baseline});
-  const auto crowd_report = crowd_runner.run({baseline});
+  orchestrator::FleetOrchestrator steady_runner(steady);
+  orchestrator::FleetOrchestrator crowd_runner(crowd);
+  const auto steady_report = steady_runner.run({baseline}).report;
+  const auto crowd_report = crowd_runner.run({baseline}).report;
   EXPECT_NE(steady_report.models[0].result.mean_gbps,
             crowd_report.models[0].result.mean_gbps);
 }

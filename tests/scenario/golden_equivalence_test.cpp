@@ -4,10 +4,11 @@
 #include "core/greennfv.hpp"
 #include "core/heuristic.hpp"
 #include "core/nf_controller.hpp"
+#include "orchestrator/fleet.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/presets.hpp"
 
-/// Golden equivalence: the paper-default scenario through ExperimentRunner
+/// Golden equivalence: the paper-default scenario through FleetOrchestrator
 /// must reproduce the exact per-model numbers the pre-redesign fig9 wiring
 /// produced. The legacy wiring is replicated here verbatim (the old
 /// bench/train_util.hpp standard_env/standard_trainer constants and the
@@ -106,9 +107,9 @@ TEST(GoldenEquivalence, PaperDefaultReproducesLegacyFig9Numbers) {
   spec.steps_per_episode = kStepsPerEpisode;
   spec.seed = kSeed;
 
-  scenario::ExperimentRunner runner(spec);
+  orchestrator::FleetOrchestrator runner(spec);
   const scenario::EvalReport report =
-      runner.run(scenario::default_roster(spec));
+      runner.run(scenario::default_roster(spec)).report;
   const std::vector<EvalResult> legacy = legacy_fig9();
 
   ASSERT_EQ(report.models.size(), legacy.size());
