@@ -217,12 +217,12 @@ void FleetOrchestrator::build_timeline() {
     const int node = static_deployment_ && num_nodes == 1
                          ? 0
                          : policy->choose_arrival_indexed(index, request, net);
-    if (node < 0 && static_deployment_) {
-      throw std::invalid_argument(format(
-          "orchestrator: static chain %d (%.0f cores) fits on no node", id,
-          chain.cores));
-    }
     if (node < 0) {
+      if (static_deployment_) {
+        throw std::invalid_argument(format(
+            "orchestrator: static chain %d (%.0f cores) fits on no node", id,
+            chain.cores));
+      }
       ++win.rejected;
       ++timeline_.rejected;
       chain.first_node = -1;
@@ -762,13 +762,18 @@ scenario::ModelReport FleetOrchestrator::run_model(
   // replay reports dirty can need a runtime rebuild this window.
   MembershipReplay replay(timeline_, num_nodes);
 
-  for (int w = 0; w < horizon_; ++w) {
+  // A one-node static deployment stamps its windows as
+  // core::evaluate_scheduler does, with a running sum of window lengths;
+  // w * window_s can differ from that sum in the last bit.
+  const bool summed_clock = static_deployment_ && num_nodes == 1;
+  double elapsed_s = 0.0;
+  for (int w = 0; w < horizon_; ++w, elapsed_s += window_s) {
     std::optional<telemetry::trace::Span> window_span;
     window_span.emplace("fleet/measure_window", static_cast<std::uint64_t>(w),
                         &c_phase_measure);
     const FleetTimeline::Window& win =
         timeline_.windows[static_cast<std::size_t>(w)];
-    const double t = w * window_s;
+    const double t = summed_clock ? elapsed_s : w * window_s;
 
     // (Re)build runtimes whose membership changed at this window edge.
     for (const int n : replay.advance()) {

@@ -50,6 +50,28 @@ TEST(StaticDeployment, SingleNodeMatchesEvaluateSchedulerExactly) {
   }
 }
 
+TEST(StaticDeployment, SingleNodeKeepsEvaluateSchedulersClock) {
+  // 0.1 s windows: a running sum of window lengths drifts from w * 0.1 in
+  // the last bit by the seventh window; the timestamps must still match.
+  ScenarioSpec spec = tiny("paper-default");
+  spec.window_s = 0.1;
+  spec.eval_windows = 10;
+  const SchedulerFactory baseline = untrained_roster(spec).front();
+  const EvalReport report =
+      orchestrator::FleetOrchestrator(spec).run({baseline}).report;
+  telemetry::Recorder direct;
+  const auto scheduler = baseline.make(spec.env_config(), spec.seed);
+  (void)core::evaluate_scheduler(spec.env_config(), *scheduler,
+                                 spec.eval_windows, node_eval_seed(spec, 0),
+                                 baseline.warmup, &direct, "");
+  const std::string& prefix = report.models.at(0).prefix;
+  for (const std::string& name : direct.series_names()) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(report.series.series(prefix + name).times(),
+              direct.series(name).times());
+  }
+}
+
 TEST(StaticDeployment, RecordsPerWindowSeriesUnderModelPrefixes) {
   const ScenarioSpec spec = tiny("paper-default");
   orchestrator::FleetOrchestrator runner(spec);
