@@ -93,7 +93,7 @@ int validate_manifest(const std::string& path) {
     }
   }
   if (manifest.at("runs").size() !=
-      static_cast<std::size_t>(manifest.at("matrix_size").as_double())) {
+      manifest.at("matrix_size").as_integer<std::size_t>()) {
     GNFV_LOG_ERROR("run_campaign")
         << "manifest " << path << ": run list does not cover matrix";
     return 2;

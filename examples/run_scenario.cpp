@@ -122,7 +122,7 @@ int validate_trace(const std::string& path) {
           << event.at("name").as_string() << "' has bad dur";
       return 2;
     }
-    const int tid = static_cast<int>(event.at("tid").as_double());
+    const int tid = event.at("tid").as_integer<int>();
     const double end = ts + dur;
     auto [it, fresh] = last_end_us.emplace(tid, end);
     if (!fresh) {

@@ -17,6 +17,9 @@ cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
 echo "=== [1/2] tier-1 verify: Release build + full ctest ==="
+# With GREENNFV_REGEN_GOLDEN set, the golden suites rewrite their pins and
+# pass; the gate must compare against the committed pins instead.
+unset GREENNFV_REGEN_GOLDEN
 # Pin every option: a stale build/ cache (Debug, sanitizers, bench off...)
 # must not silently weaken what this gate claims to have checked.
 cmake -B build -S . \
@@ -27,6 +30,14 @@ cmake -B build -S . \
   -DGREENNFV_BUILD_EXAMPLES=ON
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure --no-tests=error -j "$JOBS")
+# No suite may leave the committed goldens changed (skipped outside a git
+# checkout, where there is nothing to compare against).
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1 && \
+   ! git diff --quiet -- tests/orchestrator/golden; then
+  echo "ci.sh: tests/orchestrator/golden differs from the checkout" >&2
+  git diff --stat -- tests/orchestrator/golden >&2
+  exit 1
+fi
 
 echo
 echo "=== [1b] scenario smoke: ci-smoke preset, full roster ==="
@@ -64,12 +75,12 @@ echo "=== [1c3] placement-sweep smoke: 3 cells at jobs=2 ==="
 
 echo
 echo "=== [1c4] mega-fleet smoke: 500 nodes / ~50k arrivals + baseline check ==="
-# The discrete-event engine at CI scale: builds the shrunk mega-fleet
+# The indexed fleet engine at CI scale: builds the shrunk mega-fleet
 # geometry, proves it bit-identical to the window-synchronous reference
 # engine (hard failure on divergence), and reports events/sec. The
 # baseline comparison warns — never fails — on a >30% regression of the
-# event-vs-reference speedup, so a future PR cannot silently lose the
-# event engine's win but a noisy machine cannot block the gate either.
+# indexed-vs-reference speedup, so a future PR cannot silently lose the
+# indexed engine's win but a noisy machine cannot block the gate either.
 ./build/bench_fleet smoke=1 baseline=bench/baselines/BENCH_fleet.json \
   trace_check=1 series_check=1
 
@@ -201,16 +212,16 @@ cmake -B build-asan -S . \
   -DGREENNFV_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j "$JOBS"
 
-# The threaded data path and the event engine's pooled allocators are the
+# The threaded data path and the fleet index's pooled allocators are the
 # sanitizer-critical surfaces; run their suites explicitly (pattern match
 # keeps this in sync as suites are added), then the rest of the tree.
 export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" -R '^nfvsim\.')
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
-  -R '^common\.(Arena|ArenaAllocator|BucketQueue|EventHeap)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression)\.|^topology\.|^telemetry\.')
+  -R '^common\.(Arena|ArenaAllocator|BucketQueue)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression)\.|^topology\.|^telemetry\.')
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
-  -E '^nfvsim\.|^common\.(Arena|ArenaAllocator|BucketQueue|EventHeap)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression)\.|^topology\.|^telemetry\.')
+  -E '^nfvsim\.|^common\.(Arena|ArenaAllocator|BucketQueue)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression)\.|^topology\.|^telemetry\.')
 
 echo
 echo "ci.sh: all green"

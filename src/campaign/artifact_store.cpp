@@ -33,7 +33,7 @@ core::EvalResult eval_result_from_json(const Json& json) {
   result.mean_efficiency = json.at("mean_efficiency").as_double();
   result.sla_satisfaction = json.at("sla_satisfaction").as_double();
   result.drop_fraction = json.at("drop_fraction").as_double();
-  result.windows = static_cast<int>(json.at("windows").as_double());
+  result.windows = json.at("windows").as_integer<int>();
   return result;
 }
 

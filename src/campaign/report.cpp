@@ -293,7 +293,7 @@ std::string render_pareto_svg(const Json& summary) {
     std::string points;
     for (std::size_t i = 0; i < pareto.size(); ++i) {
       const Json& cell =
-          cells[static_cast<std::size_t>(pareto[i].as_double())];
+          summary.at("cells").at(pareto[i].as_integer<std::size_t>());
       if (i > 0) points += ' ';
       points += fmt2(x_at(cell.at("energy_j").at("mean").as_double()));
       points += ',';
@@ -422,8 +422,7 @@ void validate_cellseries(const Json& series, const std::string& where,
     return;
   }
   const std::size_t columns = series.at("columns").size();
-  const auto windows =
-      static_cast<std::size_t>(series.at("windows").as_double());
+  const auto windows = series.at("windows").as_integer<std::size_t>();
   if (columns != orchestrator::fleet_series_columns().size()) {
     errors->push_back(where + ": wrong column count");
   }

@@ -246,6 +246,16 @@ double Json::as_double() const {
   return number_;
 }
 
+double Json::whole_number(double low, double end) const {
+  const double value = as_double();
+  if (!(value >= low && value < end) || value != std::floor(value)) {
+    throw std::invalid_argument(format(
+        "Json: expected a whole number in [%.0f, %.0f), have %.17g", low,
+        end, value));
+  }
+  return value;
+}
+
 const std::string& Json::as_string() const {
   if (kind_ != Kind::kString) kind_error("string", kind_);
   return string_;

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -44,6 +46,18 @@ class Json {
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_double() const;
   [[nodiscard]] const std::string& as_string() const;
+  /// The number as a T. Throws std::invalid_argument unless it is a whole
+  /// number T can hold — a count or an index read from an artifact must
+  /// not be truncated or wrap.
+  template <typename T>
+  [[nodiscard]] T as_integer() const {
+    static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+    // One past T's maximum (2^digits), exact as a double.
+    constexpr double kEnd =
+        2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+    return static_cast<T>(whole_number(std::is_signed_v<T> ? -kEnd : 0.0,
+                                       kEnd));
+  }
 
   // --- arrays --------------------------------------------------------------
   void push_back(Json value);
@@ -72,6 +86,8 @@ class Json {
 
  private:
   void dump_to(std::string& out, int indent, int depth) const;
+  /// as_double(), checked to be a whole number in [low, end).
+  [[nodiscard]] double whole_number(double low, double end) const;
 
   Kind kind_ = Kind::kNull;
   bool bool_ = false;

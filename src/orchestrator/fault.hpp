@@ -11,7 +11,7 @@
 /// crashes, correlated rack outages, link failures, every matching repair,
 /// and the wake-latency-storm windows — expanded once from the scenario
 /// seed before the simulation starts, exactly like the arrival process.
-/// Both fleet engines (the discrete-event engine and the frozen
+/// Both fleet engines (the indexed engine and the frozen
 /// window-synchronous reference) consume the same schedule in the same
 /// order, so fault-enabled histories stay bit-identical across engines.
 /// The schedule draws from its own salted RNG stream: enabling faults

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/event_heap.hpp"
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
 #include "core/nf_controller.hpp"
@@ -21,14 +20,14 @@
 #include "topology/path_table.hpp"
 #include "traffic/generator.hpp"
 
-// The timeline builder here is a discrete-event engine: a binary event
-// heap drives departures, arrival ticks, consolidation ticks, and
-// accounting ticks in (window, phase) order, and a FleetIndex answers
-// placement queries from occupancy buckets in O(core levels). It is
-// proven bit-identical to the window-synchronous engine it replaced
-// (preserved in fleet_reference.cpp) by the golden suite and the live
-// equivalence tests: same RNG draw order, same floating-point
-// accumulation order, same policy tie-breaks.
+// The timeline builder here is a window loop: each window runs
+// departures, faults, arrivals, consolidation and accounting, in that
+// order, and a FleetIndex answers placement queries from occupancy
+// buckets in O(core levels). It is proven bit-identical to the
+// scan-every-node engine it replaced (preserved in fleet_reference.cpp)
+// by the golden suite and the live equivalence tests: same RNG draw
+// order, same floating-point accumulation order, same policy
+// tie-breaks.
 
 namespace greennfv::orchestrator {
 
@@ -41,28 +40,6 @@ constexpr std::uint64_t kTimelineSeedSalt = 0xF1EE7C0FFEEull;
 /// changed re-seeds its environment on a fresh stream; epoch 0 IS
 /// scenario::node_eval_seed, the seed a static node has always run on.
 constexpr std::uint64_t kEpochSeedStride = 0x9E3779B97F4A7C15ull;
-
-/// Event phases within one window, in the order the reference engine ran
-/// its per-window steps: departures leave, faults strike and recovery
-/// runs, arrivals land, consolidation migrates, then occupancy/power
-/// accounting closes the window.
-enum EventPhase : int {
-  kDeparturePhase = 0,
-  kFaultPhase = 1,
-  kArrivalPhase = 2,
-  kConsolidatePhase = 3,
-  kAccountPhase = 4,
-};
-
-void copy_series(const telemetry::Recorder& from, telemetry::Recorder* to,
-                 const std::string& prefix) {
-  if (to == nullptr) return;
-  for (const std::string& name : from.series_names()) {
-    const TimeSeries& s = from.series(name);
-    for (std::size_t i = 0; i < s.size(); ++i)
-      to->record(prefix + name, s.times()[i], s.values()[i]);
-  }
-}
 
 /// The registry policy that places a static deployment's chains: the one
 /// its `placement` names, with first-fit for first-fit-decreasing (chains
@@ -126,8 +103,8 @@ void FleetOrchestrator::build_timeline() {
 
   // --- the network fabric (topology runs only) -----------------------------
   // Built once per timeline; PathTable's integer kbps/ns accounting makes
-  // its state a pure function of the active chain set, so the event and
-  // reference engines agree regardless of their release orderings.
+  // its state a pure function of the active chain set, so this engine and
+  // the reference engine agree regardless of their release orderings.
   std::unique_ptr<topology::Topology> topo;
   std::unique_ptr<topology::PathTable> net_owned;
   if (spec_.topology.enabled) {
@@ -158,13 +135,6 @@ void FleetOrchestrator::build_timeline() {
     timeline_.rack_outages = faults.rack_outages;
     timeline_.storm_windows = faults.storm_windows;
   }
-  // Wake charges cost `wake_storm_factor`x during storm windows (cold
-  // nodes thundering awake under datacenter-wide pressure); 1.0x
-  // otherwise — multiplying by 1.0 is exact, so fault-free runs are
-  // untouched bit for bit.
-  const auto storm_scale = [&](int w) {
-    return faults.storm_active(w) ? spec_.fault.wake_storm_factor : 1.0;
-  };
 
   // --- the initial chain set (the scenario's static topology) -------------
   const auto comps = scenario::resolved_chain_nfs(spec_);
@@ -198,17 +168,34 @@ void FleetOrchestrator::build_timeline() {
                    rng.exponential(1.0 / spec_.fleet.mean_holding_windows));
   };
 
-  // --- the event heap ------------------------------------------------------
-  // Payload: the departing chain id for kDeparturePhase events, unused
-  // for the self-rescheduling ticks. Same-window departures pop in push
-  // order (chains are placed in ascending id order), which reproduces
-  // the reference engine's sorted departure lists without a sort.
-  EventHeap<int, int> events;
+  // The departure calendar: the chains whose holding time ends at each
+  // window edge, appended as they are placed. Chains are placed in
+  // ascending id order, so every list is already sorted.
+  std::vector<std::vector<int>> departing(static_cast<std::size_t>(horizon_));
 
-  // Nodes perturbed since the last accounting tick: only these can have
+  // Nodes perturbed since the last accounting step: only these can have
   // unsorted hosted lists (migration receivers) — everyone else keeps
   // the sorted-at-window-edge invariant for free.
   std::vector<int> dirty;
+
+  // Powers `node` up for `chain`. Waking a gated node charges the chain
+  // its wake latency and boot energy, `wake_storm_factor`x during storm
+  // windows (cold nodes thundering awake under datacenter-wide pressure)
+  // and 1.0x otherwise — multiplying by 1.0 is exact, so fault-free runs
+  // are untouched bit for bit.
+  const auto activate = [&](int node, int chain, int w,
+                            FleetTimeline::Window& win) {
+    const auto charge = power[static_cast<std::size_t>(node)].activate();
+    if (!charge.woke) return;
+    const double scale =
+        faults.storm_active(w) ? spec_.fault.wake_storm_factor : 1.0;
+    index.wake(node);
+    ++timeline_.wakeups;
+    win.charges.push_back({chain, charge.downtime_s * scale,
+                           charge.energy_j * scale, ChargeKind::kWake});
+    timeline_.wake_energy_j += charge.energy_j * scale;
+    timeline_.downtime_s += charge.downtime_s * scale;
+  };
 
   const auto place = [&](int id, int w, FleetTimeline::Window& win) {
     ChainInstance& chain = timeline_.chains[static_cast<std::size_t>(id)];
@@ -243,16 +230,7 @@ void FleetOrchestrator::build_timeline() {
       chain.path_hops = net->chain_hops(id);
       chain.path_latency_ns = net->chain_latency_ns(id);
     }
-    const auto charge = power[static_cast<std::size_t>(node)].activate();
-    if (charge.woke) {
-      const double scale = storm_scale(w);
-      index.wake(node);
-      ++timeline_.wakeups;
-      win.charges.push_back({id, charge.downtime_s * scale,
-                             charge.energy_j * scale, ChargeKind::kWake});
-      timeline_.wake_energy_j += charge.energy_j * scale;
-      timeline_.downtime_s += charge.downtime_s * scale;
-    }
+    activate(node, id, w, win);
     index.place_chain(id, node, chain.cores, chain.offered_gbps);
     win.arrivals.push_back(id);
     ++timeline_.arrivals;
@@ -260,7 +238,8 @@ void FleetOrchestrator::build_timeline() {
     dirty.push_back(node);
     if (!static_fleet_ && chain.departure_window >= 0 &&
         chain.departure_window < horizon_) {
-      events.push(chain.departure_window, kDeparturePhase, id);
+      departing[static_cast<std::size_t>(chain.departure_window)].push_back(
+          id);
     }
   };
 
@@ -268,8 +247,8 @@ void FleetOrchestrator::build_timeline() {
   // same policy seam that places arrivals picks the new host, the move
   // pays a replace charge (plus a wake charge if the host was asleep),
   // and a chain no node/path can take is dropped — it pays one full
-  // window of downtime and leaves the fleet for good (its pending
-  // departure event is lazily skipped).
+  // window of downtime and leaves the fleet for good (its calendar entry
+  // is skipped when its departure window comes).
   const auto replace_chain = [&](int id, int from, int w,
                                  FleetTimeline::Window& win) {
     const ChainInstance& chain =
@@ -288,16 +267,7 @@ void FleetOrchestrator::build_timeline() {
       timeline_.downtime_s += window_s;
       return;
     }
-    const auto charge = power[static_cast<std::size_t>(node)].activate();
-    if (charge.woke) {
-      const double scale = storm_scale(w);
-      index.wake(node);
-      ++timeline_.wakeups;
-      win.charges.push_back({id, charge.downtime_s * scale,
-                             charge.energy_j * scale, ChargeKind::kWake});
-      timeline_.wake_energy_j += charge.energy_j * scale;
-      timeline_.downtime_s += charge.downtime_s * scale;
-    }
+    activate(node, id, w, win);
     index.place_chain(id, node, chain.cores, chain.offered_gbps);
     win.replacements.push_back({id, from, node});
     ++timeline_.replaced;
@@ -310,19 +280,12 @@ void FleetOrchestrator::build_timeline() {
   };
 
   timeline_.windows.resize(static_cast<std::size_t>(horizon_));
-
-  if (spec_.fault.enabled) events.push(0, kFaultPhase, -1);
-  events.push(0, kArrivalPhase, -1);
-  if (!static_fleet_ && spec_.fleet.migration)
-    events.push(0, kConsolidatePhase, -1);
-  events.push(0, kAccountPhase, -1);
-
   int next_id = spec_.num_chains;
 
-  // Flight-recorder handles, hoisted out of the event loop. Departures
-  // pop far too often for per-event spans (a mega-fleet run sees ~1M of
+  // Flight-recorder handles, hoisted out of the window loop. Departures
+  // are far too many for per-chain spans (a mega-fleet run sees ~1M of
   // them — two clock reads each would blow the <5% overhead budget), so
-  // they are counted only; the once-per-window ticks each get a span
+  // they are counted only; the other steps each get a per-window span
   // that doubles as the phase-time accumulator.
   auto& c_ev_departure = mc::counter("fleet.events.departure");
   auto& c_ev_fault = mc::counter("fleet.events.fault_tick");
@@ -341,289 +304,261 @@ void FleetOrchestrator::build_timeline() {
   FleetSeriesSampler sampler(horizon_, window_s,
                              /*armed=*/!static_deployment_);
 
-  while (!events.empty()) {
-    const auto event = events.pop();
-    const int w = event.time;
+  for (int w = 0; w < horizon_; ++w) {
     FleetTimeline::Window& win =
         timeline_.windows[static_cast<std::size_t>(w)];
 
-    switch (event.phase) {
-      case kDeparturePhase: {
-        // One chain's holding time expired at this window edge.
-        c_ev_departure.add();
-        const int id = event.payload;
-        const int node = index.chain_node(id);
-        // A fault dropped this chain before its holding time ran out —
-        // it already left the fleet; its departure never happens.
-        if (node < 0) break;
-        dirty.push_back(node);
-        index.remove_chain(id);
-        if (net != nullptr) net->release_chain(id);
-        win.departures.push_back(id);
-        ++timeline_.departures;
-        break;
-      }
+    // --- departures: holding times that expired at this window edge -------
+    const std::vector<int>& leaving =
+        departing[static_cast<std::size_t>(w)];
+    c_ev_departure.add(leaving.size());
+    for (const int id : leaving) {
+      const int node = index.chain_node(id);
+      // A fault dropped this chain before its holding time ran out — it
+      // already left the fleet; its departure never happens.
+      if (node < 0) continue;
+      dirty.push_back(node);
+      index.remove_chain(id);
+      if (net != nullptr) net->release_chain(id);
+      win.departures.push_back(id);
+      ++timeline_.departures;
+    }
 
-      case kFaultPhase: {
-        // Inject this window's scheduled faults and recover: crashed
-        // nodes evict their chains through the placement policy, failed
-        // links re-route or evict their riders, repairs return capacity.
-        c_ev_fault.add();
-        const telemetry::trace::Span recover_span(
-            "fleet/recover", static_cast<std::uint64_t>(w), &c_phase_fault);
-        for (const FaultEvent& ev :
-             faults.windows[static_cast<std::size_t>(w)]) {
-          switch (ev.kind) {
-            case FaultEvent::Kind::kNodeCrash: {
-              const int node = ev.target;
-              ++win.node_crashes;
-              // Copy: eviction mutates the hosted list underneath. Sort:
-              // a same-window replacement may have appended out of order,
-              // and eviction order is part of the bit-identity contract.
-              std::vector<int> victims = index.hosted(node);
-              std::sort(victims.begin(), victims.end());
-              for (const int id : victims) {
-                index.remove_chain(id);
-                if (net != nullptr) net->release_chain(id);
+    // --- faults: inject this window's schedule and recover ----------------
+    // Crashed nodes evict their chains through the placement policy,
+    // failed links re-route or evict their riders, repairs return capacity.
+    if (spec_.fault.enabled) {
+      c_ev_fault.add();
+      const telemetry::trace::Span recover_span(
+          "fleet/recover", static_cast<std::uint64_t>(w), &c_phase_fault);
+      for (const FaultEvent& ev :
+           faults.windows[static_cast<std::size_t>(w)]) {
+        switch (ev.kind) {
+          case FaultEvent::Kind::kNodeCrash: {
+            const int node = ev.target;
+            ++win.node_crashes;
+            // Copy: eviction mutates the hosted list underneath. Sort: a
+            // same-window replacement may have appended out of order, and
+            // eviction order is part of the bit-identity contract.
+            std::vector<int> victims = index.hosted(node);
+            std::sort(victims.begin(), victims.end());
+            for (const int id : victims) {
+              index.remove_chain(id);
+              if (net != nullptr) net->release_chain(id);
+            }
+            index.crash(node);
+            // The node loses its power state with everything else; it
+            // comes back cold (fresh machine, Idle) at repair.
+            power[static_cast<std::size_t>(node)] =
+                NodePowerStateMachine(ps_config);
+            dirty.push_back(node);
+            for (const int id : victims) replace_chain(id, node, w, win);
+            break;
+          }
+          case FaultEvent::Kind::kNodeRepair: {
+            ++win.node_repairs;
+            index.repair(ev.target);
+            break;
+          }
+          case FaultEvent::Kind::kLinkFail: {
+            ++win.link_fails;
+            // Riders come back in ascending chain id; each either
+            // re-routes in place (same host, new path) or is evicted and
+            // re-placed like a crash victim.
+            const std::vector<int> riders = net->fail_link(ev.target);
+            for (const int id : riders) {
+              const int host = index.chain_node(id);
+              if (host < 0) continue;
+              if (net->try_move(id, host)) {
+                ++win.rerouted;
+                ++timeline_.rerouted;
+                continue;
               }
-              index.crash(node);
-              // The node loses its power state with everything else; it
-              // comes back cold (fresh machine, Idle) at repair.
-              power[static_cast<std::size_t>(node)] =
-                  NodePowerStateMachine(ps_config);
-              dirty.push_back(node);
-              for (const int id : victims) replace_chain(id, node, w, win);
-              break;
+              index.remove_chain(id);
+              net->release_chain(id);
+              dirty.push_back(host);
+              replace_chain(id, host, w, win);
             }
-            case FaultEvent::Kind::kNodeRepair: {
-              ++win.node_repairs;
-              index.repair(ev.target);
-              break;
-            }
-            case FaultEvent::Kind::kLinkFail: {
-              ++win.link_fails;
-              // Riders come back in ascending chain id; each either
-              // re-routes in place (same host, new path) or is evicted
-              // and re-placed like a crash victim.
-              const std::vector<int> riders = net->fail_link(ev.target);
-              for (const int id : riders) {
-                const int host = index.chain_node(id);
-                if (host < 0) continue;
-                if (net->try_move(id, host)) {
-                  ++win.rerouted;
-                  ++timeline_.rerouted;
-                  continue;
-                }
-                index.remove_chain(id);
-                net->release_chain(id);
-                dirty.push_back(host);
-                replace_chain(id, host, w, win);
-              }
-              break;
-            }
-            case FaultEvent::Kind::kLinkRepair: {
-              ++win.link_repairs;
-              net->repair_link(ev.target);
-              break;
-            }
+            break;
+          }
+          case FaultEvent::Kind::kLinkRepair: {
+            ++win.link_repairs;
+            net->repair_link(ev.target);
+            break;
           }
         }
-        if (w + 1 < horizon_) events.push(w + 1, kFaultPhase, -1);
-        break;
       }
+    }
 
-      case kArrivalPhase: {
-        // The initial chain set lands at w=0 through the same policy;
-        // dynamic arrivals are Poisson with the scenario's RateProfile
-        // as the fleet-level load envelope.
-        c_ev_arrival.add();
-        const telemetry::trace::Span arrival_span(
-            "fleet/arrival_tick", static_cast<std::uint64_t>(w),
-            &c_phase_arrival);
-        if (w == 0) {
-          for (int c = 0; c < spec_.num_chains; ++c) {
-            if (!static_fleet_) {
-              timeline_.chains[static_cast<std::size_t>(c)]
-                  .departure_window = draw_holding();
-            }
-            place(c, w, win);
+    // --- arrivals ----------------------------------------------------------
+    // The initial chain set lands at w=0 through the same policy; dynamic
+    // arrivals are Poisson with the scenario's RateProfile as the
+    // fleet-level load envelope. A frozen fleet sees nothing after w=0.
+    if (w == 0 || !static_fleet_) {
+      c_ev_arrival.add();
+      const telemetry::trace::Span arrival_span(
+          "fleet/arrival_tick", static_cast<std::uint64_t>(w),
+          &c_phase_arrival);
+      if (w == 0) {
+        for (int c = 0; c < spec_.num_chains; ++c) {
+          if (!static_fleet_) {
+            timeline_.chains[static_cast<std::size_t>(c)].departure_window =
+                draw_holding();
           }
-          // Partitioning each static node once here raises the error for a
-          // node whose chains all lack traffic before anything runs.
-          for (int n = 0; static_deployment_ && n < num_nodes; ++n) {
-            if (index.hosted(n).empty()) continue;
-            (void)scenario::partition_node_env(spec_, comps, timeline_.flows,
-                                               index.hosted(n), n);
-          }
+          place(c, w, win);
         }
-        if (!static_fleet_) {
-          const double mean = spec_.fleet.arrival_rate *
-                              spec_.profile.multiplier(w * window_s);
-          const std::uint64_t count = mean > 0.0 ? rng.poisson(mean) : 0;
-          for (std::uint64_t a = 0; a < count; ++a) {
-            ChainInstance chain;
-            chain.id = next_id++;
-            chain.nfs = nfvsim::standard_chain_nfs(chain.id);
-            chain.cores = static_cast<double>(chain.nfs.size());
-            chain.flows = traffic::make_eval_flows(
-                spec_.fleet.flows_per_chain, /*num_chains=*/1,
-                spec_.fleet.chain_offered_gbps, rng.next_u64());
-            for (auto& flow : chain.flows) {
-              flow.chain_index = chain.id;
-              chain.offered_gbps += flow.mean_rate_gbps();
-              chain.offered_pps += flow.mean_rate_pps;
-            }
-            chain.arrival_window = w;
-            chain.departure_window = w + draw_holding();
-            timeline_.chains.push_back(std::move(chain));
-            ChainInstance& arrived = timeline_.chains.back();
-            place(arrived.id, w, win);
-            // A rejected chain never joins the flow pool — no node
-            // ever hosts it, so its flows would be dead weight.
-            if (arrived.first_node >= 0) {
-              timeline_.flows.insert(timeline_.flows.end(),
-                                     arrived.flows.begin(),
-                                     arrived.flows.end());
-            }
-          }
-          if (w + 1 < horizon_) events.push(w + 1, kArrivalPhase, -1);
+        // Partitioning each static node once here raises the error for a
+        // node whose chains all lack traffic before anything runs.
+        for (int n = 0; static_deployment_ && n < num_nodes; ++n) {
+          if (index.hosted(n).empty()) continue;
+          (void)scenario::partition_node_env(spec_, comps, timeline_.flows,
+                                             index.hosted(n), n);
         }
-        break;
       }
-
-      case kConsolidatePhase: {
-        // The policy may drain underutilized nodes so power gating can
-        // put them to sleep. Each move costs downtime + energy.
-        c_ev_consolidate.add();
-        const telemetry::trace::Span consolidate_span(
-            "fleet/consolidate_tick", static_cast<std::uint64_t>(w),
-            &c_phase_consolidate);
-        const std::vector<Migration> plan = policy->consolidate_indexed(
-            index, spec_.fleet.consolidate_below);
-        c_mig_attempted.add(plan.size());
-        for (const Migration& move : plan) {
-          // Network veto: a consolidation move whose re-routed path has
-          // no feasible capacity is skipped (try_move leaves the fabric
-          // untouched on failure), not applied half-way.
-          if (net != nullptr && !net->try_move(move.chain, move.to)) {
-            ++win.net_blocked;
-            ++timeline_.net_blocked;
-            continue;
+      if (!static_fleet_) {
+        const double mean = spec_.fleet.arrival_rate *
+                            spec_.profile.multiplier(w * window_s);
+        const std::uint64_t count = mean > 0.0 ? rng.poisson(mean) : 0;
+        for (std::uint64_t a = 0; a < count; ++a) {
+          ChainInstance chain;
+          chain.id = next_id++;
+          chain.nfs = nfvsim::standard_chain_nfs(chain.id);
+          chain.cores = static_cast<double>(chain.nfs.size());
+          chain.flows = traffic::make_eval_flows(
+              spec_.fleet.flows_per_chain, /*num_chains=*/1,
+              spec_.fleet.chain_offered_gbps, rng.next_u64());
+          for (auto& flow : chain.flows) {
+            flow.chain_index = chain.id;
+            chain.offered_gbps += flow.mean_rate_gbps();
+            chain.offered_pps += flow.mean_rate_pps;
           }
-          const ChainInstance& chain =
-              timeline_.chains[static_cast<std::size_t>(move.chain)];
-          index.remove_chain(move.chain);
-          const auto charge =
-              power[static_cast<std::size_t>(move.to)].activate();
-          if (charge.woke) {
-            // The policies never wake a node to consolidate into, but a
-            // custom policy could — account for it either way.
-            const double scale = storm_scale(w);
-            index.wake(move.to);
-            ++timeline_.wakeups;
-            win.charges.push_back({move.chain, charge.downtime_s * scale,
-                                   charge.energy_j * scale,
-                                   ChargeKind::kWake});
-            timeline_.wake_energy_j += charge.energy_j * scale;
-            timeline_.downtime_s += charge.downtime_s * scale;
+          chain.arrival_window = w;
+          chain.departure_window = w + draw_holding();
+          timeline_.chains.push_back(std::move(chain));
+          ChainInstance& arrived = timeline_.chains.back();
+          place(arrived.id, w, win);
+          // A rejected chain never joins the flow pool — no node ever
+          // hosts it, so its flows would be dead weight.
+          if (arrived.first_node >= 0) {
+            timeline_.flows.insert(timeline_.flows.end(),
+                                   arrived.flows.begin(),
+                                   arrived.flows.end());
           }
-          index.place_chain(move.chain, move.to, chain.cores,
-                            chain.offered_gbps);
-          win.migrations.push_back(move);
-          ++timeline_.migrations;
-          win.charges.push_back({move.chain,
-                                 spec_.fleet.migration_downtime_s,
-                                 spec_.fleet.migration_energy_j,
-                                 ChargeKind::kMigration});
-          timeline_.migration_energy_j += spec_.fleet.migration_energy_j;
-          timeline_.downtime_s += spec_.fleet.migration_downtime_s;
-          dirty.push_back(move.from);
-          dirty.push_back(move.to);
         }
-        if (w + 1 < horizon_) events.push(w + 1, kConsolidatePhase, -1);
-        break;
       }
+    }
 
-      case kAccountPhase: {
-        c_ev_account.add();
-        const telemetry::trace::Span account_span(
-            "fleet/account_tick", static_cast<std::uint64_t>(w),
-            &c_phase_account);
-        // Restore the sorted-hosted-list discipline on perturbed nodes
-        // (arrival appends keep lists sorted — ids grow monotonically —
-        // so only migration receivers actually reorder).
-        std::sort(dirty.begin(), dirty.end());
-        dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-        for (const int n : dirty) index.sort_hosted(n);
-        dirty.clear();
-
-        // Occupancy and power accounting sweep every node in ascending
-        // order: the standby-energy floating-point accumulation order is
-        // part of the bit-identity contract, and every unoccupied node
-        // contributes draw each window — there is nothing to skip.
-        for (int n = 0; n < num_nodes; ++n) {
-          // A crashed node is out of the fleet until repair: no standby
-          // draw, no occupancy sample, no power-state advance — it only
-          // counts toward the window's down-node tally.
-          if (index.down(n)) {
-            ++win.down_nodes;
-            continue;
-          }
-          const std::size_t count = index.hosted(n).size();
-          timeline_.occupancy.add(count);
-          win.live_chains += static_cast<int>(count);
-
-          const bool occupied = count != 0;
-          auto& machine = power[static_cast<std::size_t>(n)];
-          if (occupied) {
-            ++win.active_nodes;
-          } else if (machine.asleep()) {
-            ++win.asleep_nodes;
-          } else {
-            ++win.idle_nodes;
-          }
-          win.standby_energy_j += machine.advance(occupied, window_s);
-          // Mirror a just-gated node into the index so next window's
-          // placement queries see it on the asleep list.
-          if (machine.asleep() && !index.asleep(n)) index.sleep(n);
+    // --- consolidation -----------------------------------------------------
+    // The policy may drain underutilized nodes so power gating can put
+    // them to sleep. Each move costs downtime + energy.
+    if (!static_fleet_ && spec_.fleet.migration) {
+      c_ev_consolidate.add();
+      const telemetry::trace::Span consolidate_span(
+          "fleet/consolidate_tick", static_cast<std::uint64_t>(w),
+          &c_phase_consolidate);
+      const std::vector<Migration> plan =
+          policy->consolidate_indexed(index, spec_.fleet.consolidate_below);
+      c_mig_attempted.add(plan.size());
+      for (const Migration& move : plan) {
+        // Network veto: a consolidation move whose re-routed path has no
+        // feasible capacity is skipped (try_move leaves the fabric
+        // untouched on failure), not applied half-way.
+        if (net != nullptr && !net->try_move(move.chain, move.to)) {
+          ++win.net_blocked;
+          ++timeline_.net_blocked;
+          continue;
         }
-        // Static idle nodes are billed as one product, the rounding their
-        // numbers have always had (a per-node sum can differ in the last
-        // bit from three idle nodes on).
-        if (static_deployment_) {
-          win.standby_energy_j =
-              win.idle_nodes * spec_.node.p_idle_w * window_s;
-        }
-        if (net != nullptr) {
-          // End-of-window fabric snapshot from the table's exact running
-          // counters — no per-link sweep except the fixed-order energy sum.
-          win.link_energy_j = net->window_link_energy_j(window_s);
-          win.routed_chains = static_cast<int>(net->active_chains());
-          win.latency_violations =
-              static_cast<int>(net->active_latency_violations());
-          win.path_latency_sum_ns = net->active_path_latency_ns();
-          timeline_.link_energy_j += win.link_energy_j;
-          timeline_.routed_chain_windows += win.routed_chains;
-          timeline_.latency_violation_chain_windows += win.latency_violations;
-          timeline_.path_latency_sum_ns += win.path_latency_sum_ns;
-        }
-        timeline_.standby_energy_j += win.standby_energy_j;
-        if (sampler.active()) {
-          double committed = 0.0;
-          for (int n = 0; n < num_nodes; ++n) {
-            if (!index.down(n)) committed += index.committed_cores(n);
-          }
-          const double capacity =
-              static_cast<double>(num_nodes - win.down_nodes) *
-              capacity_cores_;
-          sampler.sample(w, win, committed, capacity, net);
-        }
-        if (w + 1 < horizon_) events.push(w + 1, kAccountPhase, -1);
-        break;
+        const ChainInstance& chain =
+            timeline_.chains[static_cast<std::size_t>(move.chain)];
+        index.remove_chain(move.chain);
+        // The policies never wake a node to consolidate into, but a custom
+        // policy could — account for it either way.
+        activate(move.to, move.chain, w, win);
+        index.place_chain(move.chain, move.to, chain.cores,
+                          chain.offered_gbps);
+        win.migrations.push_back(move);
+        ++timeline_.migrations;
+        win.charges.push_back({move.chain, spec_.fleet.migration_downtime_s,
+                               spec_.fleet.migration_energy_j,
+                               ChargeKind::kMigration});
+        timeline_.migration_energy_j += spec_.fleet.migration_energy_j;
+        timeline_.downtime_s += spec_.fleet.migration_downtime_s;
+        dirty.push_back(move.from);
+        dirty.push_back(move.to);
       }
+    }
 
-      default:
-        throw std::logic_error("orchestrator: unknown event phase");
+    // --- accounting --------------------------------------------------------
+    c_ev_account.add();
+    const telemetry::trace::Span account_span(
+        "fleet/account_tick", static_cast<std::uint64_t>(w),
+        &c_phase_account);
+    // Restore the sorted-hosted-list discipline on perturbed nodes (arrival
+    // appends keep lists sorted — ids grow monotonically — so only
+    // migration receivers actually reorder).
+    std::sort(dirty.begin(), dirty.end());
+    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+    for (const int n : dirty) index.sort_hosted(n);
+    dirty.clear();
+
+    // Occupancy and power accounting sweep every node in ascending order:
+    // the standby-energy floating-point accumulation order is part of the
+    // bit-identity contract, and every unoccupied node contributes draw
+    // each window — there is nothing to skip.
+    for (int n = 0; n < num_nodes; ++n) {
+      // A crashed node is out of the fleet until repair: no standby draw,
+      // no occupancy sample, no power-state advance — it only counts
+      // toward the window's down-node tally.
+      if (index.down(n)) {
+        ++win.down_nodes;
+        continue;
+      }
+      const std::size_t count = index.hosted(n).size();
+      timeline_.occupancy.add(count);
+      win.live_chains += static_cast<int>(count);
+
+      const bool occupied = count != 0;
+      auto& machine = power[static_cast<std::size_t>(n)];
+      if (occupied) {
+        ++win.active_nodes;
+      } else if (machine.asleep()) {
+        ++win.asleep_nodes;
+      } else {
+        ++win.idle_nodes;
+      }
+      win.standby_energy_j += machine.advance(occupied, window_s);
+      // Mirror a just-gated node into the index so next window's placement
+      // queries see it on the asleep list.
+      if (machine.asleep() && !index.asleep(n)) index.sleep(n);
+    }
+    // Static idle nodes are billed as one product, the rounding their
+    // numbers have always had (a per-node sum can differ in the last bit
+    // from three idle nodes on).
+    if (static_deployment_) {
+      win.standby_energy_j = win.idle_nodes * spec_.node.p_idle_w * window_s;
+    }
+    if (net != nullptr) {
+      // End-of-window fabric snapshot from the table's exact running
+      // counters — no per-link sweep except the fixed-order energy sum.
+      win.link_energy_j = net->window_link_energy_j(window_s);
+      win.routed_chains = static_cast<int>(net->active_chains());
+      win.latency_violations =
+          static_cast<int>(net->active_latency_violations());
+      win.path_latency_sum_ns = net->active_path_latency_ns();
+      timeline_.link_energy_j += win.link_energy_j;
+      timeline_.routed_chain_windows += win.routed_chains;
+      timeline_.latency_violation_chain_windows += win.latency_violations;
+      timeline_.path_latency_sum_ns += win.path_latency_sum_ns;
+    }
+    timeline_.standby_energy_j += win.standby_energy_j;
+    if (sampler.active()) {
+      double committed = 0.0;
+      for (int n = 0; n < num_nodes; ++n) {
+        if (!index.down(n)) committed += index.committed_cores(n);
+      }
+      const double capacity =
+          static_cast<double>(num_nodes - win.down_nodes) * capacity_cores_;
+      sampler.sample(w, win, committed, capacity, net);
     }
   }
 
@@ -689,16 +624,26 @@ scenario::ModelReport FleetOrchestrator::run_model(
   auto& c_rebuilds = mc::counter("fleet.env_rebuilds");
   scenario::ModelReport report;
   report.prefix = scenario::series_prefix(entry.name);
-  telemetry::Recorder local;
 
   const int num_nodes = spec_.num_nodes;
   const double window_s = spec_.window_s;
   const core::Sla sla = spec_.sla();
+  // Series go straight into the caller's recorder under the model prefix.
+  const auto record = [&](const char* name, double t, double value) {
+    if (recorder != nullptr) recorder->record(report.prefix + name, t, value);
+  };
   // Per-node series are a per-node-per-window artifact — prohibitive at
   // hyperscale, so they stop at 64 nodes (every paper-shaped fleet). A
-  // one-node static deployment's would repeat its aggregate.
-  const bool node_series =
-      num_nodes <= 64 && (!static_deployment_ || num_nodes > 1);
+  // one-node static deployment's would repeat its aggregate. Their names
+  // are built once per model.
+  const bool node_series = recorder != nullptr && num_nodes <= 64 &&
+                           (!static_deployment_ || num_nodes > 1);
+  std::vector<std::pair<std::string, std::string>> node_names;
+  for (int n = 0; node_series && n < num_nodes; ++n) {
+    node_names.emplace_back(
+        report.prefix + format("node%d_throughput_gbps", n),
+        report.prefix + format("node%d_energy_j", n));
+  }
 
   std::vector<std::vector<std::string>> comps;
   comps.reserve(timeline_.chains.size());
@@ -858,9 +803,10 @@ scenario::ModelReport FleetOrchestrator::run_model(
       // because it delivered little.
       drop_weighted += outcome.drop_fraction * outcome.offered_pps;
       if (node_series) {
-        local.record(format("node%d_throughput_gbps", n), t,
-                     outcome.throughput_gbps);
-        local.record(format("node%d_energy_j", n), t, outcome.energy_j);
+        const auto& [gbps_name, energy_name] =
+            node_names[static_cast<std::size_t>(n)];
+        recorder->record(gbps_name, t, outcome.throughput_gbps);
+        recorder->record(energy_name, t, outcome.energy_j);
       }
     }
     c_node_windows.add(static_cast<std::uint64_t>(active));
@@ -920,42 +866,39 @@ scenario::ModelReport FleetOrchestrator::run_model(
     result.sla_satisfaction += w_sla;
     result.drop_fraction += w_drop;
 
-    local.record("throughput_gbps", t, w_gbps);
-    local.record("energy_j", t, w_energy);
-    local.record("power_w", t, w_energy / window_s);
-    local.record("efficiency", t, w_efficiency);
-    local.record("drop_fraction", t, w_drop);
-    local.record("offered_pps", t, offered_pps);
+    record("throughput_gbps", t, w_gbps);
+    record("energy_j", t, w_energy);
+    record("power_w", t, w_energy / window_s);
+    record("efficiency", t, w_efficiency);
+    record("drop_fraction", t, w_drop);
+    record("offered_pps", t, offered_pps);
     if (!static_deployment_) {
-      local.record("active_nodes", t, win.active_nodes);
-      local.record("asleep_nodes", t, win.asleep_nodes);
-      local.record("live_chains", t, win.live_chains);
-      local.record("arrivals", t,
-                   static_cast<double>(win.arrivals.size()));
-      local.record("departures", t,
-                   static_cast<double>(win.departures.size()));
-      local.record("migrations", t,
-                   static_cast<double>(win.migrations.size()));
-      local.record("rejected", t, win.rejected);
+      record("active_nodes", t, win.active_nodes);
+      record("asleep_nodes", t, win.asleep_nodes);
+      record("live_chains", t, win.live_chains);
+      record("arrivals", t, static_cast<double>(win.arrivals.size()));
+      record("departures", t, static_cast<double>(win.departures.size()));
+      record("migrations", t, static_cast<double>(win.migrations.size()));
+      record("rejected", t, win.rejected);
     }
     if (spec_.topology.enabled) {
-      local.record("link_energy_j", t, win.link_energy_j);
-      local.record("path_latency_us", t,
-                   win.routed_chains > 0
-                       ? static_cast<double>(win.path_latency_sum_ns) /
-                             (1e3 * win.routed_chains)
-                       : 0.0);
-      local.record("latency_violations", t, win.latency_violations);
-      local.record("net_rejected", t, win.net_rejected);
+      record("link_energy_j", t, win.link_energy_j);
+      record("path_latency_us", t,
+             win.routed_chains > 0
+                 ? static_cast<double>(win.path_latency_sum_ns) /
+                       (1e3 * win.routed_chains)
+                 : 0.0);
+      record("latency_violations", t, win.latency_violations);
+      record("net_rejected", t, win.net_rejected);
     }
     if (spec_.fault.enabled) {
-      local.record("down_nodes", t, win.down_nodes);
-      local.record("node_crashes", t, win.node_crashes);
-      local.record("fault_replaced", t,
-                   static_cast<double>(win.replacements.size()));
-      local.record("fault_dropped", t,
-                   static_cast<double>(win.fault_dropped.size()));
-      local.record("fault_rerouted", t, win.rerouted);
+      record("down_nodes", t, win.down_nodes);
+      record("node_crashes", t, win.node_crashes);
+      record("fault_replaced", t,
+             static_cast<double>(win.replacements.size()));
+      record("fault_dropped", t,
+             static_cast<double>(win.fault_dropped.size()));
+      record("fault_rerouted", t, win.rerouted);
     }
   }
 
@@ -966,27 +909,18 @@ scenario::ModelReport FleetOrchestrator::run_model(
   result.mean_efficiency /= n;
   result.sla_satisfaction /= n;
   result.drop_fraction /= n;
-
-  copy_series(local, recorder, report.prefix);
   return report;
 }
 
 FleetReport FleetOrchestrator::run(
     const std::vector<scenario::SchedulerFactory>& roster) {
   FleetReport fleet;
+  static_cast<FleetTotals&>(fleet) = timeline_;
   fleet.report.scenario = spec_.name;
   fleet.report.nodes = spec_.num_nodes;
   for (const auto& entry : roster)
     fleet.report.models.push_back(run_model(entry, &fleet.report.series));
 
-  fleet.arrivals = timeline_.arrivals;
-  fleet.departures = timeline_.departures;
-  fleet.rejected = timeline_.rejected;
-  fleet.migrations = timeline_.migrations;
-  fleet.wakeups = timeline_.wakeups;
-  fleet.standby_energy_j = timeline_.standby_energy_j;
-  fleet.wake_energy_j = timeline_.wake_energy_j;
-  fleet.migration_energy_j = timeline_.migration_energy_j;
   fleet.occupancy_fractions = timeline_.occupancy.fractions();
   for (const FleetTimeline::Window& win : timeline_.windows) {
     fleet.mean_active_nodes += win.active_nodes;
@@ -1001,14 +935,8 @@ FleetReport FleetOrchestrator::run(
   fleet.mean_down_nodes /= n;
 
   if (timeline_.topology_enabled) {
-    fleet.topology_enabled = true;
     fleet.topology_preset = spec_.topology.preset;
     fleet.topology_routing = spec_.topology.routing;
-    fleet.topology_switches = timeline_.topology_switches;
-    fleet.topology_links = timeline_.topology_links;
-    fleet.net_rejected = timeline_.net_rejected;
-    fleet.net_blocked = timeline_.net_blocked;
-    fleet.link_energy_j = timeline_.link_energy_j;
     fleet.latency_budget_us = spec_.latency_sla_us;
     if (timeline_.routed_chain_windows > 0) {
       fleet.mean_path_latency_us =
@@ -1021,20 +949,6 @@ FleetReport FleetOrchestrator::run(
                 static_cast<double>(timeline_.routed_chain_windows);
       }
     }
-  }
-
-  if (timeline_.fault_enabled) {
-    fleet.fault_enabled = true;
-    fleet.node_crashes = timeline_.node_crashes;
-    fleet.node_repairs = timeline_.node_repairs;
-    fleet.link_fails = timeline_.link_fails;
-    fleet.link_repairs = timeline_.link_repairs;
-    fleet.rack_outages = timeline_.rack_outages;
-    fleet.storm_windows = timeline_.storm_windows;
-    fleet.replaced = timeline_.replaced;
-    fleet.fault_dropped = timeline_.fault_dropped;
-    fleet.rerouted = timeline_.rerouted;
-    fleet.replace_energy_j = timeline_.replace_energy_j;
   }
   return fleet;
 }

@@ -11,7 +11,7 @@
 #include "telemetry/stats.hpp"
 
 /// \file fleet.hpp
-/// The fleet orchestrator: an event-driven multi-node simulation in which
+/// The fleet orchestrator: a window-stepped multi-node simulation in which
 /// service chains arrive and depart online, a pluggable policy places
 /// (and consolidates) them, nodes power-gate when drained, and migrations
 /// cost downtime + energy charged against the fleet SLA. The fleet
@@ -65,8 +65,54 @@ struct DowntimeCharge {
   ChargeKind kind = ChargeKind::kWake;
 };
 
+/// The fleet history's totals, accumulated window by window while the
+/// timeline is built and carried unchanged into every FleetReport.
+struct FleetTotals {
+  int arrivals = 0;
+  int departures = 0;
+  int rejected = 0;
+  int migrations = 0;
+  int wakeups = 0;
+  double standby_energy_j = 0.0;
+  double wake_energy_j = 0.0;
+  double migration_energy_j = 0.0;
+  double downtime_s = 0.0;
+  /// Chains-per-node over every (node, window) cell.
+  telemetry::CountHistogram occupancy;
+
+  /// Network totals (topology runs only; all defaults otherwise — the
+  /// serializer gates its topology block on `topology_enabled` so
+  /// pre-topology timelines stay byte-identical).
+  bool topology_enabled = false;
+  int topology_switches = 0;
+  int topology_links = 0;
+  int net_rejected = 0;
+  int net_blocked = 0;
+  /// Chain-window sums of each window's fabric state
+  /// (FleetTimeline::Window::routed_chains and the two after it).
+  std::int64_t routed_chain_windows = 0;
+  std::int64_t latency_violation_chain_windows = 0;
+  std::int64_t path_latency_sum_ns = 0;
+  double link_energy_j = 0.0;
+
+  /// Fault totals (fault runs only; all defaults otherwise — the
+  /// serializer gates its fault block on `fault_enabled` so fault-free
+  /// timelines stay byte-identical to the pre-fault goldens).
+  bool fault_enabled = false;
+  int node_crashes = 0;
+  int node_repairs = 0;
+  int link_fails = 0;
+  int link_repairs = 0;
+  int rack_outages = 0;
+  int storm_windows = 0;
+  int replaced = 0;        ///< evicted chains successfully re-placed
+  int fault_dropped = 0;   ///< evicted chains no node/path could take
+  int rerouted = 0;        ///< chains re-pathed in place after a link fail
+  double replace_energy_j = 0.0;
+};
+
 /// The model-independent fleet history.
-struct FleetTimeline {
+struct FleetTimeline : FleetTotals {
   struct Window {
     std::vector<int> arrivals;    ///< chain ids placed this window
     std::vector<int> departures;  ///< chain ids gone at window start
@@ -121,47 +167,6 @@ struct FleetTimeline {
   /// the form scenario::partition_node_env consumes.
   std::vector<traffic::FlowSpec> flows;
 
-  int arrivals = 0;
-  int departures = 0;
-  int rejected = 0;
-  int migrations = 0;
-  int wakeups = 0;
-  double standby_energy_j = 0.0;
-  double wake_energy_j = 0.0;
-  double migration_energy_j = 0.0;
-  double downtime_s = 0.0;
-  /// Chains-per-node over every (node, window) cell.
-  telemetry::CountHistogram occupancy;
-
-  /// Network totals (topology runs only; all defaults otherwise — the
-  /// serializer gates its topology block on `topology_enabled` so
-  /// pre-topology timelines stay byte-identical).
-  bool topology_enabled = false;
-  int topology_switches = 0;
-  int topology_links = 0;
-  int net_rejected = 0;
-  int net_blocked = 0;
-  /// Chain-window sums of the per-window fabric state above.
-  std::int64_t routed_chain_windows = 0;
-  std::int64_t latency_violation_chain_windows = 0;
-  std::int64_t path_latency_sum_ns = 0;
-  double link_energy_j = 0.0;
-
-  /// Fault totals (fault runs only; all defaults otherwise — the
-  /// serializer gates its fault block on `fault_enabled` so fault-free
-  /// timelines stay byte-identical to the pre-fault goldens).
-  bool fault_enabled = false;
-  int node_crashes = 0;
-  int node_repairs = 0;
-  int link_fails = 0;
-  int link_repairs = 0;
-  int rack_outages = 0;
-  int storm_windows = 0;
-  int replaced = 0;        ///< evicted chains successfully re-placed
-  int fault_dropped = 0;   ///< evicted chains no node/path could take
-  int rerouted = 0;        ///< chains re-pathed in place after a link fail
-  double replace_energy_j = 0.0;
-
   /// Per-window health series (fleet_series.hpp schema), captured only
   /// when telemetry::series::enabled() — null otherwise. Pure
   /// observability: never read by the engines or the serializer, so
@@ -171,51 +176,25 @@ struct FleetTimeline {
 
 /// A fleet evaluation: the uniform EvalReport (per-model means + telemetry
 /// series, campaign/artifact compatible) plus the fleet history summary.
-struct FleetReport {
+struct FleetReport : FleetTotals {
   scenario::EvalReport report;
-  // Shared fleet history (identical for every model by construction):
-  int arrivals = 0;
-  int departures = 0;
-  int rejected = 0;
-  int migrations = 0;
-  int wakeups = 0;
-  double standby_energy_j = 0.0;
-  double wake_energy_j = 0.0;
-  double migration_energy_j = 0.0;
+  // Derived from the shared fleet history (identical for every model by
+  // construction):
   double mean_active_nodes = 0.0;
   double mean_asleep_nodes = 0.0;
   double mean_live_chains = 0.0;
+  double mean_down_nodes = 0.0;
   /// Fraction of node-windows hosting k chains, index = k.
   std::vector<double> occupancy_fractions;
 
-  /// Network block (topology runs only; defaults otherwise).
-  bool topology_enabled = false;
+  /// Network block (topology runs only; defaults otherwise). Mean
+  /// routed-path latency (us) over chain-windows, and the fraction of
+  /// chain-windows inside the sla.latency budget (1.0 when no budget).
   std::string topology_preset;
   std::string topology_routing;
-  int topology_switches = 0;
-  int topology_links = 0;
-  int net_rejected = 0;
-  int net_blocked = 0;
-  double link_energy_j = 0.0;
-  /// Mean routed-path latency (us) over chain-windows, and the fraction
-  /// of chain-windows inside the sla.latency budget (1.0 when no budget).
   double mean_path_latency_us = 0.0;
   double latency_sla_satisfaction = 1.0;
   double latency_budget_us = 0.0;
-
-  /// Fault block (fault runs only; defaults otherwise).
-  bool fault_enabled = false;
-  int node_crashes = 0;
-  int node_repairs = 0;
-  int link_fails = 0;
-  int link_repairs = 0;
-  int rack_outages = 0;
-  int storm_windows = 0;
-  int replaced = 0;
-  int fault_dropped = 0;
-  int rerouted = 0;
-  double replace_energy_j = 0.0;
-  double mean_down_nodes = 0.0;
 
   /// Printable fleet-history block (under the EvalReport table).
   [[nodiscard]] std::string fleet_summary() const;
@@ -247,13 +226,13 @@ class FleetOrchestrator {
   FleetReport run(const std::vector<scenario::SchedulerFactory>& roster);
 
   /// One model: per-window fleet series recorded under
-  /// scenario::series_prefix(entry.name) into `recorder` (may be null).
-  /// Per-node series (`node<i>_throughput_gbps`, `node<i>_energy_j`) are
-  /// recorded only for fleets of at most 64 nodes — at hyperscale they
-  /// would dwarf every other artifact — and not on one-node static
-  /// deployments. The fleet-history series (active_nodes, asleep_nodes,
-  /// live_chains, arrivals, departures, migrations, rejected) are
-  /// fleet-only.
+  /// scenario::series_prefix(entry.name) into `recorder`; a null recorder
+  /// records nothing. Per-node series (`node<i>_throughput_gbps`,
+  /// `node<i>_energy_j`) are recorded only for fleets of at most 64 nodes
+  /// — at hyperscale they would dwarf every other artifact — and not on
+  /// one-node static deployments. The fleet-history series (active_nodes,
+  /// asleep_nodes, live_chains, arrivals, departures, migrations,
+  /// rejected) are fleet-only.
   scenario::ModelReport run_model(const scenario::SchedulerFactory& entry,
                                   telemetry::Recorder* recorder);
 

@@ -7,7 +7,7 @@
 #include "orchestrator/policy.hpp"
 
 /// \file fleet_index.hpp
-/// Incrementally-maintained fleet state for the discrete-event engine:
+/// Incrementally-maintained fleet state for the fleet history build:
 /// committed cores, hosted chain lists, and power flags per node, plus an
 /// occupancy-bucketed runqueue (awake nodes keyed by integral committed
 /// cores) and an ordered asleep-id set. Placement policies query it in

@@ -92,7 +92,7 @@ class FleetPolicy {
     return {};
   }
 
-  /// Index-backed variants the discrete-event engine calls on the hot
+  /// Index-backed variants the fleet history build calls on the hot
   /// path. The registry policies answer straight from the occupancy
   /// buckets in O(core levels) — provably equal to their linear-scan
   /// choose()/consolidate() because committed cores are integral (see

@@ -16,7 +16,7 @@
 /// The serializer never reads a materialized membership snapshot; it
 /// replays arrivals/departures/migrations itself. That is what lets the
 /// same golden files pin both the window-synchronous reference engine and
-/// the discrete-event engine, and lets the timeline drop per-window
+/// the indexed engine, and lets the timeline drop per-window
 /// membership storage (prohibitive at 10k nodes x hundreds of windows).
 
 namespace greennfv::orchestrator {

@@ -178,7 +178,7 @@ SeriesTable SeriesTable::from_json(const Json& json) {
     columns.push_back(name.as_string());
   }
   SeriesTable table(std::move(columns));
-  const auto rows = static_cast<std::size_t>(json.at("rows").as_double());
+  const auto rows = json.at("rows").as_integer<std::size_t>();
   const Json& data = json.at("data");
   if (data.size() != table.num_columns()) {
     throw std::invalid_argument(

@@ -70,8 +70,11 @@ void validate_spec(const TopologySpec& spec, int num_hosts) {
   }
   if (spec.hosts_per_leaf < 1) fail("topology.hosts_per_leaf must be >= 1");
   if (spec.spines < 1) fail("topology.spines must be >= 1");
-  if (spec.fat_k < 2 || spec.fat_k % 2 != 0) {
-    fail("topology.fat_k must be an even integer >= 2");
+  // Real fabrics stop near k = 128 (524,288 hosts); the bound keeps the
+  // (k/2)^2 core switches a build instantiates, and its int arithmetic,
+  // small.
+  if (spec.fat_k < 2 || spec.fat_k > 128 || spec.fat_k % 2 != 0) {
+    fail("topology.fat_k must be an even integer in [2, 128]");
   }
   if (!(spec.link_gbps > 0.0)) fail("topology.link_gbps must be > 0");
   if (!(spec.core_gbps > 0.0)) fail("topology.core_gbps must be > 0");

@@ -185,6 +185,27 @@ TEST_F(ReportTest, ValidatorsRejectTamperedArtifacts) {
   EXPECT_FALSE(validate_report_model(bad_model).empty());
 }
 
+TEST_F(ReportTest, ParetoIndexOutsideTheCellListThrows) {
+  const std::string dir = run_tiny_campaign("pareto");
+  const Json model = build_report_model(dir);
+  ASSERT_EQ(model.at("summary").at("cells").size(), 2u);
+  EXPECT_NO_THROW((void)render_report_html(model));
+
+  // A manifest is an input: a front naming cell 40000 of 2 (or half a
+  // cell) must be rejected, not read past the cell list.
+  for (const double index : {40000.0, 0.5}) {
+    Json pareto = Json::array();
+    pareto.push_back(0);
+    pareto.push_back(index);
+    Json summary = model.at("summary");
+    summary.set("pareto", pareto);
+    Json bad = model;
+    bad.set("summary", summary);
+    EXPECT_THROW((void)render_report_html(bad), std::invalid_argument)
+        << index;
+  }
+}
+
 TEST_F(ReportTest, BuildReportModelWithoutSeriesStillRenders) {
   // A campaign run without sampling has no series artifacts: the model
   // must carry null cell series and the dashboard must still validate

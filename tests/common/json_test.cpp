@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/json.hpp"
@@ -21,6 +22,27 @@ TEST(Json, ScalarKindsAndAccessors) {
   EXPECT_EQ(Json("hi").as_string(), "hi");
   EXPECT_THROW((void)Json(2.5).as_string(), std::invalid_argument);
   EXPECT_THROW((void)Json("hi").as_double(), std::invalid_argument);
+}
+
+TEST(Json, AsIntegerAcceptsOnlyWholeNumbersItsTypeHolds) {
+  EXPECT_EQ(Json(7).as_integer<int>(), 7);
+  EXPECT_EQ(Json(-3).as_integer<int>(), -3);
+  EXPECT_EQ(Json(0x1p63).as_integer<std::uint64_t>(), std::uint64_t{1} << 63);
+  EXPECT_EQ(Json(-0x1p31).as_integer<int>(),
+            std::numeric_limits<int>::min());
+  for (const double bad : {2.5, -0.5, 1e-300}) {
+    EXPECT_THROW((void)Json(bad).as_integer<int>(), std::invalid_argument)
+        << bad;
+  }
+  EXPECT_THROW((void)Json(-1).as_integer<std::size_t>(),
+               std::invalid_argument);
+  EXPECT_THROW((void)Json(0x1p31).as_integer<int>(), std::invalid_argument);
+  EXPECT_THROW((void)Json(0x1p64).as_integer<std::uint64_t>(),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)Json(std::numeric_limits<double>::infinity()).as_integer<int>(),
+      std::invalid_argument);
+  EXPECT_THROW((void)Json("7").as_integer<int>(), std::invalid_argument);
 }
 
 TEST(Json, DumpParseRoundTripPreservesDoublesExactly) {

@@ -100,6 +100,21 @@ TEST(SeriesTable, FromJsonRejectsForeignDocuments) {
                std::invalid_argument);
 }
 
+TEST(SeriesTable, FromJsonRejectsRowCountsThatAreNotWholeNumbers) {
+  SeriesTable table(abc());
+  table.append_row({1.0, 2.0, 3.0});
+  table.append_row({4.0, 5.0, 6.0});
+  Json json = table.to_json();
+  // Two-sample columns: a truncating read would load 2.5 as 2 rows.
+  for (const double rows : {2.5, -1.0}) {
+    json.set("rows", rows);
+    EXPECT_THROW((void)SeriesTable::from_json(json), std::invalid_argument)
+        << rows;
+  }
+  json.set("rows", 2.0);
+  EXPECT_EQ(SeriesTable::from_json(json).num_rows(), 2u);
+}
+
 TEST(SeriesTable, FromCsvRejectsRaggedRows) {
   EXPECT_THROW((void)SeriesTable::from_csv("a,b\n1,2,3\n"),
                std::invalid_argument);

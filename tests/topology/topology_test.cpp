@@ -57,17 +57,22 @@ TEST(Topology, FatTreeRejectsMoreHostsThanItsCapacity) {
 }
 
 TEST(Topology, FatTreeCapacityCheckDoesNotOverflowInt) {
-  // k^3/4 overflows int from k = 1291; the fit check must stay exact
-  // there and beyond (this suite runs under UBSan in scripts/ci.sh).
+  // k^3/4 overflows int from k = 1291 and the build's (k/2)^2 from
+  // k = 92682; fat_k stops at 128, where the fit check is exact (this
+  // suite runs under UBSan in scripts/ci.sh).
   TopologySpec spec = spec_for("fat-tree");
-  spec.fat_k = 1300;  // 549,250,000 hosts
+  spec.fat_k = 128;  // 524,288 hosts
   EXPECT_NO_THROW(validate_spec(spec, 3));
-  EXPECT_NO_THROW(validate_spec(spec, 549250000));
-  EXPECT_THROW(validate_spec(spec, 549250001), std::invalid_argument);
-  spec.fat_k = 2048;  // 2^31 hosts: more than any int host count
-  EXPECT_NO_THROW(validate_spec(spec, std::numeric_limits<int>::max()));
+  EXPECT_NO_THROW(validate_spec(spec, 524288));
+  EXPECT_THROW(validate_spec(spec, 524289), std::invalid_argument);
+  spec.fat_k = 1300;
+  EXPECT_THROW(validate_spec(spec, 3), std::invalid_argument);
+  spec.fat_k = 2048;
+  EXPECT_THROW(validate_spec(spec, std::numeric_limits<int>::max()),
+               std::invalid_argument);
   spec.fat_k = std::numeric_limits<int>::max() - 1;
-  EXPECT_NO_THROW(validate_spec(spec, std::numeric_limits<int>::max()));
+  EXPECT_THROW(validate_spec(spec, std::numeric_limits<int>::max()),
+               std::invalid_argument);
 }
 
 TEST(Topology, EdgeCoreGatewayHangsOffCoreZeroOnly) {
