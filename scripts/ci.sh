@@ -8,7 +8,12 @@
 #      (perfbench/run.py --selftest)
 #   2. an ASan/UBSan Debug build of the test suite, with the nfvsim suites
 #      (threaded engine, mempool, ring) always run under the sanitizers —
-#      that's where data races and lifetime bugs would land.
+#      that's where lifetime bugs would land.
+#   3. a ThreadSanitizer build (GREENNFV_TSAN) of the tests, running
+#      every suite that exercises concurrent code — thread pool, telemetry
+#      shards and trace rings, the threaded engine with its mempool and
+#      rings, concurrent replay buffers and Ape-X, parallel campaigns —
+#      halting on the first data-race report.
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -16,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
-echo "=== [1/2] tier-1 verify: Release build + full ctest ==="
+echo "=== [1/3] tier-1 verify: Release build + full ctest ==="
 # With GREENNFV_REGEN_GOLDEN set, the golden suites rewrite their pins and
 # pass; the gate must compare against the committed pins instead.
 unset GREENNFV_REGEN_GOLDEN
@@ -203,7 +208,7 @@ echo "=== [1e] end-to-end benchmark self-test ==="
 python3 perfbench/run.py --selftest
 
 echo
-echo "=== [2/2] sanitizer gate: ASan/UBSan Debug build ==="
+echo "=== [2/3] sanitizer gate: ASan/UBSan Debug build ==="
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DGREENNFV_SANITIZE=ON \
@@ -222,6 +227,23 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
   -R '^common\.(Arena|ArenaAllocator|BucketQueue)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression)\.|^topology\.|^telemetry\.')
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
   -E '^nfvsim\.|^common\.(Arena|ArenaAllocator|BucketQueue)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression)\.|^topology\.|^telemetry\.')
+
+echo
+echo "=== [3/3] ThreadSanitizer gate: TSan build of the concurrent suites ==="
+cmake -B build-tsan -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DGREENNFV_SANITIZE=OFF \
+  -DGREENNFV_TSAN=ON \
+  -DGREENNFV_BUILD_TESTS=ON \
+  -DGREENNFV_BUILD_BENCH=OFF \
+  -DGREENNFV_BUILD_EXAMPLES=OFF
+cmake --build build-tsan -j "$JOBS"
+
+# halt_on_error turns the first race report into a failed test instead of
+# a warning at exit.
+export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
+(cd build-tsan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
+  -R '^common\.ThreadPool\.|^telemetry\.|^nfvsim\.|^rl\.(PerConcurrent|Apex)|^campaign\.(CampaignRunner|FleetCampaign)\.|^orchestrator\.(FleetDeterminism|FleetFault|FleetTopology)\.|^integration\.Determinism\.')
 
 echo
 echo "ci.sh: all green"
