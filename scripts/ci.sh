@@ -4,16 +4,18 @@
 #      then a run_scenario smoke over the ci-smoke preset so the one
 #      evaluation path (a static scenario through the fleet orchestrator,
 #      full scheduler roster, tiny budgets) is exercised end to end in the
-#      gate, and the end-to-end benchmark's self-test
+#      gate, a 200-node fleet replayed twice in parallel with identical
+#      stdout, and the end-to-end benchmark's self-test
 #      (perfbench/run.py --selftest)
 #   2. an ASan/UBSan Debug build of the test suite, with the nfvsim suites
 #      (threaded engine, mempool, ring) always run under the sanitizers —
 #      that's where lifetime bugs would land.
-#   3. a ThreadSanitizer build (GREENNFV_TSAN) of the tests, running
-#      every suite that exercises concurrent code — thread pool, telemetry
-#      shards and trace rings, the threaded engine with its mempool and
-#      rings, concurrent replay buffers and Ape-X, parallel campaigns —
-#      halting on the first data-race report.
+#   3. a ThreadSanitizer build (GREENNFV_TSAN) of the tests and
+#      example_run_scenario, running every suite that exercises concurrent
+#      code — thread pool, telemetry shards and trace rings, the threaded
+#      engine with its mempool and rings, concurrent replay buffers and
+#      Ape-X, parallel campaigns, parallel fleet replay — and a 200-node
+#      fleet end to end, halting on the first data-race report.
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -190,6 +192,24 @@ if [ "$history_after" -ge 2 ] && \
 fi
 
 echo
+echo "=== [1c11] parallel replay: a 200-node fleet twice, identical stdout ==="
+# Fleets of 8 or more nodes replay their nodes on every hardware thread,
+# and the thread interleavings differ from run to run; the report, the
+# fleet summary and every [train] line before the metrics table may not.
+replay_run() {
+  ./build/example_run_scenario scenario=mega-fleet nodes=200 \
+    fleet.horizon=30 models=baseline,ee-pstate metrics=1 |
+    sed '/^\[metrics\]/,$d'
+}
+replay_run > /tmp/greennfv_replay_a.log
+replay_run > /tmp/greennfv_replay_b.log
+if ! cmp -s /tmp/greennfv_replay_a.log /tmp/greennfv_replay_b.log; then
+  echo "ci.sh: parallel replay stdout differs between two runs" >&2
+  diff /tmp/greennfv_replay_a.log /tmp/greennfv_replay_b.log >&2 || true
+  exit 1
+fi
+
+echo
 echo "=== [1d] RL training microbench: smoke mode + baseline check ==="
 # Smoke-sized run of the batched training engine (train_steps/sec,
 # actions/sec -> out/BENCH_train.json). The baseline comparison warns —
@@ -236,14 +256,16 @@ cmake -B build-tsan -S . \
   -DGREENNFV_TSAN=ON \
   -DGREENNFV_BUILD_TESTS=ON \
   -DGREENNFV_BUILD_BENCH=OFF \
-  -DGREENNFV_BUILD_EXAMPLES=OFF
+  -DGREENNFV_BUILD_EXAMPLES=ON
 cmake --build build-tsan -j "$JOBS"
 
 # halt_on_error turns the first race report into a failed test instead of
 # a warning at exit.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 (cd build-tsan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
-  -R '^common\.ThreadPool\.|^telemetry\.|^nfvsim\.|^rl\.(PerConcurrent|Apex)|^campaign\.(CampaignRunner|FleetCampaign)\.|^orchestrator\.(FleetDeterminism|FleetFault|FleetTopology)\.|^integration\.Determinism\.')
+  -R '^common\.ThreadPool\.|^telemetry\.|^nfvsim\.|^rl\.(PerConcurrent|Apex)|^campaign\.(CampaignRunner|FleetCampaign)\.|^orchestrator\.(FleetDeterminism|FleetFault|FleetTopology|FleetParallelReplay)\.|^integration\.Determinism\.')
+./build-tsan/example_run_scenario scenario=mega-fleet nodes=200 \
+  fleet.horizon=30 models=baseline,ee-pstate
 
 echo
 echo "ci.sh: all green"

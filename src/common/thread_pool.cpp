@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 namespace greennfv {
@@ -10,6 +11,12 @@ thread_local int t_worker_index = -1;
 }  // namespace
 
 int ThreadPool::current_worker() { return t_worker_index; }
+
+int ThreadPool::hardware_threads() {
+  static const int threads =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  return threads;
+}
 
 ThreadPool::ThreadPool(int threads) {
   const std::size_t n = static_cast<std::size_t>(std::max(threads, 1));
@@ -117,6 +124,30 @@ void ThreadPool::wait() {
     lock.unlock();
     std::rethrow_exception(error);
   }
+}
+
+void ThreadPool::run_shared(std::size_t count,
+                            const std::function<void(std::size_t)>& body) {
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  const auto drain = [&] {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        body(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error) error = std::current_exception();
+      }
+    }
+  };
+  const std::size_t helpers =
+      std::min(workers_.size(), count > 0 ? count - 1 : 0);
+  for (std::size_t k = 0; k < helpers; ++k) submit(drain);
+  drain();
+  wait();
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::parallel_for(std::size_t count, int jobs,

@@ -1,14 +1,18 @@
 #include "orchestrator/fleet.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <iterator>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
+#include "common/thread_pool.hpp"
 #include "core/nf_controller.hpp"
 #include "nfvsim/chain.hpp"
 #include "orchestrator/fault.hpp"
@@ -40,6 +44,57 @@ constexpr std::uint64_t kTimelineSeedSalt = 0xF1EE7C0FFEEull;
 /// changed re-seeds its environment on a fresh stream; epoch 0 IS
 /// scenario::node_eval_seed, the seed a static node has always run on.
 constexpr std::uint64_t kEpochSeedStride = 0x9E3779B97F4A7C15ull;
+
+/// Windows one replay block advances before the reduction consumes them:
+/// few joins per model, and a nodes x block outcome buffer that stays
+/// small at 10k nodes (the whole horizon would not).
+constexpr int kBlockWindows = 16;
+/// Narrower fleets replay inline: their blocks are too short to pay for
+/// waking workers, and a one-node run never starts a thread.
+constexpr int kParallelMinNodes = 8;
+
+/// The pool replay blocks fan out on: every hardware thread but the
+/// caller's, which claims nodes too. Created at the first parallel block
+/// and kept for the process lifetime, so later blocks, models and fleets
+/// start no threads.
+ThreadPool& replay_pool() {
+  static ThreadPool pool(ThreadPool::hardware_threads() - 1);
+  return pool;
+}
+
+/// One node's window outcome, as much of it as the reduction reads.
+struct NodeOutcome {
+  double throughput_gbps = 0.0;
+  double energy_j = 0.0;
+  double offered_pps = 0.0;
+  double drop_fraction = 0.0;
+  double efficiency = 0.0;
+  bool sla_satisfied = false;
+};
+
+/// A node's hosted chain set from `window` on: `count` chain ids at
+/// `offset` in the replay's member pool (count 0 = drained).
+struct MembershipChange {
+  int window = 0;
+  std::size_t offset = 0;
+  std::size_t count = 0;
+};
+
+/// Where a node's replay failed, ordered as the window-major serial loop
+/// meets failures: by window, then a window's rebuilds before its
+/// advances, then by node.
+struct ReplayFailure {
+  enum Stage { kRebuild, kAdvance };
+  int window = 0;
+  Stage stage = kRebuild;
+  int node = 0;
+  std::exception_ptr error;
+
+  [[nodiscard]] bool before(const ReplayFailure& other) const {
+    return std::tie(window, stage, node) <
+           std::tie(other.window, other.stage, other.node);
+  }
+};
 
 /// The registry policy that places a static deployment's chains: the one
 /// its `placement` names, with first-fit for first-fit-decreasing (chains
@@ -684,222 +739,328 @@ scenario::ModelReport FleetOrchestrator::run_model(
   const bool degenerate =
       num_nodes == 1 && static_fleet_ && !spec_.fault.enabled &&
       timeline_.windows.front().rejected == 0;
+  const auto env_config_of = [&](const std::vector<int>& members, int n) {
+    return degenerate ? spec_.env_config()
+                      : scenario::partition_node_env(
+                            spec_, comps, flows_of(members), members, n);
+  };
 
-  // Per-node runtime: rebuilt whenever the hosted chain set changes.
+  // Window start times. A one-node static deployment stamps its windows as
+  // core::evaluate_scheduler does, with a running sum of window lengths;
+  // w * window_s can differ from that sum in the last bit.
+  const bool summed_clock = static_deployment_ && num_nodes == 1;
+  std::vector<double> times(static_cast<std::size_t>(horizon_));
+  double elapsed_s = 0.0;
+  for (int w = 0; w < horizon_; ++w, elapsed_s += window_s) {
+    times[static_cast<std::size_t>(w)] =
+        summed_clock ? elapsed_s : w * window_s;
+  }
+
+  // Trained policies are tied to the chain count (state/action dims), so
+  // each node reuses its scheduler across epochs with the same shape:
+  // one policy per (node, chain count), "train once, run many". The chain
+  // count is the member count, which is what partition_node_env and a
+  // degenerate deployment (every chain on its one node) both configure.
+  std::map<std::pair<int, int>, std::unique_ptr<core::Scheduler>>
+      schedulers;
+
+  // --- pre-pass (serial) ---------------------------------------------------
+  // One membership replay records each node's changes: every window at
+  // which its hosted chain set differs from before (a dirty node whose
+  // members came out unchanged keeps its runtime). It also makes every
+  // (node, chain count) scheduler at its first use, in (window, node)
+  // order on this thread: the order the [train] lines, training seeds and
+  // make calls have always had. From here on the scheduler map is
+  // read-only.
+  std::vector<std::vector<MembershipChange>> changes(
+      static_cast<std::size_t>(num_nodes));
+  std::vector<int> member_pool;
+  const auto members_of = [&](const MembershipChange& change) {
+    const auto first =
+        member_pool.begin() + static_cast<std::ptrdiff_t>(change.offset);
+    return std::pair{first, first + static_cast<std::ptrdiff_t>(change.count)};
+  };
+  {
+    // The membership walk is replay work; each make closes its span, so
+    // fleet.phase.measure_ns and fleet.phase.train_ns stay disjoint parts
+    // of run_model_ns.
+    std::optional<telemetry::trace::Span> prepass_span;
+    prepass_span.emplace("fleet/measure_prepass", &c_phase_measure);
+    MembershipReplay replay(timeline_, num_nodes);
+    for (int w = 0; w < horizon_; ++w) {
+      for (const int n : replay.advance()) {
+        const std::vector<int>& members = replay.members(n);
+        auto& node_changes = changes[static_cast<std::size_t>(n)];
+        const auto [first, last] = members_of(
+            node_changes.empty() ? MembershipChange{} : node_changes.back());
+        if (std::equal(members.begin(), members.end(), first, last)) continue;
+        node_changes.push_back({w, member_pool.size(), members.size()});
+        member_pool.insert(member_pool.end(), members.begin(), members.end());
+        const std::pair<int, int> key{n, static_cast<int>(members.size())};
+        if (members.empty() || schedulers.count(key) != 0) continue;
+        const core::EnvConfig env_config = env_config_of(members, n);
+        prepass_span.reset();
+        {
+          const telemetry::trace::Span train_span(train_span_name,
+                                                  &c_phase_train);
+          schedulers.emplace(key, entry.make(env_config, spec_.seed));
+        }
+        prepass_span.emplace("fleet/measure_prepass", &c_phase_measure);
+      }
+    }
+  }
+
+  // --- node-major replay, in blocks of windows -----------------------------
+  // Given the membership changes, nodes are independent: each has its own
+  // environment, controller, epoch-seeded traffic and (node, chain count)
+  // scheduler. A block is one task per node walking the block's windows
+  // and buffering compact outcomes; the serial reduction then reads them
+  // in (window, ascending node) order, the serial loop's accumulation
+  // order, so reports are bit-identical at any thread count.
   struct NodeRuntime {
     std::unique_ptr<core::NfvEnvironment> env;
     std::unique_ptr<core::NfController> controller;
     std::vector<int> chains;
     int epochs = 0;
+    std::size_t next_change = 0;
   };
   std::vector<NodeRuntime> nodes(static_cast<std::size_t>(num_nodes));
-  // Trained policies are tied to the chain count (state/action dims), so
-  // each node reuses its scheduler across epochs with the same shape:
-  // one policy per (node, chain count), "train once, run many".
-  std::map<std::pair<int, int>, std::unique_ptr<core::Scheduler>>
-      schedulers;
+  // Node-major: a task's writes stay on its own cache lines.
+  std::vector<NodeOutcome> outcomes(static_cast<std::size_t>(num_nodes) *
+                                    kBlockWindows);
+  const auto slot = [&](int n, int w, int b0) -> NodeOutcome& {
+    return outcomes[static_cast<std::size_t>(n) * kBlockWindows +
+                    static_cast<std::size_t>(w - b0)];
+  };
+  std::optional<ReplayFailure> failure;
+  std::mutex failure_mutex;
+  const auto fail = [&](int w, ReplayFailure::Stage stage, int n) {
+    ReplayFailure seen{w, stage, n, std::current_exception()};
+    const std::lock_guard<std::mutex> lock(failure_mutex);
+    if (!failure || seen.before(*failure)) failure = std::move(seen);
+  };
+
+  // Rebuilds node `n`'s runtime onto `change` at window `w`.
+  const auto rebuild = [&](NodeRuntime& rt, int n, int w,
+                           const MembershipChange& change) {
+    rt.controller.reset();
+    rt.env.reset();
+    const auto [first, last] = members_of(change);
+    rt.chains.assign(first, last);
+    if (rt.chains.empty()) return;
+    c_rebuilds.add();
+    const core::EnvConfig env_config = env_config_of(rt.chains, n);
+    const std::uint64_t env_seed =
+        scenario::node_eval_seed(spec_, static_cast<std::size_t>(n)) +
+        kEpochSeedStride * static_cast<std::uint64_t>(rt.epochs);
+    ++rt.epochs;
+    core::Scheduler& scheduler =
+        *schedulers.at({n, static_cast<int>(rt.chains.size())});
+    scheduler.reset();
+    rt.env = std::make_unique<core::NfvEnvironment>(env_config, env_seed);
+    rt.controller = std::make_unique<core::NfController>(*rt.env, scheduler);
+    if (w == 0) {
+      // Deployment settling, exactly evaluate_scheduler's preamble:
+      // warmup windows unmeasured, then the rate-profile clock re-zeroed
+      // so every model meets a non-steady envelope at the same measured
+      // time. Mid-run epochs get no free settling — reconfiguration
+      // transients are real and measured.
+      if (entry.warmup > 0) (void)rt.controller->run(entry.warmup);
+      rt.env->align_rate_profile();
+    } else {
+      // A node rebuilt mid-run starts a fresh environment whose clock
+      // reads 0 — re-phase its rate-profile onto fleet time so the
+      // whole fleet keeps tracking one absolute load shape (the same
+      // clock the arrival envelope runs on).
+      rt.env->align_rate_profile(times[static_cast<std::size_t>(w)]);
+    }
+  };
+
+  // Walks node `n` through windows [b0, b1): rebuild on a membership
+  // change, then advance one window if occupied. Stops at its failure.
+  const auto replay_node = [&](int n, int b0, int b1) {
+    NodeRuntime& rt = nodes[static_cast<std::size_t>(n)];
+    const auto& node_changes = changes[static_cast<std::size_t>(n)];
+    for (int w = b0; w < b1; ++w) {
+      if (rt.next_change < node_changes.size() &&
+          node_changes[rt.next_change].window == w) {
+        try {
+          rebuild(rt, n, w, node_changes[rt.next_change++]);
+        } catch (...) {
+          fail(w, ReplayFailure::kRebuild, n);
+          return;
+        }
+      }
+      if (rt.env == nullptr) continue;
+      try {
+        (void)rt.controller->run(1);
+      } catch (...) {
+        fail(w, ReplayFailure::kAdvance, n);
+        return;
+      }
+      const auto& outcome = rt.env->last_outcome();
+      slot(n, w, b0) = {outcome.throughput_gbps, outcome.energy_j,
+                        outcome.offered_pps,     outcome.drop_fraction,
+                        outcome.efficiency,      outcome.sla_satisfied};
+    }
+  };
 
   core::EvalResult& result = report.result;
   result.scheduler = entry.name;
   result.windows = horizon_;
 
-  // Membership is replayed from the timeline's deltas; only nodes the
-  // replay reports dirty can need a runtime rebuild this window.
+  // Threads pay off only on fleets wide enough to fill a block, and never
+  // inside a pool task: campaign cells already hold the cores.
+  const bool parallel = num_nodes >= kParallelMinNodes &&
+                        ThreadPool::current_worker() < 0 &&
+                        ThreadPool::hardware_threads() > 1;
+  // The reduction's own replay: each window's occupied nodes, ascending.
   MembershipReplay replay(timeline_, num_nodes);
-
-  // A one-node static deployment stamps its windows as
-  // core::evaluate_scheduler does, with a running sum of window lengths;
-  // w * window_s can differ from that sum in the last bit.
-  const bool summed_clock = static_deployment_ && num_nodes == 1;
-  double elapsed_s = 0.0;
-  for (int w = 0; w < horizon_; ++w, elapsed_s += window_s) {
-    std::optional<telemetry::trace::Span> window_span;
-    window_span.emplace("fleet/measure_window", static_cast<std::uint64_t>(w),
-                        &c_phase_measure);
-    const FleetTimeline::Window& win =
-        timeline_.windows[static_cast<std::size_t>(w)];
-    const double t = summed_clock ? elapsed_s : w * window_s;
-
-    // (Re)build runtimes whose membership changed at this window edge.
-    for (const int n : replay.advance()) {
-      NodeRuntime& rt = nodes[static_cast<std::size_t>(n)];
-      const std::vector<int>& members = replay.members(n);
-      const bool unchanged =
-          rt.chains == members && (rt.env != nullptr || members.empty());
-      if (unchanged) continue;
-      rt.controller.reset();
-      rt.env.reset();
-      rt.chains = members;
-      if (members.empty()) continue;
-      c_rebuilds.add();
-
-      core::EnvConfig env_config =
-          degenerate ? spec_.env_config()
-                     : scenario::partition_node_env(
-                           spec_, comps, flows_of(members), members, n);
-      const std::uint64_t env_seed =
-          scenario::node_eval_seed(spec_, static_cast<std::size_t>(n)) +
-          kEpochSeedStride * static_cast<std::uint64_t>(rt.epochs);
-      ++rt.epochs;
-
-      const std::pair<int, int> key{n, env_config.num_chains};
-      auto it = schedulers.find(key);
-      if (it == schedulers.end()) {
-        // Training is not replay: the window's measure span closes around
-        // it, so fleet.phase.measure_ns and fleet.phase.train_ns are
-        // disjoint parts of run_model_ns.
-        window_span.reset();
-        {
-          const telemetry::trace::Span train_span(train_span_name,
-                                                  &c_phase_train);
-          it = schedulers.emplace(key, entry.make(env_config, spec_.seed))
-                   .first;
-        }
-        window_span.emplace("fleet/measure_window",
-                            static_cast<std::uint64_t>(w), &c_phase_measure);
-      }
-      core::Scheduler& scheduler = *it->second;
-      scheduler.reset();
-      rt.env = std::make_unique<core::NfvEnvironment>(env_config, env_seed);
-      rt.controller =
-          std::make_unique<core::NfController>(*rt.env, scheduler);
-      if (w == 0) {
-        // Deployment settling, exactly evaluate_scheduler's preamble:
-        // warmup windows unmeasured, then the rate-profile clock re-zeroed
-        // so every model meets a non-steady envelope at the same measured
-        // time. Mid-run epochs get no free settling — reconfiguration
-        // transients are real and measured.
-        if (entry.warmup > 0) (void)rt.controller->run(entry.warmup);
-        rt.env->align_rate_profile();
-      } else {
-        // A node rebuilt mid-run starts a fresh environment whose clock
-        // reads 0 — re-phase its rate-profile onto fleet time so the
-        // whole fleet keeps tracking one absolute load shape (the same
-        // clock the arrival envelope runs on).
-        rt.env->align_rate_profile(t);
-      }
-    }
-
-    // Advance every occupied node one window, in ascending node order
-    // (the replay's occupied list is sorted — the accumulation order
-    // below is bit-identity-relevant).
-    double gbps = 0.0;
-    double energy = win.standby_energy_j + win.link_energy_j;
-    double offered_pps = 0.0;
-    double drop_weighted = 0.0;
-    int active = 0;
-    const core::NfvEnvironment::WindowOutcome* solo = nullptr;
-    for (const int n : replay.occupied()) {
-      NodeRuntime& rt = nodes[static_cast<std::size_t>(n)];
-      (void)rt.controller->run(1);
-      const auto& outcome = rt.env->last_outcome();
-      ++active;
-      solo = &outcome;
-      gbps += outcome.throughput_gbps;
-      energy += outcome.energy_j;
-      offered_pps += outcome.offered_pps;
-      // Drops are a fraction of *offered* load: a node that drops 90% of
-      // a big offered stream must dominate the fleet figure, not vanish
-      // because it delivered little.
-      drop_weighted += outcome.drop_fraction * outcome.offered_pps;
-      if (node_series) {
-        const auto& [gbps_name, energy_name] =
-            node_names[static_cast<std::size_t>(n)];
-        recorder->record(gbps_name, t, outcome.throughput_gbps);
-        recorder->record(energy_name, t, outcome.energy_j);
-      }
-    }
-    c_node_windows.add(static_cast<std::uint64_t>(active));
-
-    // Migration downtime and wake latency: the affected chain's traffic
-    // is lost for `downtime_s` of the window (counted as dropped), and
-    // the transfer/boot energy lands on the fleet bill.
-    double lost_gbps = 0.0;
-    double lost_pps = 0.0;
-    double charge_energy_j = 0.0;
-    for (const DowntimeCharge& charge : win.charges) {
-      const ChainInstance& chain =
-          timeline_.chains[static_cast<std::size_t>(charge.chain)];
-      const double fraction =
-          std::min(charge.downtime_s, window_s) / window_s;
-      lost_gbps += chain.offered_gbps * fraction;
-      lost_pps += chain.offered_pps * fraction;
-      charge_energy_j += charge.energy_j;
-    }
-
-    double w_gbps;
-    double w_energy;
-    double w_efficiency;
-    double w_drop;
-    double w_sla;
-    if (active == 1 && win.standby_energy_j == 0.0 && win.charges.empty() &&
-        !spec_.topology.enabled && !spec_.fault.enabled) {
-      // One node, no fleet overheads: use its window outcome verbatim —
-      // this is the branch that keeps the single-node degeneration
-      // bit-identical (no re-derivation through fleet formulas).
-      w_gbps = solo->throughput_gbps;
-      w_energy = solo->energy_j;
-      w_efficiency = solo->efficiency;
-      w_drop = solo->drop_fraction;
-      w_sla = solo->sla_satisfied ? 1.0 : 0.0;
+  for (int b0 = 0; b0 < horizon_; b0 += kBlockWindows) {
+    const int b1 = std::min(b0 + kBlockWindows, horizon_);
+    const telemetry::trace::Span block_span(
+        "fleet/measure_block", static_cast<std::uint64_t>(b0),
+        &c_phase_measure);
+    const auto replay_block = [&](std::size_t n) {
+      replay_node(static_cast<int>(n), b0, b1);
+    };
+    if (parallel) {
+      replay_pool().run_shared(static_cast<std::size_t>(num_nodes),
+                               replay_block);
     } else {
-      w_gbps = std::max(0.0, gbps - lost_gbps);
-      w_energy = energy + charge_energy_j;
-      w_efficiency = core::Sla::efficiency(w_gbps, w_energy);
-      const double dropped_pps = drop_weighted + lost_pps;
-      w_drop = offered_pps > 0.0
-                   ? std::min(1.0, dropped_pps / offered_pps)
-                   : 0.0;
-      w_sla = sla.satisfied(w_gbps, w_energy) ? 1.0 : 0.0;
-    }
-    // The latency SLA is conjunctive with the scenario SLA: any routed
-    // chain over budget this window fails the window.
-    if (spec_.topology.enabled && spec_.latency_sla_us > 0.0 &&
-        win.latency_violations > 0) {
-      w_sla = 0.0;
+      for (int n = 0; n < num_nodes; ++n)
+        replay_block(static_cast<std::size_t>(n));
     }
 
-    result.mean_gbps += w_gbps;
-    result.mean_energy_j += w_energy;
-    result.mean_power_w += w_energy / window_s;
-    result.mean_efficiency += w_efficiency;
-    result.sla_satisfaction += w_sla;
-    result.drop_fraction += w_drop;
+    // Windows before a failure reduce first: the serial loop had recorded
+    // them by the time the failure surfaced.
+    const int end = failure ? failure->window : b1;
+    for (int w = b0; w < end; ++w) {
+      (void)replay.advance();
+      const FleetTimeline::Window& win =
+          timeline_.windows[static_cast<std::size_t>(w)];
+      const double t = times[static_cast<std::size_t>(w)];
 
-    record("throughput_gbps", t, w_gbps);
-    record("energy_j", t, w_energy);
-    record("power_w", t, w_energy / window_s);
-    record("efficiency", t, w_efficiency);
-    record("drop_fraction", t, w_drop);
-    record("offered_pps", t, offered_pps);
-    if (!static_deployment_) {
-      record("active_nodes", t, win.active_nodes);
-      record("asleep_nodes", t, win.asleep_nodes);
-      record("live_chains", t, win.live_chains);
-      record("arrivals", t, static_cast<double>(win.arrivals.size()));
-      record("departures", t, static_cast<double>(win.departures.size()));
-      record("migrations", t, static_cast<double>(win.migrations.size()));
-      record("rejected", t, win.rejected);
+      // Sum the occupied nodes in ascending node order (the replay's
+      // occupied list is sorted — the accumulation order below is
+      // bit-identity-relevant).
+      double gbps = 0.0;
+      double energy = win.standby_energy_j + win.link_energy_j;
+      double offered_pps = 0.0;
+      double drop_weighted = 0.0;
+      int active = 0;
+      const NodeOutcome* solo = nullptr;
+      for (const int n : replay.occupied()) {
+        const NodeOutcome& outcome = slot(n, w, b0);
+        ++active;
+        solo = &outcome;
+        gbps += outcome.throughput_gbps;
+        energy += outcome.energy_j;
+        offered_pps += outcome.offered_pps;
+        // Drops are a fraction of *offered* load: a node that drops 90% of
+        // a big offered stream must dominate the fleet figure, not vanish
+        // because it delivered little.
+        drop_weighted += outcome.drop_fraction * outcome.offered_pps;
+        if (node_series) {
+          const auto& [gbps_name, energy_name] =
+              node_names[static_cast<std::size_t>(n)];
+          recorder->record(gbps_name, t, outcome.throughput_gbps);
+          recorder->record(energy_name, t, outcome.energy_j);
+        }
+      }
+      c_node_windows.add(static_cast<std::uint64_t>(active));
+
+      // Migration downtime and wake latency: the affected chain's traffic
+      // is lost for `downtime_s` of the window (counted as dropped), and
+      // the transfer/boot energy lands on the fleet bill.
+      double lost_gbps = 0.0;
+      double lost_pps = 0.0;
+      double charge_energy_j = 0.0;
+      for (const DowntimeCharge& charge : win.charges) {
+        const ChainInstance& chain =
+            timeline_.chains[static_cast<std::size_t>(charge.chain)];
+        const double fraction =
+            std::min(charge.downtime_s, window_s) / window_s;
+        lost_gbps += chain.offered_gbps * fraction;
+        lost_pps += chain.offered_pps * fraction;
+        charge_energy_j += charge.energy_j;
+      }
+
+      double w_gbps;
+      double w_energy;
+      double w_efficiency;
+      double w_drop;
+      double w_sla;
+      if (active == 1 && win.standby_energy_j == 0.0 && win.charges.empty() &&
+          !spec_.topology.enabled && !spec_.fault.enabled) {
+        // One node, no fleet overheads: use its window outcome verbatim —
+        // this is the branch that keeps the single-node degeneration
+        // bit-identical (no re-derivation through fleet formulas).
+        w_gbps = solo->throughput_gbps;
+        w_energy = solo->energy_j;
+        w_efficiency = solo->efficiency;
+        w_drop = solo->drop_fraction;
+        w_sla = solo->sla_satisfied ? 1.0 : 0.0;
+      } else {
+        w_gbps = std::max(0.0, gbps - lost_gbps);
+        w_energy = energy + charge_energy_j;
+        w_efficiency = core::Sla::efficiency(w_gbps, w_energy);
+        const double dropped_pps = drop_weighted + lost_pps;
+        w_drop = offered_pps > 0.0
+                     ? std::min(1.0, dropped_pps / offered_pps)
+                     : 0.0;
+        w_sla = sla.satisfied(w_gbps, w_energy) ? 1.0 : 0.0;
+      }
+      // The latency SLA is conjunctive with the scenario SLA: any routed
+      // chain over budget this window fails the window.
+      if (spec_.topology.enabled && spec_.latency_sla_us > 0.0 &&
+          win.latency_violations > 0) {
+        w_sla = 0.0;
+      }
+
+      result.mean_gbps += w_gbps;
+      result.mean_energy_j += w_energy;
+      result.mean_power_w += w_energy / window_s;
+      result.mean_efficiency += w_efficiency;
+      result.sla_satisfaction += w_sla;
+      result.drop_fraction += w_drop;
+
+      record("throughput_gbps", t, w_gbps);
+      record("energy_j", t, w_energy);
+      record("power_w", t, w_energy / window_s);
+      record("efficiency", t, w_efficiency);
+      record("drop_fraction", t, w_drop);
+      record("offered_pps", t, offered_pps);
+      if (!static_deployment_) {
+        record("active_nodes", t, win.active_nodes);
+        record("asleep_nodes", t, win.asleep_nodes);
+        record("live_chains", t, win.live_chains);
+        record("arrivals", t, static_cast<double>(win.arrivals.size()));
+        record("departures", t, static_cast<double>(win.departures.size()));
+        record("migrations", t, static_cast<double>(win.migrations.size()));
+        record("rejected", t, win.rejected);
+      }
+      if (spec_.topology.enabled) {
+        record("link_energy_j", t, win.link_energy_j);
+        record("path_latency_us", t,
+               win.routed_chains > 0
+                   ? static_cast<double>(win.path_latency_sum_ns) /
+                         (1e3 * win.routed_chains)
+                   : 0.0);
+        record("latency_violations", t, win.latency_violations);
+        record("net_rejected", t, win.net_rejected);
+      }
+      if (spec_.fault.enabled) {
+        record("down_nodes", t, win.down_nodes);
+        record("node_crashes", t, win.node_crashes);
+        record("fault_replaced", t,
+               static_cast<double>(win.replacements.size()));
+        record("fault_dropped", t,
+               static_cast<double>(win.fault_dropped.size()));
+        record("fault_rerouted", t, win.rerouted);
+      }
     }
-    if (spec_.topology.enabled) {
-      record("link_energy_j", t, win.link_energy_j);
-      record("path_latency_us", t,
-             win.routed_chains > 0
-                 ? static_cast<double>(win.path_latency_sum_ns) /
-                       (1e3 * win.routed_chains)
-                 : 0.0);
-      record("latency_violations", t, win.latency_violations);
-      record("net_rejected", t, win.net_rejected);
-    }
-    if (spec_.fault.enabled) {
-      record("down_nodes", t, win.down_nodes);
-      record("node_crashes", t, win.node_crashes);
-      record("fault_replaced", t,
-             static_cast<double>(win.replacements.size()));
-      record("fault_dropped", t,
-             static_cast<double>(win.fault_dropped.size()));
-      record("fault_rerouted", t, win.rerouted);
-    }
+    if (failure) std::rethrow_exception(failure->error);
   }
 
   const auto n = static_cast<double>(horizon_);

@@ -233,6 +233,14 @@ class FleetOrchestrator {
   /// one-node static deployments. The fleet-history series (active_nodes,
   /// asleep_nodes, live_chains, arrivals, departures, migrations,
   /// rejected) are fleet-only.
+  ///
+  /// Every scheduler is made first, on the calling thread, in first-use
+  /// order; a make that throws fails the call before any replay. Fleets
+  /// of 8 or more nodes then replay their nodes on every hardware thread,
+  /// unless the caller is itself a ThreadPool worker (a campaign cell),
+  /// which replays them inline. Either way the report is bit-identical,
+  /// and a scheduler that throws mid-replay surfaces the failure a
+  /// window-by-window loop would meet first.
   scenario::ModelReport run_model(const scenario::SchedulerFactory& entry,
                                   telemetry::Recorder* recorder);
 

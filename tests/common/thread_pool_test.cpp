@@ -10,9 +10,10 @@
 #include "common/thread_pool.hpp"
 
 /// ThreadPool contract: every submitted task runs exactly once, stealing
-/// drains a blocked worker's queue, exceptions surface from wait(), and
+/// drains a blocked worker's queue, exceptions surface from wait(),
 /// parallel_for with jobs=1 stays on the calling thread (the serial
-/// reference parallel campaigns are compared against).
+/// reference parallel campaigns are compared against), and run_shared
+/// covers its range on a reused pool before it returns or rethrows.
 
 namespace greennfv {
 namespace {
@@ -84,6 +85,38 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
                                    throw std::invalid_argument("bad cell");
                                }),
       std::invalid_argument);
+}
+
+TEST(ThreadPool, RunSharedRunsEveryIndexOnceAcrossReusedCalls) {
+  // One pool, several calls: each covers its whole range exactly once, and
+  // the caller's stack (the hit counters) outlives every worker's share.
+  ThreadPool pool(3);
+  for (int call = 0; call < 4; ++call) {
+    constexpr std::size_t kCount = 300;
+    std::vector<std::atomic<int>> hits(kCount);
+    pool.run_shared(kCount, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1);
+  }
+  pool.run_shared(0, [](std::size_t) { FAIL(); });
+}
+
+TEST(ThreadPool, RunSharedFinishesEveryIndexBeforeRethrowing) {
+  ThreadPool pool(2);
+  constexpr std::size_t kCount = 64;
+  std::vector<std::atomic<int>> hits(kCount);
+  EXPECT_THROW(pool.run_shared(kCount,
+                               [&hits](std::size_t i) {
+                                 hits[i].fetch_add(1);
+                                 if (i % 16 == 3)
+                                   throw std::runtime_error("index boom");
+                               }),
+               std::runtime_error);
+  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+TEST(ThreadPool, HardwareThreadsIsPositiveAndStable) {
+  EXPECT_GE(ThreadPool::hardware_threads(), 1);
+  EXPECT_EQ(ThreadPool::hardware_threads(), ThreadPool::hardware_threads());
 }
 
 TEST(ThreadPool, WaitWithNothingSubmittedReturnsImmediately) {
