@@ -1,4 +1,4 @@
-/// Fleet-engine throughput benchmark: how fast the discrete-event engine
+/// Fleet history build benchmark: how fast the indexed window-loop engine
 /// builds a fleet history, in events/sec. The default scale is the
 /// mega-fleet preset (10k nodes, ~1.05M arrivals over 420 windows); the
 /// window-synchronous reference engine is timed on a reduced geometry
@@ -78,8 +78,7 @@ int main(int argc, char** argv) {
                                  "trace_check", "series_check",
                                  "overhead_budget_pct"}))
     return 0;
-  bench::banner("bench_fleet", "discrete-event fleet engine throughput",
-                config);
+  bench::banner("bench_fleet", "fleet history build throughput", config);
   bench::Perf perf("fleet");
 
   const bool smoke = config.get_bool("smoke", false);
@@ -91,7 +90,7 @@ int main(int argc, char** argv) {
   small.num_nodes = 500;
   small.fleet.arrival_rate = 120.0;
 
-  // --- event engine vs window-synchronous reference (reduced scale) --------
+  // --- indexed engine vs window-synchronous reference (reduced scale) ------
   const auto small_start = std::chrono::steady_clock::now();
   FleetOrchestrator small_engine(small);
   const double small_s = seconds_since(small_start);
@@ -104,13 +103,13 @@ int main(int argc, char** argv) {
   if (timeline_to_text(small_engine.timeline(), small.num_nodes) !=
       timeline_to_text(reference, small.num_nodes)) {
     GNFV_LOG_ERROR("bench_fleet")
-        << "FATAL: event engine diverged from the reference engine on the"
+        << "FATAL: indexed engine diverged from the reference engine on the"
            " comparison geometry — throughput numbers would be"
            " meaningless; run the golden/determinism suites";
     return 1;
   }
   const double speedup = ref_s / small_s;
-  std::printf("comparison (%d nodes, %.0f events): bit-identical; event "
+  std::printf("comparison (%d nodes, %.0f events): bit-identical; indexed "
               "engine %.2f s vs reference %.2f s  (%.1fx)\n",
               small.num_nodes, small_events, small_s, ref_s, speedup);
 
@@ -167,7 +166,7 @@ int main(int argc, char** argv) {
   perf.add_metric("phase_account_s", account_ns / 1e9);
   if (build_ns > 0.0) {
     std::printf("phase breakdown: arrival %.0f%%, consolidate %.0f%%, "
-                "account %.0f%% of %.2f s build (%.0f departures popped)\n",
+                "account %.0f%% of %.2f s build (%.0f departures)\n",
                 100.0 * arrival_ns / build_ns,
                 100.0 * consolidate_ns / build_ns,
                 100.0 * account_ns / build_ns, build_ns / 1e9,
@@ -276,8 +275,8 @@ int main(int argc, char** argv) {
                   baseline.c_str(), base_speedup, base_rate, speedup,
                   delta_pct);
       if (delta_pct < -warn_pct) {
-        std::printf("WARNING: event-vs-reference speedup regressed %.1f%% "
-                    "vs baseline (threshold %.0f%%) — the event engine is "
+        std::printf("WARNING: indexed-vs-reference speedup regressed %.1f%% "
+                    "vs baseline (threshold %.0f%%) — the indexed engine is "
                     "losing its win; investigate before merging\n",
                     -delta_pct, warn_pct);
       }

@@ -178,9 +178,9 @@ ScenarioSpec mega_fleet() {
   spec.name = "mega-fleet";
   spec.description =
       "Hyperscale fleet history: 10k nodes, ~1M chain arrivals over 420"
-      " windows (14 simulated minutes) — sized for the discrete-event"
-      " engine, minutes on the timeline alone; evaluate models against it"
-      " only with tiny rosters";
+      " windows (14 simulated minutes) — seconds to build with the"
+      " indexed engine, then a replay per model across every hardware"
+      " thread; evaluate models against it only with tiny rosters";
   spec.seed = 42;
   spec.num_nodes = 10000;
   spec.num_chains = 3;

@@ -15,8 +15,8 @@
 /// Everything here is exact integer arithmetic (kbps / ns), so the state
 /// after any commit/release interleaving depends only on the *set* of
 /// active chains — never on mutation order. That is what lets the
-/// discrete-event fleet engine and the window-synchronous reference
-/// engine, which release departures in different orders, stay
+/// indexed fleet engine (departures in calendar order) and the
+/// window-synchronous reference engine (departures in node order) stay
 /// bit-identical.
 
 namespace greennfv::topology {
