@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
   Config config = cli;
   if (!config.has("episodes")) config.set("episodes", "300");
   const scenario::ScenarioSpec spec = scenario::resolve(config);
-  const int jobs = static_cast<int>(config.get_int("jobs", 1));
+  const int jobs = config.get_int32("jobs", 1);
   bench::banner("Ablations", "design-choice studies", cli, spec.name);
   bench::Perf perf("ablation_study");
   ablate_replay(spec, jobs, perf);

@@ -80,12 +80,12 @@ int main(int argc, char** argv) {
   bench::Perf perf("train");
 
   const bool smoke = config.get_bool("smoke", false);
-  const int chains = config.get_int("chains", 6);
-  const int hidden = config.get_int("hidden", 300);
-  const int batch = config.get_int("batch", 64);
-  const int steps = config.get_int("steps", smoke ? 60 : 400);
-  const int ref_steps = config.get_int("ref_steps", smoke ? 12 : 60);
-  const int action_steps = config.get_int("actions", smoke ? 4000 : 20000);
+  const int chains = config.get_int32("chains", 6);
+  const int hidden = config.get_int32("hidden", 300);
+  const int batch = config.get_int32("batch", 64);
+  const int steps = config.get_int32("steps", smoke ? 60 : 400);
+  const int ref_steps = config.get_int32("ref_steps", smoke ? 12 : 60);
+  const int action_steps = config.get_int32("actions", smoke ? 4000 : 20000);
   const auto seed = static_cast<std::uint64_t>(config.get_int("seed", 42));
 
   DdpgConfig ddpg;

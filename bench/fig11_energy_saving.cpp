@@ -87,8 +87,7 @@ int main(int argc, char** argv) {
     return roster;
   });
   const campaign::CampaignReport creport =
-      crunner.run(static_cast<int>(config.get_int("jobs", 1)),
-                  /*resume=*/false);
+      crunner.run(config.get_int32("jobs", 1), /*resume=*/false);
   const scenario::EvalReport& report = creport.runs.front().report;
   const EvalResult& base = report.models[0].result;
   const EvalResult& green = report.models[1].result;
@@ -97,7 +96,7 @@ int main(int argc, char** argv) {
   // The model "needs to be trained only once before deployment and is run
   // many times": training happens once, the policy then drives every
   // hosting node (the paper's testbed runs chains on three nodes).
-  const int fleet = static_cast<int>(config.get_int("fleet", 3));
+  const int fleet = config.get_int32("fleet", 3);
   std::printf("baseline power %.1f W/node, GreenNFV(MinE) power %.1f "
               "W/node, one-time training cost %.2f MJ, fleet of %d nodes\n\n",
               base.mean_power_w, green.mean_power_w, e_train_j / 1e6,

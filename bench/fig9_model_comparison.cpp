@@ -53,14 +53,13 @@ int main(int argc, char** argv) {
     seed_config.set("seeds", *seeds);
     camp.apply(seed_config);
   }
-  camp.auto_seeds = static_cast<int>(config.get_int("auto_seeds", 1));
+  camp.auto_seeds = config.get_int32("auto_seeds", 1);
 
   const campaign::ArtifactStore store(out_root(), camp.name);
   campaign::CampaignRunner runner(
       camp, bench::out_writable() ? &store : nullptr);
   const campaign::CampaignReport report =
-      runner.run(static_cast<int>(config.get_int("jobs", 1)),
-                 config.get_bool("resume", false));
+      runner.run(config.get_int32("jobs", 1), config.get_bool("resume", false));
 
   // The familiar Fig. 9 table comes from the base-seed run; multi-seed
   // campaigns additionally get the mean +- CI summary.

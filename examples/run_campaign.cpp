@@ -21,8 +21,9 @@
 /// (metrics + telemetry) and a manifest.json with the aggregates. Runs
 /// are resumed from artifacts by default — an interrupted sweep picks up
 /// where it crashed, skipping completed runs; fresh=1 re-executes
-/// everything. jobs=N parallelizes over the work-stealing pool; any N
-/// produces bit-identical results.
+/// everything. jobs=N runs up to N cells at a time with
+/// ThreadPool::parallel_for (N <= 1 runs them inline; a value outside int
+/// is an error); any N produces bit-identical results.
 
 #include <cmath>
 #include <cstdio>
@@ -161,7 +162,7 @@ int run(const Config& config) {
     return 0;
   }
 
-  const int jobs = static_cast<int>(config.get_int("jobs", 1));
+  const int jobs = config.get_int32("jobs", 1);
   const bool fresh = config.get_bool("fresh", false);
   const std::string out_root_dir = config.get_string("out", out_root());
 

@@ -40,8 +40,7 @@ int run(const Config& cli) {
 
   TrainerConfig trainer_config = spec.trainer_config(spec.sla());
   trainer_config.use_apex = config.get_bool("apex", false);
-  trainer_config.apex.num_actors =
-      static_cast<int>(config.get_int("actors", 2));
+  trainer_config.apex.num_actors = config.get_int32("actors", 2);
 
   GreenNfvTrainer trainer(trainer_config);
   const TrainResult result = trainer.train();

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -124,13 +123,7 @@ void CampaignSpec::apply(const Config& config) {
       for (const auto& token : split_list(value, "seeds="))
         seeds.push_back(parse_seed(token));
     } else if (key == "auto_seeds") {
-      const std::int64_t wide = config.get_int("auto_seeds", auto_seeds);
-      if (wide < std::numeric_limits<int>::min() ||
-          wide > std::numeric_limits<int>::max()) {
-        throw std::invalid_argument(
-            "campaign: auto_seeds is out of int range: " + value);
-      }
-      auto_seeds = static_cast<int>(wide);
+      auto_seeds = config.get_int32("auto_seeds", auto_seeds);
     } else if (key.rfind(kSweepPrefix, 0) == 0) {
       const std::string axis_key = key.substr(std::strlen(kSweepPrefix));
       if (!is_scenario_override(axis_key)) {

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "common/string_util.hpp"
@@ -90,6 +91,16 @@ std::int64_t Config::get_int(const std::string& key,
                                 "' is out of 64-bit integer range: " + *value);
   }
   return parsed;
+}
+
+int Config::get_int32(const std::string& key, int fallback) const {
+  const std::int64_t wide = get_int(key, fallback);
+  if (wide < std::numeric_limits<int>::min() ||
+      wide > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("Config: key '" + key +
+                                "' is out of int range: " + *get(key));
+  }
+  return static_cast<int>(wide);
 }
 
 void Config::check_known(

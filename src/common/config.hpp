@@ -30,14 +30,16 @@ class Config {
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
 
   /// Typed getters with defaults. Throw std::invalid_argument on parse
-  /// failure (get_int also outside 64-bit range) — a malformed experiment
-  /// parameter must not silently fall back or saturate.
+  /// failure (get_int also outside 64-bit range, get_int32 outside int) —
+  /// a malformed experiment parameter must not silently fall back, saturate
+  /// or wrap around.
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
+  [[nodiscard]] int get_int32(const std::string& key, int fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
   /// Rejects mistyped experiment keys: throws std::invalid_argument naming

@@ -84,12 +84,7 @@ struct Key {
 
 // Reading a field costs one Config lookup.
 void read_value(const Config& config, const std::string& key, int& value) {
-  // get_int saturates at the int64 limits, which are outside int too.
-  const std::int64_t wide = config.get_int(key, value);
-  if (wide < std::numeric_limits<int>::min() ||
-      wide > std::numeric_limits<int>::max())
-    fail(key + " is out of int range: " + config.get_string(key, ""));
-  value = static_cast<int>(wide);
+  value = config.get_int32(key, value);
 }
 void read_value(const Config& config, const std::string& key,
                 std::uint64_t& value) {

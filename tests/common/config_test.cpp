@@ -51,6 +51,20 @@ TEST(Config, GetIntRejectsValuesOutside64Bits) {
   EXPECT_EQ(c.get_int("max", 0), 9223372036854775807LL);
 }
 
+TEST(Config, GetInt32RejectsValuesOutsideIntInsteadOfWrapping) {
+  // jobs=4294967298 used to read as 2, and 2147483648 as INT_MIN.
+  const Config c = Config::from_string(
+      "wrap=4294967298 over=2147483648 under=-2147483649 huge=1e3"
+      " max=2147483647 min=-2147483648 one=1 zero=0");
+  for (const char* key : {"wrap", "over", "under", "huge"})
+    EXPECT_THROW((void)c.get_int32(key, 1), std::invalid_argument) << key;
+  EXPECT_EQ(c.get_int32("max", 0), 2147483647);
+  EXPECT_EQ(c.get_int32("min", 0), -2147483647 - 1);
+  EXPECT_EQ(c.get_int32("one", 0), 1);
+  EXPECT_EQ(c.get_int32("zero", 1), 0);
+  EXPECT_EQ(c.get_int32("missing", 7), 7);
+}
+
 TEST(Config, CheckKnownAcceptsListedKeysAndPrefixes) {
   const Config c = Config::from_string("seed=7 flow0=udp flow12=tcp");
   EXPECT_NO_THROW(c.check_known({"seed"}, {"flow"}));
