@@ -10,12 +10,13 @@
 #   2. an ASan/UBSan Debug build of the test suite, with the nfvsim suites
 #      (threaded engine, mempool, ring) always run under the sanitizers —
 #      that's where lifetime bugs would land.
-#   3. a ThreadSanitizer build (GREENNFV_TSAN) of the tests and
-#      example_run_scenario, running every suite that exercises concurrent
-#      code — thread pool, telemetry shards and trace rings, the threaded
-#      engine with its mempool and rings, concurrent replay buffers and
-#      Ape-X, parallel campaigns, parallel fleet replay — and a 200-node
-#      fleet end to end, halting on the first data-race report.
+#   3. a ThreadSanitizer build (GREENNFV_TSAN) of the tests and examples,
+#      running every suite that exercises concurrent code — thread pool,
+#      telemetry shards and trace rings, the threaded engine with its
+#      mempool and rings, concurrent replay buffers and Ape-X, parallel
+#      campaigns, parallel fleet replay — then a 200-node fleet and a
+#      16-node fleet campaign at jobs=2 and jobs=1 end to end, halting on
+#      the first data-race report.
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -266,6 +267,17 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   -R '^common\.ThreadPool\.|^telemetry\.|^nfvsim\.|^rl\.(PerConcurrent|Apex)|^campaign\.(CampaignRunner|FleetCampaign)\.|^orchestrator\.(FleetDeterminism|FleetFault|FleetTopology|FleetParallelReplay)\.|^integration\.Determinism\.')
 ./build-tsan/example_run_scenario scenario=mega-fleet nodes=200 \
   fleet.horizon=30 models=baseline,ee-pstate
+# Both kinds of range in one process: at jobs=2 the campaign's cells hold
+# the pool and each 16-node fleet replays inline inside its cell; at
+# jobs=1 the cells run inline and each fleet replays on the pool. The two
+# campaigns' artifacts must be byte-identical.
+for jobs in 2 1; do
+  ./build-tsan/example_run_campaign name=ci-wide-fleet scenarios=mega-fleet \
+    nodes=16 fleet.horizon=12 models=baseline,ee-pstate seeds=1,2,3 fresh=1 \
+    jobs="$jobs" out="/tmp/greennfv_wide_fleet_jobs$jobs"
+done
+diff -r /tmp/greennfv_wide_fleet_jobs2/ci-wide-fleet \
+  /tmp/greennfv_wide_fleet_jobs1/ci-wide-fleet
 
 echo
 echo "ci.sh: all green"

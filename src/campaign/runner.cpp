@@ -113,10 +113,11 @@ CampaignReport CampaignRunner::run(int jobs, bool resume) {
           const telemetry::trace::Span span(
               telemetry::trace::intern("campaign/run:" + run.run_id),
               static_cast<std::uint64_t>(run.index));
-          // Caught here, inside the task body: an uncaught exception
-          // would propagate through ThreadPool::wait() and abandon every
-          // cell still queued. One bad cell becomes a failure record; the
-          // rest of the campaign finishes.
+          // Caught here, inside the range body: parallel_for would
+          // rethrow an uncaught exception once every cell had finished,
+          // failing the whole campaign, and the inline jobs=1 loop would
+          // stop at it. One bad cell becomes a failure record; the rest of
+          // the campaign finishes.
           try {
             result = execute(run, roster_);
           } catch (const std::exception& e) {

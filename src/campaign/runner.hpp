@@ -11,10 +11,10 @@
 
 /// \file runner.hpp
 /// Executes a campaign's run matrix: each matrix entry is an independent
-/// (scenario, roster, seed) evaluation through FleetOrchestrator, so the
-/// work-stealing pool can run them in any interleaving — results land in
-/// index-addressed slots and every run derives its randomness from its own
-/// RunSpec seed, which is what makes `--jobs N` bit-identical to
+/// (scenario, roster, seed) evaluation through FleetOrchestrator, so
+/// ThreadPool::parallel_for can run them in any interleaving — results
+/// land in index-addressed slots and every run derives its randomness from
+/// its own RunSpec seed, which is what makes `--jobs N` bit-identical to
 /// `--jobs 1`. With an ArtifactStore attached, each finished run is
 /// persisted immediately and a resumed campaign loads completed runs
 /// instead of re-executing them.
@@ -30,7 +30,7 @@ struct RunTiming {
   std::string run_id;
   std::string cell_id;
   bool executed = false;
-  int worker = -1;           ///< pool worker id (-1: inline, jobs<=1)
+  int worker = -1;           ///< seat in the range (-1: inline, jobs<=1)
   double queue_wait_s = 0.0;  ///< dispatch-of-parallel-pass to run start
   double wall_s = 0.0;        ///< execute() + artifact write
 };

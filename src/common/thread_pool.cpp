@@ -2,15 +2,118 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <thread>
 #include <utility>
+#include <vector>
 
 namespace greennfv {
 
 namespace {
-thread_local int t_worker_index = -1;
+
+thread_local int t_seat = -1;
+
+/// Runs one range at a time. A pool thread joins and leaves a range under
+/// `mutex_`, which publishes the range to the thread and the thread's
+/// writes back to the caller.
+class Pool {
+ public:
+  Pool() = default;
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
+  ~Pool() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    wake_.notify_all();
+    for (std::thread& thread : threads_) thread.join();
+  }
+
+  /// Runs body(0..count-1) on `seats` seats, or returns false at once if
+  /// another range holds the pool.
+  bool run(std::size_t count, int seats,
+           const std::function<void(std::size_t)>& body) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (busy_) return false;
+      while (threads_.size() < static_cast<std::size_t>(seats - 1))
+        threads_.emplace_back([this] { serve(); });
+      busy_ = true;
+      body_ = &body;
+      count_ = count;
+      next_.store(0, std::memory_order_relaxed);
+      joined_ = 0;
+      open_seats_ = seats - 1;
+    }
+    wake_.notify_all();
+    t_seat = seats - 1;
+    drain();
+    t_seat = -1;
+    std::exception_ptr error;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      open_seats_ = joined_;  // threads not yet awake stay out
+      left_.wait(lock, [this] { return active_ == 0; });
+      busy_ = false;
+      error = std::exchange(error_, nullptr);
+    }
+    if (error) std::rethrow_exception(error);
+    return true;
+  }
+
+ private:
+  void serve() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+      wake_.wait(lock, [this] { return stop_ || joined_ < open_seats_; });
+      if (stop_) return;
+      t_seat = joined_++;
+      ++active_;
+      lock.unlock();
+      drain();
+      t_seat = -1;
+      lock.lock();
+      open_seats_ = joined_;  // the counter is spent
+      if (--active_ == 0) left_.notify_one();
+    }
+  }
+
+  void drain() {
+    for (std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+         i < count_; i = next_.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        (*body_)(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (!error_) error_ = std::current_exception();
+      }
+    }
+  }
+
+  std::mutex mutex_;  ///< guards stop_ through error_
+  std::condition_variable wake_;  ///< a range opened seats, or stop_
+  std::condition_variable left_;  ///< the range's last pool thread left
+  bool stop_ = false;
+  bool busy_ = false;   ///< a range holds the pool
+  int open_seats_ = 0;  ///< pool seats the range offers
+  int joined_ = 0;      ///< pool seats taken
+  int active_ = 0;      ///< pool threads still inside the range
+  std::exception_ptr error_;
+  /// The range: written under mutex_ before its seats open, read-only
+  /// until the last seat leaves.
+  const std::function<void(std::size_t)>* body_ = nullptr;
+  std::size_t count_ = 0;
+  std::atomic<std::size_t> next_{0};  ///< the claim counter
+  std::vector<std::thread> threads_;  ///< last: they use every member above
+};
+
 }  // namespace
 
-int ThreadPool::current_worker() { return t_worker_index; }
+int ThreadPool::current_worker() { return t_seat; }
 
 int ThreadPool::hardware_threads() {
   static const int threads =
@@ -18,148 +121,16 @@ int ThreadPool::hardware_threads() {
   return threads;
 }
 
-ThreadPool::ThreadPool(int threads) {
-  const std::size_t n = static_cast<std::size_t>(std::max(threads, 1));
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    workers_.push_back(std::make_unique<Worker>());
-  threads_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    threads_.emplace_back([this, i] { worker_loop(i); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    stop_ = true;
-  }
-  wake_cv_.notify_all();
-  for (std::thread& thread : threads_) thread.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  std::size_t slot;
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    slot = next_++ % workers_.size();
-    ++pending_;
-  }
-  {
-    std::lock_guard<std::mutex> lock(workers_[slot]->mutex);
-    workers_[slot]->queue.push_back(std::move(task));
-  }
-  {
-    // queued_ becomes visible only after the task is in its deque, so a
-    // woken worker's scan always finds something to pop.
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    ++queued_;
-  }
-  wake_cv_.notify_one();
-}
-
-bool ThreadPool::try_run_one(std::size_t self) {
-  std::function<void()> task;
-  // Own queue first (front — FIFO over the dealt order)...
-  {
-    Worker& own = *workers_[self];
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.queue.empty()) {
-      task = std::move(own.queue.front());
-      own.queue.pop_front();
-    }
-  }
-  // ...then steal from the back of a sibling's deque.
-  if (!task) {
-    for (std::size_t step = 1; step < workers_.size() && !task; ++step) {
-      Worker& victim = *workers_[(self + step) % workers_.size()];
-      std::lock_guard<std::mutex> lock(victim.mutex);
-      if (!victim.queue.empty()) {
-        task = std::move(victim.queue.back());
-        victim.queue.pop_back();
-      }
-    }
-  }
-  if (!task) return false;
-
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    --queued_;
-  }
-  try {
-    task();
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    if (!first_error_) first_error_ = std::current_exception();
-  }
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    --pending_;
-    if (pending_ == 0) done_cv_.notify_all();
-  }
-  return true;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
-  t_worker_index = static_cast<int>(self);
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(wake_mutex_);
-      wake_cv_.wait(lock, [this] { return stop_ || queued_ > 0; });
-      if (stop_) return;
-    }
-    // Drain everything reachable; when the scan comes up dry the worker
-    // falls back to the predicate above (queued_ may be momentarily stale
-    // around a concurrent pop, which costs one extra scan, never a lost
-    // task: queued_ only becomes positive after the push is visible).
-    while (try_run_one(self)) {
-    }
-  }
-}
-
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> lock(wake_mutex_);
-  done_cv_.wait(lock, [this] { return pending_ == 0; });
-  if (first_error_) {
-    std::exception_ptr error = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
-void ThreadPool::run_shared(std::size_t count,
-                            const std::function<void(std::size_t)>& body) {
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr error;
-  const auto drain = [&] {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
-      try {
-        body(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-      }
-    }
-  };
-  const std::size_t helpers =
-      std::min(workers_.size(), count > 0 ? count - 1 : 0);
-  for (std::size_t k = 0; k < helpers; ++k) submit(drain);
-  drain();
-  wait();
-  if (error) std::rethrow_exception(error);
-}
-
 void ThreadPool::parallel_for(std::size_t count, int jobs,
                               const std::function<void(std::size_t)>& body) {
-  if (jobs <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
+  static Pool pool;
+  if (jobs > 1 && count > 1 && t_seat < 0 &&
+      pool.run(count,
+               static_cast<int>(
+                   std::min(count, static_cast<std::size_t>(jobs))),
+               body))
     return;
-  }
-  ThreadPool pool(std::min<int>(jobs, static_cast<int>(count)));
-  for (std::size_t i = 0; i < count; ++i)
-    pool.submit([&body, i] { body(i); });
-  pool.wait();
+  for (std::size_t i = 0; i < count; ++i) body(i);
 }
 
 }  // namespace greennfv

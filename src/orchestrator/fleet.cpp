@@ -53,15 +53,6 @@ constexpr int kBlockWindows = 16;
 /// waking workers, and a one-node run never starts a thread.
 constexpr int kParallelMinNodes = 8;
 
-/// The pool replay blocks fan out on: every hardware thread but the
-/// caller's, which claims nodes too. Created at the first parallel block
-/// and kept for the process lifetime, so later blocks, models and fleets
-/// start no threads.
-ThreadPool& replay_pool() {
-  static ThreadPool pool(ThreadPool::hardware_threads() - 1);
-  return pool;
-}
-
 /// One node's window outcome, as much of it as the reduction reads.
 struct NodeOutcome {
   double throughput_gbps = 0.0;
@@ -909,11 +900,10 @@ scenario::ModelReport FleetOrchestrator::run_model(
   result.scheduler = entry.name;
   result.windows = horizon_;
 
-  // Threads pay off only on fleets wide enough to fill a block, and never
-  // inside a pool task: campaign cells already hold the cores.
-  const bool parallel = num_nodes >= kParallelMinNodes &&
-                        ThreadPool::current_worker() < 0 &&
-                        ThreadPool::hardware_threads() > 1;
+  // Threads pay off only on fleets wide enough to fill a block. Inside a
+  // campaign cell's range the call runs inline: the cells hold the cores.
+  const int jobs =
+      num_nodes >= kParallelMinNodes ? ThreadPool::hardware_threads() : 1;
   // The reduction's own replay: each window's occupied nodes, ascending.
   MembershipReplay replay(timeline_, num_nodes);
   for (int b0 = 0; b0 < horizon_; b0 += kBlockWindows) {
@@ -921,16 +911,9 @@ scenario::ModelReport FleetOrchestrator::run_model(
     const telemetry::trace::Span block_span(
         "fleet/measure_block", static_cast<std::uint64_t>(b0),
         &c_phase_measure);
-    const auto replay_block = [&](std::size_t n) {
-      replay_node(static_cast<int>(n), b0, b1);
-    };
-    if (parallel) {
-      replay_pool().run_shared(static_cast<std::size_t>(num_nodes),
-                               replay_block);
-    } else {
-      for (int n = 0; n < num_nodes; ++n)
-        replay_block(static_cast<std::size_t>(n));
-    }
+    ThreadPool::parallel_for(
+        static_cast<std::size_t>(num_nodes), jobs,
+        [&](std::size_t n) { replay_node(static_cast<int>(n), b0, b1); });
 
     // Windows before a failure reduce first: the serial loop had recorded
     // them by the time the failure surfaced.

@@ -236,11 +236,12 @@ class FleetOrchestrator {
   ///
   /// Every scheduler is made first, on the calling thread, in first-use
   /// order; a make that throws fails the call before any replay. Fleets
-  /// of 8 or more nodes then replay their nodes on every hardware thread,
-  /// unless the caller is itself a ThreadPool worker (a campaign cell),
-  /// which replays them inline. Either way the report is bit-identical,
-  /// and a scheduler that throws mid-replay surfaces the failure a
-  /// window-by-window loop would meet first.
+  /// of 8 or more nodes then replay their nodes with
+  /// ThreadPool::parallel_for on every hardware thread, which runs them
+  /// inline when the caller is itself inside a range (a campaign cell at
+  /// jobs > 1). Either way the report is bit-identical, and a scheduler
+  /// that throws mid-replay surfaces the failure a window-by-window loop
+  /// would meet first.
   scenario::ModelReport run_model(const scenario::SchedulerFactory& entry,
                                   telemetry::Recorder* recorder);
 

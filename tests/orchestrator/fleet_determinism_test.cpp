@@ -9,13 +9,14 @@
 #include "orchestrator/timeline_io.hpp"
 #include "scenario/presets.hpp"
 
-/// Determinism stress for the discrete-event fleet engine, at a scale no
-/// golden file could pin (the serialized history would be megabytes):
-/// a randomized 200-node fleet built twice from the same seed is
-/// bit-identical; the event engine reproduces the window-synchronous
+/// Determinism stress for the indexed window-loop fleet engine, at a
+/// scale no golden file could pin (the serialized history would be
+/// megabytes): a randomized 200-node fleet built twice from the same seed
+/// is bit-identical; the indexed engine reproduces the window-synchronous
 /// reference engine bit-for-bit across policies and seeds; and a fleet
 /// campaign's artifacts are byte-identical whether the sweep ran on one
-/// worker or eight.
+/// worker or eight, on a fleet narrow enough to replay inline and on one
+/// wide enough to replay its nodes in parallel.
 
 namespace greennfv::orchestrator {
 namespace {
@@ -102,22 +103,29 @@ std::string campaign_artifacts_text(const campaign::CampaignReport& report) {
 }
 
 TEST(FleetDeterminism, CampaignArtifactsAreByteIdenticalAcrossJobCounts) {
-  campaign::CampaignSpec spec;
-  spec.name = "fleet-determinism";
-  spec.scenarios = {"fleet-smoke"};
-  spec.models = "baseline";
-  spec.seeds = {1, 2};
-  Config overrides;
-  overrides.set("sweep.fleet.policy", "first-fit,consolidate");
-  overrides.set("fleet.horizon", "6");
-  spec.apply(overrides);
+  // The 3-node fleet replays inline at both job counts. The 16-node one
+  // replays its nodes on the pool at jobs=1, where the campaign runs its
+  // cells inline, and inline inside each cell's range at jobs=8.
+  for (const char* scenario : {"fleet-smoke", "mega-fleet"}) {
+    campaign::CampaignSpec spec;
+    spec.name = "fleet-determinism";
+    spec.scenarios = {scenario};
+    spec.models = "baseline";
+    spec.seeds = {1, 2};
+    Config overrides;
+    overrides.set("sweep.fleet.policy", "first-fit,consolidate");
+    overrides.set("fleet.horizon", "6");
+    if (spec.scenarios[0] == "mega-fleet") overrides.set("nodes", "16");
+    spec.apply(overrides);
 
-  campaign::CampaignRunner serial(spec);
-  campaign::CampaignRunner parallel(spec);
-  const campaign::CampaignReport a = serial.run(/*jobs=*/1);
-  const campaign::CampaignReport b = parallel.run(/*jobs=*/8);
-  EXPECT_EQ(a.executed, 4);
-  EXPECT_EQ(campaign_artifacts_text(a), campaign_artifacts_text(b));
+    campaign::CampaignRunner serial(spec);
+    campaign::CampaignRunner parallel(spec);
+    const campaign::CampaignReport a = serial.run(/*jobs=*/1);
+    const campaign::CampaignReport b = parallel.run(/*jobs=*/8);
+    EXPECT_EQ(a.executed, 4) << scenario;
+    EXPECT_EQ(campaign_artifacts_text(a), campaign_artifacts_text(b))
+        << scenario;
+  }
 }
 
 }  // namespace

@@ -21,10 +21,10 @@
 #include "traffic/profile.hpp"
 
 /// Parallel fleet replay against the serial rule. Called off-pool, a fleet
-/// of 8 or more nodes replays its nodes on worker threads; called from a
-/// ThreadPool task, it replays them inline, one after another. Both runs
-/// must produce byte-identical reports, make every scheduler on the
-/// calling thread in first-use (window, node) order, and surface the
+/// of 8 or more nodes replays its nodes on pool threads; called from inside
+/// a parallel_for range body, it replays them inline, one after another.
+/// Both runs must produce byte-identical reports, make every scheduler on
+/// the calling thread in first-use (window, node) order, and surface the
 /// scheduler failure the window-major serial loop meets first. The goldens
 /// pin fleets of at most 6 nodes, so only this suite drives the parallel
 /// path.
@@ -186,19 +186,18 @@ std::vector<FirstUse> first_uses(const FleetOrchestrator& fleet) {
   return uses;
 }
 
-/// Runs `fleet` inside a ThreadPool task, which takes the serial rule;
-/// `worker` receives the task's thread.
+/// Runs `fleet` as index 0 of a two-index range, which takes the serial
+/// rule; `worker` receives the index's thread.
 FleetReport run_on_pool_worker(
     FleetOrchestrator& fleet,
     const std::vector<scenario::SchedulerFactory>& roster,
     std::thread::id* worker = nullptr) {
   FleetReport report;
-  ThreadPool pool(1);
-  pool.submit([&] {
+  ThreadPool::parallel_for(2, 2, [&](std::size_t i) {
+    if (i != 0) return;
     if (worker != nullptr) *worker = std::this_thread::get_id();
     report = fleet.run(roster);
   });
-  pool.wait();
   return report;
 }
 
@@ -230,7 +229,7 @@ void expect_parallel_equals_serial(const scenario::ScenarioSpec& spec) {
     EXPECT_EQ(id, std::this_thread::get_id());
   for (const std::thread::id id : on_pool.make_threads) EXPECT_EQ(id, worker);
 
-  // decide(): spread over threads off-pool, one thread in the pool task.
+  // decide(): spread over threads off-pool, one thread inside the range.
   if (ThreadPool::hardware_threads() > 1) {
     EXPECT_GE(on_main.decide_threads.size(), 2u);
   }

@@ -131,8 +131,8 @@ TEST_F(SeriesDeterminismTest, CampaignArtifactsIdenticalSampledVsUnsampled) {
 }
 
 TEST_F(SeriesDeterminismTest, SeriesBytesInvariantUnderJobsCount) {
-  // The series rides the same work-stealing execution as the runs
-  // themselves, so its bytes must not depend on scheduling either.
+  // The series rides the same parallel_for range as the runs themselves,
+  // so its bytes must not depend on scheduling either.
   const campaign::CampaignSpec spec = fleet_campaign("series-jobs");
 
   series::set_enabled(true);
