@@ -15,7 +15,7 @@
 // This file intentionally mirrors the pre-refactor build_timeline line
 // for line (same RNG draw order, same floating-point accumulation order,
 // same tie-breaks). Do not "clean it up" — its value is being the frozen
-// reference the event engine is proven bit-identical against.
+// reference the indexed engine is proven bit-identical against.
 
 namespace greennfv::orchestrator {
 
@@ -66,8 +66,8 @@ FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
 
   // The network fabric (topology runs only). PathTable's integer kbps/ns
   // accounting makes its state a pure function of the active chain set,
-  // so this engine's node-order departure releases and the event engine's
-  // id-order releases land on the identical fabric state.
+  // so this engine's node-order departure releases and the indexed
+  // engine's id-order releases land on the identical fabric state.
   std::unique_ptr<topology::Topology> topo;
   std::unique_ptr<topology::PathTable> net_owned;
   if (spec.topology.enabled) {
@@ -83,8 +83,8 @@ FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
   topology::PathTable* const net = net_owned.get();
 
   // The fault schedule: the identical pure function of (spec, horizon,
-  // fleet shape) the event engine expands — both engines consume the same
-  // events in the same order.
+  // fleet shape) the indexed engine expands — both engines consume the
+  // same events in the same order.
   const FaultSchedule faults = build_fault_schedule(
       spec, horizon, num_nodes, net != nullptr ? topo->num_links() : 0);
   if (spec.fault.enabled) {
@@ -286,7 +286,8 @@ FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
     }
 
     // 1.5. Faults: inject this window's scheduled events and recover —
-    //      the same order the event engine's kFaultPhase applies them.
+    //      the same order the indexed engine's window loop applies them,
+    //      after departures and before arrivals.
     for (const FaultEvent& ev :
          faults.windows[static_cast<std::size_t>(w)]) {
       switch (ev.kind) {
@@ -424,7 +425,7 @@ FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
 
     // 4. Occupancy and power-state accounting, in node order (the
     //    floating-point standby accumulation order is part of the
-    //    contract the event engine reproduces).
+    //    contract the indexed engine reproduces).
     for (int n = 0; n < num_nodes; ++n) {
       // A crashed node is out of the fleet until repair: no standby draw,
       // no occupancy sample — only the down-node tally.

@@ -4,11 +4,11 @@
 
 /// \file fleet_reference.hpp
 /// The window-synchronous fleet timeline builder, preserved verbatim from
-/// before the discrete-event refactor. It scans every node every window —
-/// O(nodes x windows) even when nothing changes — which is exactly why it
-/// was replaced, and exactly why it stays: it is the oracle the
-/// equivalence tests pin the event engine against. Not used on any
-/// production path.
+/// before the indexed engine replaced it. It scans every node every window
+/// — O(nodes x windows) even when nothing changes — which is exactly why
+/// it was replaced, and exactly why it stays: it is the oracle the
+/// equivalence tests pin the indexed window-loop engine against. Not used
+/// on any production path.
 
 namespace greennfv::orchestrator {
 

@@ -12,9 +12,10 @@
 
 /// Golden equivalence suite. The files under tests/orchestrator/golden/
 /// were captured from the PR 5 window-synchronous fleet engine BEFORE the
-/// discrete-event refactor; every cell here asserts the current engine
-/// reproduces that history bit-for-bit (doubles compared by raw IEEE-754
-/// bit pattern, not rounded text). Regenerate deliberately with
+/// indexed engine replaced it; every cell here asserts the current indexed
+/// window-loop engine reproduces that history bit-for-bit (doubles
+/// compared by raw IEEE-754 bit pattern, not rounded text). Regenerate
+/// deliberately with
 ///   GREENNFV_REGEN_GOLDEN=1 ./build/tests/orchestrator_fleet_golden_test
 /// — only after proving equivalence some other way (the reference-engine
 /// comparison in fleet_determinism_test covers live equivalence).

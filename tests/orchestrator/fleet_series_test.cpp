@@ -11,9 +11,9 @@
 #include "scenario/presets.hpp"
 #include "telemetry/series.hpp"
 
-/// The per-window health series through both fleet engines. The
-/// discrete-event engine and the frozen window-synchronous reference
-/// must emit bit-identical series (they already agree on every window
+/// The per-window health series through both fleet engines. The indexed
+/// window-loop engine and the frozen window-synchronous reference must
+/// emit bit-identical series (they already agree on every window
 /// aggregate the sampler reads), and the fault-smoke series is pinned as
 /// a golden CSV so column semantics can't drift silently. Regenerate
 /// deliberately with

@@ -11,10 +11,10 @@
 #include "scenario/presets.hpp"
 
 /// Topology-enabled fleet equivalence: with the network fabric switched on
-/// the discrete-event engine must still reproduce the window-synchronous
-/// reference bit-for-bit — path admission, link release order, migration
-/// vetoes, and link-energy accounting all have to agree across every
-/// registry policy, preset, and routing mode.
+/// the indexed window-loop engine must still reproduce the
+/// window-synchronous reference bit-for-bit — path admission, link release
+/// order, migration vetoes, and link-energy accounting all have to agree
+/// across every registry policy, preset, and routing mode.
 
 namespace greennfv::orchestrator {
 namespace {

@@ -10,7 +10,7 @@
 #include "scenario/presets.hpp"
 
 /// Regression for the dirty-tracking blind spot: a node that power-gated
-/// to Asleep is invisible to the event engine's incremental bookkeeping
+/// to Asleep is invisible to the indexed engine's incremental bookkeeping
 /// until something touches it. When a migration then targets it, the
 /// wake must charge its latency and boot energy exactly as the
 /// window-synchronous engine did — and the engine must keep working off
@@ -19,7 +19,7 @@
 /// The registry policies never migrate onto a sleeping node, so the test
 /// injects a custom policy through the orchestrator's policy seam. The
 /// policy is view-based (index-unaware), which additionally pins the
-/// materialize_view compatibility path inside the event engine.
+/// materialize_view compatibility path inside the indexed engine.
 
 namespace greennfv::orchestrator {
 namespace {
@@ -124,7 +124,7 @@ TEST(FleetWakeRegression, MigrationIntoSleepingNodeChargesWakeExactly) {
 }
 
 TEST(FleetWakeRegression, MigrationWakeMatchesWindowSynchronousEngine) {
-  // Bit-identity under the injected policy: the event engine's dirty
+  // Bit-identity under the injected policy: the indexed engine's dirty
   // tracking and index/power synchronization must reproduce the
   // reference engine's history exactly, including the wake charges.
   const scenario::ScenarioSpec spec = wake_spec();
