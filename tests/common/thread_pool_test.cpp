@@ -16,7 +16,8 @@
 /// range finished, and the pool stays usable; jobs=1, a call from inside a
 /// range body and a call while another thread's range holds the pool run
 /// inline on the calling thread; a range uses at most `jobs` threads and
-/// seats; and a blocked index does not hold up the rest.
+/// seats; a blocked index does not hold up the rest; and a pool thread
+/// that wakes after its range ended stays out of it.
 
 namespace greennfv {
 namespace {
@@ -211,6 +212,18 @@ TEST(ThreadPool, ABlockedIndexDoesNotHoldUpTheRest) {
   });
   EXPECT_TRUE(released) << "the other indices never ran past index 0";
   EXPECT_EQ(others_done, kCount - 1);
+}
+
+TEST(ThreadPool, BackToBackTinyRangesRunEveryIndexOnce) {
+  // The caller often drains a tiny range before any pool thread wakes. A
+  // thread that wakes late must find that range's seats closed, not join
+  // it after it returned or the next range while it is being posted.
+  for (int call = 0; call < 20000; ++call) {
+    const std::size_t count = 2 + static_cast<std::size_t>(call % 3);
+    std::vector<int> hits(count, 0);
+    ThreadPool::parallel_for(count, 4, [&hits](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < count; ++i) ASSERT_EQ(hits[i], 1) << call;
+  }
 }
 
 TEST(ThreadPool, HardwareThreadsIsPositiveAndStable) {
