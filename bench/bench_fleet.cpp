@@ -34,11 +34,11 @@
 
 #include "bench/bench_util.hpp"
 #include "orchestrator/fleet.hpp"
-#include "orchestrator/fleet_reference.hpp"
-#include "orchestrator/timeline_io.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/series.hpp"
 #include "telemetry/trace.hpp"
+#include "tests/support/fleet_reference.hpp"
+#include "tests/support/timeline_text.hpp"
 
 using namespace greennfv;
 using namespace greennfv::orchestrator;
@@ -177,7 +177,6 @@ int main(int argc, char** argv) {
   const std::string trace_path_arg = config.get_string("trace", "");
   const bool trace_check = config.get_bool("trace_check", false);
   if (!trace_path_arg.empty() || trace_check) {
-#if GREENNFV_TRACING_ENABLED
     telemetry::trace::set_enabled(true);
     const auto traced_start = std::chrono::steady_clock::now();
     const FleetOrchestrator traced_engine(spec);
@@ -211,10 +210,6 @@ int main(int argc, char** argv) {
       }
     }
     telemetry::trace::reset();
-#else
-    std::printf("[trace_check] skipped: tracer compiled out "
-                "(GREENNFV_TRACING=OFF)\n");
-#endif
   }
 
   // --- optional sampled rebuild: series overhead gate -----------------------

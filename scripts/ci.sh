@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Per-PR gate for the GreenNFV tree:
-#   1. the tier-1 verify line from ROADMAP.md (Release build, full ctest),
+#   1. a check that nothing under src/ includes a tests/ header, then
+#      the tier-1 verify line from ROADMAP.md (Release build, full ctest),
 #      then a run_scenario smoke over the ci-smoke preset so the one
 #      evaluation path (a static scenario through the fleet orchestrator,
 #      full scheduler roster, tiny budgets) is exercised end to end in the
@@ -25,6 +26,12 @@ cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
 echo "=== [1/3] tier-1 verify: Release build + full ctest ==="
+# The reference oracles live in tests/support, which only the suites and
+# bench_fleet link; the shipped libraries may not reach back into them.
+if grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*[<"]tests/' src; then
+  echo "ci.sh: a file under src/ includes a tests/ header" >&2
+  exit 1
+fi
 # With GREENNFV_REGEN_GOLDEN set, the golden suites rewrite their pins and
 # pass; the gate must compare against the committed pins instead.
 unset GREENNFV_REGEN_GOLDEN

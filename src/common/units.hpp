@@ -8,11 +8,11 @@
 /// GreenNFV internally uses:
 ///   * time          — seconds (double) for model math, nanoseconds (int64)
 ///                     for the virtual clock
-///   * data rate     — bits per second (double); helpers expose Gbps
-///   * packet rate   — packets per second (double); helpers expose Mpps
+///   * data rate     — bits per second (double); helpers take Gbps
+///   * packet rate   — packets per second (double)
 ///   * energy        — joules (double)
 ///   * power         — watts (double)
-///   * frequency     — hertz (double); helpers expose GHz
+///   * frequency     — hertz (double); helpers take GHz
 ///   * memory        — bytes (std::uint64_t); helpers expose MiB
 ///
 /// Keeping everything in SI base units and converting only at API edges
@@ -31,20 +31,8 @@ inline constexpr std::uint64_t kGiB = 1024ull * 1024ull * 1024ull;
 /// Converts gigabits per second to bits per second.
 [[nodiscard]] constexpr double gbps_to_bps(double gbps) { return gbps * kGiga; }
 
-/// Converts bits per second to gigabits per second.
-[[nodiscard]] constexpr double bps_to_gbps(double bps) { return bps / kGiga; }
-
-/// Converts millions of packets per second to packets per second.
-[[nodiscard]] constexpr double mpps_to_pps(double mpps) { return mpps * kMega; }
-
-/// Converts packets per second to millions of packets per second.
-[[nodiscard]] constexpr double pps_to_mpps(double pps) { return pps / kMega; }
-
 /// Converts GHz to Hz.
 [[nodiscard]] constexpr double ghz_to_hz(double ghz) { return ghz * kGiga; }
-
-/// Converts Hz to GHz.
-[[nodiscard]] constexpr double hz_to_ghz(double hz) { return hz / kGiga; }
 
 /// Converts mebibytes to bytes.
 [[nodiscard]] constexpr std::uint64_t mib_to_bytes(double mib) {
@@ -54,16 +42,6 @@ inline constexpr std::uint64_t kGiB = 1024ull * 1024ull * 1024ull;
 /// Converts bytes to mebibytes.
 [[nodiscard]] constexpr double bytes_to_mib(std::uint64_t bytes) {
   return static_cast<double>(bytes) / static_cast<double>(kMiB);
-}
-
-/// Converts seconds to nanoseconds (virtual-clock resolution).
-[[nodiscard]] constexpr std::int64_t sec_to_ns(double sec) {
-  return static_cast<std::int64_t>(sec * 1e9);
-}
-
-/// Converts nanoseconds to seconds.
-[[nodiscard]] constexpr double ns_to_sec(std::int64_t ns) {
-  return static_cast<double>(ns) * 1e-9;
 }
 
 /// Bits on the wire for one Ethernet frame of `payload_bytes` (adds the

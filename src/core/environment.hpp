@@ -69,10 +69,6 @@ class NfvEnvironment final : public rl::Environment {
 
   // --- introspection for telemetry/benches -----------------------------------
   [[nodiscard]] const EnvConfig& config() const { return config_; }
-  [[nodiscard]] const StateCodec& state_codec() const { return state_codec_; }
-  [[nodiscard]] const ActionCodec& action_codec() const {
-    return action_codec_;
-  }
   [[nodiscard]] const WindowOutcome& last_outcome() const {
     return last_outcome_;
   }

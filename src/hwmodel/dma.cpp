@@ -1,7 +1,5 @@
 #include "hwmodel/dma.hpp"
 
-#include <algorithm>
-
 #include "common/math_util.hpp"
 #include "common/units.hpp"
 
@@ -25,14 +23,6 @@ double DmaModel::absorption(std::uint64_t buffer_bytes,
       units::wire_bits_per_frame(pkt_bytes);
   const double burst_pkts = line_pps * poll_interval_s;
   return math_util::saturating(slots, 4.0 * burst_pkts);
-}
-
-std::uint32_t DmaModel::max_batch(std::uint64_t buffer_bytes,
-                                  std::uint32_t pkt_bytes) const {
-  (void)pkt_bytes;
-  const std::uint64_t slots = buffer_bytes / kMbufBytes;
-  return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(slots, 1u << 20));
 }
 
 }  // namespace greennfv::hwmodel

@@ -28,12 +28,6 @@ class DmaModel {
                                   std::uint32_t pkt_bytes,
                                   double poll_interval_s) const;
 
-  /// Largest batch the buffer can hand to one poll (buffer must hold at
-  /// least a batch of packets; a 2 MB buffer of 1518 B frames caps batches
-  /// near 1300 packets).
-  [[nodiscard]] std::uint32_t max_batch(std::uint64_t buffer_bytes,
-                                        std::uint32_t pkt_bytes) const;
-
   /// Default poll interval used when callers do not track one explicitly:
   /// the time to process one batch at a nominal 1 Mpps service rate.
   static constexpr double kDefaultPollIntervalS = 100e-6;

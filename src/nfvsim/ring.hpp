@@ -183,13 +183,6 @@ class MpmcQueue {
 
   [[nodiscard]] std::size_t capacity() const { return cells_.size(); }
 
-  /// Approximate occupancy.
-  [[nodiscard]] std::size_t size_approx() const {
-    const std::size_t enq = enqueue_pos_.load(std::memory_order_acquire);
-    const std::size_t deq = dequeue_pos_.load(std::memory_order_acquire);
-    return enq >= deq ? enq - deq : 0;
-  }
-
  private:
   struct Cell {
     std::atomic<std::size_t> sequence{0};

@@ -28,10 +28,10 @@
 // departures, faults, arrivals, consolidation and accounting, in that
 // order, and a FleetIndex answers placement queries from occupancy
 // buckets in O(core levels). It is proven bit-identical to the
-// scan-every-node engine it replaced (preserved in fleet_reference.cpp)
-// by the golden suite and the live equivalence tests: same RNG draw
-// order, same floating-point accumulation order, same policy
-// tie-breaks.
+// scan-every-node engine it replaced (preserved as the test oracle in
+// tests/support/fleet_reference.cpp) by the golden suite and the live
+// equivalence tests: same RNG draw order, same floating-point
+// accumulation order, same policy tie-breaks.
 
 namespace greennfv::orchestrator {
 
@@ -122,9 +122,6 @@ FleetOrchestrator::FleetOrchestrator(scenario::ScenarioSpec spec,
 
 void FleetOrchestrator::build_timeline() {
   namespace mc = telemetry::metrics;
-  // Explicit Span (not the macro) so the phase timer keeps accumulating
-  // when the tracer is compiled out — same for every timer-carrying span
-  // in this file.
   const telemetry::trace::Span build_span(
       "fleet/build_timeline", &mc::counter("fleet.phase.build_ns"));
   const int num_nodes = spec_.num_nodes;
@@ -249,7 +246,7 @@ void FleetOrchestrator::build_timeline() {
     // A one-node static deployment hosts every chain, however full.
     const int node = static_deployment_ && num_nodes == 1
                          ? 0
-                         : policy->choose_arrival_indexed(index, request, net);
+                         : policy->choose_indexed(index, request, net);
     if (node < 0) {
       if (static_deployment_) {
         throw std::invalid_argument(format(
@@ -300,7 +297,7 @@ void FleetOrchestrator::build_timeline() {
     const ChainInstance& chain =
         timeline_.chains[static_cast<std::size_t>(id)];
     const ArrivalRequest request{chain.cores, chain.offered_gbps};
-    const int node = policy->choose_arrival_indexed(index, request, net);
+    const int node = policy->choose_indexed(index, request, net);
     bool placed = node >= 0;
     if (placed && net != nullptr &&
         !net->commit_chain(id, node, chain.offered_gbps)) {
@@ -656,9 +653,6 @@ scenario::ModelReport FleetOrchestrator::run_model(
     telemetry::Recorder* recorder) {
   namespace mc = telemetry::metrics;
   // Interned so the span name outlives this call; one string per model.
-  // An explicit Span (not the macro) so the run_model_ns timer keeps
-  // accumulating for bench phase breakdowns even when the tracer is
-  // compiled out.
   const telemetry::trace::Span model_span(
       telemetry::trace::intern("fleet/run_model:" + entry.name),
       &mc::counter("fleet.phase.run_model_ns"));

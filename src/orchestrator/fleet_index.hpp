@@ -76,10 +76,8 @@ class FleetIndex {
   // --- policy queries ------------------------------------------------------
   /// Awake nodes bucketed by integral committed cores, ordered ids within.
   [[nodiscard]] const BucketQueue& awake_levels() const { return awake_; }
-  /// Ordered ids of asleep nodes (always at committed == 0).
-  [[nodiscard]] const BucketQueue::IdSet& asleep_ids() const {
-    return asleep_;
-  }
+  /// Lowest asleep node id (asleep nodes always sit at committed == 0),
+  /// or -1 when none sleeps.
   [[nodiscard]] int min_asleep_id() const {
     return asleep_.empty() ? -1 : *asleep_.begin();
   }
@@ -87,7 +85,7 @@ class FleetIndex {
   /// policies' fits() tolerance), or -1 when nothing fits.
   [[nodiscard]] int max_fitting_level(double cores) const;
 
-  /// Full FleetView snapshot for index-unaware (custom) policies.
+  /// Full FleetView snapshot for the view-based policy scans.
   [[nodiscard]] FleetView materialize_view() const;
 
   /// Bytes the bucket/runqueue arena has reserved from the OS — the

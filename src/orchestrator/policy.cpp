@@ -13,12 +13,25 @@ namespace greennfv::orchestrator {
 
 namespace {
 
+/// Counts one arrival or re-placement query with the candidates it
+/// touched: at most one entry per occupancy level when the buckets
+/// answer, every node when a view is snapshotted.
+void count_query(std::uint64_t candidates) {
+  static auto& c_queries =
+      telemetry::metrics::counter("fleet.placement.queries");
+  static auto& c_scanned =
+      telemetry::metrics::counter("fleet.placement.candidates_scanned");
+  c_queries.add();
+  c_scanned.add(candidates);
+}
+
 /// Tightest fit among awake nodes via the occupancy buckets: the highest
 /// bucket whose level still fits has minimal slack; min id breaks ties
 /// (the reference scan's 1e-12-strict improvement keeps the first, i.e.
 /// lowest, index among equal-slack nodes). Falls back to the lowest
 /// asleep id, mirroring energy_bestfit_choose's wake pass.
 int indexed_bestfit(const FleetIndex& index, double cores) {
+  count_query(index.awake_levels().num_levels());
   const int max_level = index.max_fitting_level(cores);
   if (max_level < 0) return -1;
   const int level = index.awake_levels().highest_nonempty(
@@ -33,15 +46,18 @@ class FirstFitPolicy final : public FleetPolicy {
   [[nodiscard]] std::string name() const override { return "first-fit"; }
 
   [[nodiscard]] int choose(const FleetView& view,
-                           double cores) const override {
+                           const ArrivalRequest& request,
+                           const topology::PathTable*) const override {
     for (std::size_t n = 0; n < view.nodes.size(); ++n)
-      if (view.nodes[n].fits(cores)) return static_cast<int>(n);
+      if (view.nodes[n].fits(request.cores)) return static_cast<int>(n);
     return -1;
   }
 
-  [[nodiscard]] int choose_indexed(const FleetIndex& index,
-                                   double cores) const override {
-    const int max_level = index.max_fitting_level(cores);
+  [[nodiscard]] int choose_indexed(
+      const FleetIndex& index, const ArrivalRequest& request,
+      const topology::PathTable*) const override {
+    count_query(index.awake_levels().num_levels());
+    const int max_level = index.max_fitting_level(request.cores);
     if (max_level < 0) return -1;
     // Lowest node id that fits, awake or asleep (asleep nodes sit at
     // level 0, which fits whenever anything does).
@@ -59,12 +75,13 @@ class LeastLoadedPolicy final : public FleetPolicy {
   [[nodiscard]] std::string name() const override { return "least-loaded"; }
 
   [[nodiscard]] int choose(const FleetView& view,
-                           double cores) const override {
+                           const ArrivalRequest& request,
+                           const topology::PathTable*) const override {
     int chosen = -1;
     double best_load = 1e300;
     for (std::size_t n = 0; n < view.nodes.size(); ++n) {
       const NodeView& node = view.nodes[n];
-      if (!node.fits(cores)) continue;
+      if (!node.fits(request.cores)) continue;
       if (node.utilization() < best_load - 1e-12) {
         best_load = node.utilization();
         chosen = static_cast<int>(n);
@@ -73,9 +90,11 @@ class LeastLoadedPolicy final : public FleetPolicy {
     return chosen;
   }
 
-  [[nodiscard]] int choose_indexed(const FleetIndex& index,
-                                   double cores) const override {
-    const int max_level = index.max_fitting_level(cores);
+  [[nodiscard]] int choose_indexed(
+      const FleetIndex& index, const ArrivalRequest& request,
+      const topology::PathTable*) const override {
+    count_query(index.awake_levels().num_levels());
+    const int max_level = index.max_fitting_level(request.cores);
     if (max_level < 0) return -1;
     const int lowest = index.awake_levels().lowest_nonempty(
         0, static_cast<std::size_t>(max_level));
@@ -123,13 +142,15 @@ class EnergyBestFitPolicy final : public FleetPolicy {
   }
 
   [[nodiscard]] int choose(const FleetView& view,
-                           double cores) const override {
-    return energy_bestfit_choose(view, cores, /*allow_wake=*/true);
+                           const ArrivalRequest& request,
+                           const topology::PathTable*) const override {
+    return energy_bestfit_choose(view, request.cores, /*allow_wake=*/true);
   }
 
-  [[nodiscard]] int choose_indexed(const FleetIndex& index,
-                                   double cores) const override {
-    return indexed_bestfit(index, cores);
+  [[nodiscard]] int choose_indexed(
+      const FleetIndex& index, const ArrivalRequest& request,
+      const topology::PathTable*) const override {
+    return indexed_bestfit(index, request.cores);
   }
 };
 
@@ -138,13 +159,15 @@ class ConsolidatePolicy final : public FleetPolicy {
   [[nodiscard]] std::string name() const override { return "consolidate"; }
 
   [[nodiscard]] int choose(const FleetView& view,
-                           double cores) const override {
-    return energy_bestfit_choose(view, cores, /*allow_wake=*/true);
+                           const ArrivalRequest& request,
+                           const topology::PathTable*) const override {
+    return energy_bestfit_choose(view, request.cores, /*allow_wake=*/true);
   }
 
-  [[nodiscard]] int choose_indexed(const FleetIndex& index,
-                                   double cores) const override {
-    return indexed_bestfit(index, cores);
+  [[nodiscard]] int choose_indexed(
+      const FleetIndex& index, const ArrivalRequest& request,
+      const topology::PathTable*) const override {
+    return indexed_bestfit(index, request.cores);
   }
 
   [[nodiscard]] std::vector<Migration> consolidate(
@@ -299,23 +322,14 @@ class TopologyAwareBestFitPolicy final : public FleetPolicy {
     return "topology-aware-bestfit";
   }
 
-  /// Network-free fallback (topology.enabled=0, or callers that never
-  /// route): identical to energy-bestfit, so the no-topology determinism
-  /// and golden suites exercise this policy too.
+  /// Without a fabric (topology.enabled=0) both variants are
+  /// energy-bestfit, so the no-topology determinism and golden suites
+  /// exercise this policy too.
   [[nodiscard]] int choose(const FleetView& view,
-                           double cores) const override {
-    return energy_bestfit_choose(view, cores, /*allow_wake=*/true);
-  }
-
-  [[nodiscard]] int choose_indexed(const FleetIndex& index,
-                                   double cores) const override {
-    return indexed_bestfit(index, cores);
-  }
-
-  [[nodiscard]] int choose_arrival(
-      const FleetView& view, const ArrivalRequest& request,
-      const topology::PathTable* net) const override {
-    if (net == nullptr) return choose(view, request.cores);
+                           const ArrivalRequest& request,
+                           const topology::PathTable* net) const override {
+    if (net == nullptr)
+      return energy_bestfit_choose(view, request.cores, /*allow_wake=*/true);
     const std::vector<topology::PathView> paths =
         net->preview_hosts(request.offered_gbps);
     int chosen = -1;
@@ -347,35 +361,23 @@ class TopologyAwareBestFitPolicy final : public FleetPolicy {
     }
     return chosen;
   }
+
+  [[nodiscard]] int choose_indexed(
+      const FleetIndex& index, const ArrivalRequest& request,
+      const topology::PathTable* net) const override {
+    if (net != nullptr) return FleetPolicy::choose_indexed(index, request, net);
+    return indexed_bestfit(index, request.cores);
+  }
 };
 
 }  // namespace
 
-int FleetPolicy::choose_arrival_indexed(
-    const FleetIndex& index, const ArrivalRequest& request,
-    const topology::PathTable* net) const {
-  static auto& c_queries =
-      telemetry::metrics::counter("fleet.placement.queries");
-  static auto& c_scanned =
-      telemetry::metrics::counter("fleet.placement.candidates_scanned");
-  c_queries.add();
-  // No network: the classic O(levels) indexed path, untouched. With one:
-  // arrival placement is no longer a pure cores argmin, so materialize
-  // the view and run the network-aware scan.
-  if (net == nullptr) {
-    // Bucket queries touch at most one entry per occupancy level.
-    c_scanned.add(index.awake_levels().num_levels());
-    return choose_indexed(index, request.cores);
-  }
-  c_scanned.add(static_cast<std::uint64_t>(index.num_nodes()));
-  return choose_arrival(index.materialize_view(), request, net);
-}
-
 int FleetPolicy::choose_indexed(const FleetIndex& index,
-                                double cores) const {
-  // Compatibility path for index-unaware (custom) policies: snapshot the
-  // fleet into the classic view and run the linear-scan variant.
-  return choose(index.materialize_view(), cores);
+                                const ArrivalRequest& request,
+                                const topology::PathTable* net) const {
+  // Snapshot the fleet into the classic view and run the linear scan.
+  count_query(static_cast<std::uint64_t>(index.num_nodes()));
+  return choose(index.materialize_view(), request, net);
 }
 
 std::vector<Migration> FleetPolicy::consolidate_indexed(

@@ -76,11 +76,16 @@ class FleetPolicy {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Node to host a `cores`-wide arrival, or -1 when nothing fits (the
-  /// chain is rejected). Choosing a sleeping node wakes it (the caller
-  /// charges the wake latency/energy).
+  /// Node to host an arriving (or fault-evicted) chain, or -1 when
+  /// nothing fits (the chain is rejected). `net` is the live
+  /// routing/commitment table when the scenario runs a topology, null
+  /// otherwise; only topology-aware policies read it. Whatever node is
+  /// returned, the *engine* still admission-checks the path — a policy
+  /// cannot oversubscribe a link, only pick badly. Choosing a sleeping
+  /// node wakes it (the caller charges the wake latency/energy).
   [[nodiscard]] virtual int choose(const FleetView& view,
-                                   double cores) const = 0;
+                                   const ArrivalRequest& request,
+                                   const topology::PathTable* net) const = 0;
 
   /// Consolidation pass: migrations that drain nodes whose utilization
   /// sits below `below` when their chains fit on other awake occupied
@@ -97,28 +102,14 @@ class FleetPolicy {
   /// buckets in O(core levels) — provably equal to their linear-scan
   /// choose()/consolidate() because committed cores are integral (see
   /// fleet_index.hpp). The defaults materialize a FleetView and defer to
-  /// the scan variants, so custom policies keep working unchanged.
-  [[nodiscard]] virtual int choose_indexed(const FleetIndex& index,
-                                           double cores) const;
-  [[nodiscard]] virtual std::vector<Migration> consolidate_indexed(
-      const FleetIndex& index, double below) const;
-
-  /// Arrival placement with the network in view. `net` is the live
-  /// routing/commitment table when the scenario runs a topology, null
-  /// otherwise. Defaults defer to choose()/choose_indexed(), so every
-  /// network-blind policy (including pre-existing custom ones) behaves
-  /// exactly as before; only topology-aware policies override these.
-  /// Whatever node is returned, the *engine* still admission-checks the
-  /// path — a policy cannot oversubscribe a link, only pick badly.
-  [[nodiscard]] virtual int choose_arrival(
-      const FleetView& view, const ArrivalRequest& request,
-      const topology::PathTable* net) const {
-    (void)net;
-    return choose(view, request.cores);
-  }
-  [[nodiscard]] virtual int choose_arrival_indexed(
+  /// the scan variants: custom policies use them unchanged, and
+  /// topology-aware-bestfit does while a fabric is live, because its
+  /// joint path-and-node choice scores every candidate's path.
+  [[nodiscard]] virtual int choose_indexed(
       const FleetIndex& index, const ArrivalRequest& request,
       const topology::PathTable* net) const;
+  [[nodiscard]] virtual std::vector<Migration> consolidate_indexed(
+      const FleetIndex& index, double below) const;
 };
 
 /// Registry lookup by name ("first-fit", "least-loaded", "energy-bestfit",

@@ -6,18 +6,15 @@
 #include "orchestrator/fleet.hpp"
 
 /// \file timeline_io.hpp
-/// Canonical text serialization of fleet histories and evaluations, plus
-/// the membership-replay helper both the serializer and the orchestrator
-/// use to reconstruct per-node hosted-chain lists from the timeline's
-/// per-window deltas. The format is bit-exact: every double is printed
-/// both human-readably (%.17g) and as its raw IEEE-754 bit pattern, so a
-/// golden file pins the engine's arithmetic — not just its rounding.
-///
-/// The serializer never reads a materialized membership snapshot; it
-/// replays arrivals/departures/migrations itself. That is what lets the
-/// same golden files pin both the window-synchronous reference engine and
-/// the indexed engine, and lets the timeline drop per-window
-/// membership storage (prohibitive at 10k nodes x hundreds of windows).
+/// Canonical text serialization of fleet evaluations, plus the
+/// membership-replay helper the orchestrator (and the golden timeline
+/// writer in tests/support/timeline_text.hpp) use to reconstruct per-node
+/// hosted-chain lists from the timeline's per-window deltas — which lets
+/// the timeline drop per-window membership storage (prohibitive at 10k
+/// nodes x hundreds of windows). The format is bit-exact: every double is
+/// printed both human-readably (%.17g) and as its raw IEEE-754 bit
+/// pattern, so a golden file pins the engine's arithmetic — not just its
+/// rounding.
 
 namespace greennfv::orchestrator {
 
@@ -63,12 +60,6 @@ class MembershipReplay {
 
 /// Formats `value` as "%.17g/%016llx" — decimal plus raw bit pattern.
 [[nodiscard]] std::string double_bits(double value);
-
-/// The full fleet history as canonical text: header counters, every
-/// chain (with its flows), and per-window events + replayed membership.
-/// Two timelines serialize identically iff they are bit-identical.
-[[nodiscard]] std::string timeline_to_text(const FleetTimeline& timeline,
-                                           int num_nodes);
 
 /// A fleet evaluation as canonical text: fleet history summary, every
 /// model's means, and every recorded series sample (names sorted).

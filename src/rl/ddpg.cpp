@@ -101,11 +101,6 @@ std::vector<double> DdpgAgent::critic_input(
   return input;
 }
 
-double DdpgAgent::q_value(std::span<const double> state,
-                          std::span<const double> action) const {
-  return critic_.forward(critic_input(state, action))[0];
-}
-
 void DdpgAgent::ensure_train_scratch(std::size_t n) {
   const std::size_t s = config_.state_dim;
   const std::size_t a = config_.action_dim;
@@ -132,8 +127,6 @@ const TrainStats& DdpgAgent::train_step(ReplayInterface& replay, Rng& rng) {
   static auto& t_actor = mc::counter("rl.phase.actor_ns");
   static auto& t_soft = mc::counter("rl.phase.soft_update_ns");
   c_steps.add();
-  // Explicit Spans (not the macro) so the pass timers keep accumulating
-  // when the tracer is compiled out.
   const telemetry::trace::Span step_span("rl/train_step", &t_step);
   GNFV_REQUIRE(replay.size() >= config_.batch_size,
                "DDPG::train_step: replay underfilled");

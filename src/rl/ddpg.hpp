@@ -71,10 +71,6 @@ class DdpgAgent {
                       Rng& rng, ActScratch& scratch,
                       std::span<double> action) const;
 
-  /// Critic value Q(x, a).
-  [[nodiscard]] double q_value(std::span<const double> state,
-                               std::span<const double> action) const;
-
   /// One minibatch update from `replay` (critic + actor + target sync),
   /// executed as four batched GEMM passes (target-actor, target-critic,
   /// critic fwd+bwd, actor fwd+bwd chained through the critic's ∂Q/∂a

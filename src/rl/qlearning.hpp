@@ -74,9 +74,6 @@ class QLearningAgent {
   [[nodiscard]] std::size_t config_state_dim() const {
     return config_.state_dim;
   }
-  [[nodiscard]] std::size_t config_action_dim() const {
-    return config_.action_dim;
-  }
 
  private:
   QLearningConfig config_;

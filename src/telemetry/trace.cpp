@@ -121,12 +121,8 @@ Json event_to_json(const TraceEvent& event, int tid) {
 bool runtime_enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 void set_enabled(bool on) {
-#if GREENNFV_TRACING_ENABLED
   (void)epoch();  // pin the epoch no later than the first enable
   g_enabled.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 void set_thread_capacity(std::size_t events) {
@@ -242,7 +238,7 @@ void Span::finish() {
   const std::int64_t dur_ns = end_ns - start_ns_;
   if (timer_ != nullptr && metrics::enabled())
     timer_->add(static_cast<std::uint64_t>(dur_ns < 0 ? 0 : dur_ns));
-  if (!active()) return;
+  if (!runtime_enabled()) return;
   TraceEvent event;
   event.name = name_;
   event.ts_ns = start_ns_;

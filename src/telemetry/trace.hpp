@@ -13,9 +13,7 @@
 /// first use — steady-state recording allocates nothing; overflow wraps,
 /// overwriting the oldest spans and counting the loss). A `Span` records
 /// one wall-clock interval around a scope; when tracing is disabled the
-/// constructor is a relaxed flag load and a branch, and with
-/// `GREENNFV_TRACING=OFF` (CMake) the `GNFV_TRACE_SPAN` macros compile to
-/// nothing at all.
+/// constructor is a relaxed flag load and a branch.
 ///
 /// The recorder never touches simulation state: span names are interned
 /// `const char*`s, timestamps come from the steady clock, and nothing
@@ -27,10 +25,6 @@
 /// one "C" counter sample per registered metric when the metrics registry
 /// is enabled): load the file in https://ui.perfetto.dev or
 /// chrome://tracing.
-
-#if !defined(GREENNFV_TRACING_ENABLED)
-#define GREENNFV_TRACING_ENABLED 1
-#endif
 
 namespace greennfv::telemetry::trace {
 
@@ -48,15 +42,6 @@ struct TraceEvent {
 /// epoch is pinned at first use so timestamps stay comparable.
 [[nodiscard]] bool runtime_enabled();
 void set_enabled(bool on);
-
-/// True when the tracer was compiled in AND runtime-enabled.
-[[nodiscard]] inline bool active() {
-#if GREENNFV_TRACING_ENABLED
-  return runtime_enabled();
-#else
-  return false;
-#endif
-}
 
 /// Ring capacity (events) for buffers created after this call. Existing
 /// thread buffers keep their size. Default 65536 events per thread.
@@ -120,7 +105,7 @@ class Span {
  public:
   explicit Span(const char* name, metrics::Counter* timer = nullptr)
       : name_(name), timer_(timer) {
-    if (active() || (timer_ != nullptr && metrics::enabled()))
+    if (runtime_enabled() || (timer_ != nullptr && metrics::enabled()))
       start_ns_ = now_ns();
   }
   Span(const char* name, std::uint64_t arg,
@@ -147,17 +132,10 @@ class Span {
 
 }  // namespace greennfv::telemetry::trace
 
-#if GREENNFV_TRACING_ENABLED
 #define GNFV_TRACE_CONCAT_INNER(a, b) a##b
 #define GNFV_TRACE_CONCAT(a, b) GNFV_TRACE_CONCAT_INNER(a, b)
 /// GNFV_TRACE_SPAN("layer/what"[, arg][, &timer_counter]): records a span
-/// covering the rest of the enclosing scope. Sites whose timer counter
-/// must keep accumulating under GREENNFV_TRACING=OFF declare an explicit
-/// `Span` instead — this macro (and any timer passed to it) vanishes
-/// entirely when the tracer is compiled out.
+/// covering the rest of the enclosing scope.
 #define GNFV_TRACE_SPAN(...)                                  \
   ::greennfv::telemetry::trace::Span GNFV_TRACE_CONCAT(       \
       gnfv_trace_span_, __LINE__)(__VA_ARGS__)
-#else
-#define GNFV_TRACE_SPAN(...) ((void)0)
-#endif

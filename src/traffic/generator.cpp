@@ -50,12 +50,6 @@ void TrafficGenerator::report_feedback(std::size_t flow_index,
   }
 }
 
-double TrafficGenerator::total_mean_pps() const {
-  double total = 0.0;
-  for (const auto& flow : flows_) total += flow.mean_rate_pps;
-  return total;
-}
-
 void TrafficGenerator::steer_flow(std::size_t flow_index, int chain_index) {
   GNFV_REQUIRE(flow_index < flows_.size(), "steer_flow: bad flow index");
   GNFV_REQUIRE(chain_index >= 0, "steer_flow: negative chain index");

@@ -20,10 +20,6 @@ struct WindowLoad {
   /// Per-flow offered rate (indexed like the generator's flow list).
   std::vector<double> per_flow_pps;
   double total_pps = 0.0;
-
-  [[nodiscard]] double flow_pps(std::size_t i) const {
-    return per_flow_pps.at(i);
-  }
 };
 
 class TrafficGenerator {
@@ -41,9 +37,6 @@ class TrafficGenerator {
 
   [[nodiscard]] const std::vector<FlowSpec>& flows() const { return flows_; }
   [[nodiscard]] double time_s() const { return time_s_; }
-
-  /// Aggregate mean offered rate in pps (long-run).
-  [[nodiscard]] double total_mean_pps() const;
 
   /// Resets time and all per-flow state (TCP windows, MMPP phases).
   void reset(std::uint64_t seed);

@@ -5,9 +5,10 @@
 
 #include "campaign/runner.hpp"
 #include "orchestrator/fleet.hpp"
-#include "orchestrator/fleet_reference.hpp"
 #include "orchestrator/timeline_io.hpp"
 #include "scenario/presets.hpp"
+#include "tests/support/fleet_reference.hpp"
+#include "tests/support/timeline_text.hpp"
 
 /// Determinism stress for the indexed window-loop fleet engine, at a
 /// scale no golden file could pin (the serialized history would be

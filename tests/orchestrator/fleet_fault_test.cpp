@@ -6,9 +6,10 @@
 #include "campaign/runner.hpp"
 #include "orchestrator/fault.hpp"
 #include "orchestrator/fleet.hpp"
-#include "orchestrator/fleet_reference.hpp"
 #include "orchestrator/timeline_io.hpp"
 #include "scenario/presets.hpp"
+#include "tests/support/fleet_reference.hpp"
+#include "tests/support/timeline_text.hpp"
 
 /// Fault-injection determinism suite. The contract mirrors the rest of
 /// the fleet engine: the fault schedule is a pure function of the
@@ -111,9 +112,9 @@ TEST(FleetFault, EventEngineMatchesReferenceWithFaults) {
 TEST(FleetFault, EventEngineMatchesReferenceWithLinkFailures) {
   // Same equivalence with the fabric on: link failures re-route or evict
   // riders, failed links leave routing and the energy sum, repairs bring
-  // them back — identically on both engines.
-  for (const char* policy : {"energy-bestfit", "topology-aware-bestfit",
-                             "consolidate"}) {
+  // them back — identically on both engines, with every policy but
+  // topology-aware-bestfit re-placing from the buckets on the engine side.
+  for (const std::string& policy : fleet_policy_names()) {
     for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
       const scenario::ScenarioSpec spec = link_fault_spec(policy, seed);
       FleetOrchestrator event_engine(spec);

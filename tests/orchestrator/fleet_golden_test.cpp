@@ -9,6 +9,7 @@
 #include "orchestrator/fleet.hpp"
 #include "orchestrator/timeline_io.hpp"
 #include "scenario/presets.hpp"
+#include "tests/support/timeline_text.hpp"
 
 /// Golden equivalence suite. The files under tests/orchestrator/golden/
 /// were captured from the PR 5 window-synchronous fleet engine BEFORE the

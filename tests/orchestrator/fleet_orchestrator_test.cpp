@@ -6,6 +6,7 @@
 #include "orchestrator/fleet.hpp"
 #include "orchestrator/timeline_io.hpp"
 #include "scenario/presets.hpp"
+#include "tests/support/timeline_text.hpp"
 
 /// FleetOrchestrator contract — the acceptance criteria of the fleet
 /// subsystem: a static single-node fleet degenerates bit-identically to

@@ -28,19 +28,19 @@ TEST(FleetPolicy, FirstFitPicksLowestIndexWithRoom) {
   FleetView view;
   view.nodes = {node(4.0, 3.0), node(4.0, 0.0), node(4.0, 0.0)};
   const auto policy = make_fleet_policy("first-fit");
-  EXPECT_EQ(policy->choose(view, 3.0), 1);  // node 0 is full for 3 cores
-  EXPECT_EQ(policy->choose(view, 1.0), 0);  // but still takes 1 core
-  EXPECT_EQ(policy->choose(view, 5.0), -1);  // nothing fits 5 cores
+  EXPECT_EQ(policy->choose(view, {3.0}, nullptr), 1);  // node 0 is full
+  EXPECT_EQ(policy->choose(view, {1.0}, nullptr), 0);  // but takes 1 core
+  EXPECT_EQ(policy->choose(view, {5.0}, nullptr), -1);  // nothing fits 5
 }
 
 TEST(FleetPolicy, LeastLoadedSpreadsByUtilization) {
   FleetView view;
   view.nodes = {node(8.0, 4.0), node(8.0, 2.0), node(8.0, 6.0)};
   const auto policy = make_fleet_policy("least-loaded");
-  EXPECT_EQ(policy->choose(view, 2.0), 1);
+  EXPECT_EQ(policy->choose(view, {2.0}, nullptr), 1);
   // Nodes without room are excluded even when emptiest-looking.
   view.nodes[1].committed_cores = 7.5;
-  EXPECT_EQ(policy->choose(view, 2.0), 0);
+  EXPECT_EQ(policy->choose(view, {2.0}, nullptr), 0);
 }
 
 TEST(FleetPolicy, EnergyBestFitPacksTightAndAvoidsWaking) {
@@ -48,13 +48,13 @@ TEST(FleetPolicy, EnergyBestFitPacksTightAndAvoidsWaking) {
   view.nodes = {node(8.0, 2.0), node(8.0, 5.0), node(8.0, 0.0, true)};
   const auto policy = make_fleet_policy("energy-bestfit");
   // Tightest fit: node 1 has 3 free vs node 0's 6 free.
-  EXPECT_EQ(policy->choose(view, 3.0), 1);
+  EXPECT_EQ(policy->choose(view, {3.0}, nullptr), 1);
   // The sleeping empty node is never preferred while an awake node fits.
-  EXPECT_EQ(policy->choose(view, 6.0), 0);
+  EXPECT_EQ(policy->choose(view, {6.0}, nullptr), 0);
   // ...but is woken when nothing awake has room.
-  EXPECT_EQ(policy->choose(view, 7.0), 2);
+  EXPECT_EQ(policy->choose(view, {7.0}, nullptr), 2);
   view.nodes[2].asleep = false;
-  EXPECT_EQ(policy->choose(view, 7.0), 2);
+  EXPECT_EQ(policy->choose(view, {7.0}, nullptr), 2);
 }
 
 TEST(FleetPolicy, ConsolidateDrainsTheUnderutilizedNode) {

@@ -6,10 +6,10 @@
 #include "common/fs_util.hpp"
 #include "common/string_util.hpp"
 #include "orchestrator/fleet.hpp"
-#include "orchestrator/fleet_reference.hpp"
 #include "orchestrator/fleet_series.hpp"
 #include "scenario/presets.hpp"
 #include "telemetry/series.hpp"
+#include "tests/support/fleet_reference.hpp"
 
 /// The per-window health series through both fleet engines. The indexed
 /// window-loop engine and the frozen window-synchronous reference must

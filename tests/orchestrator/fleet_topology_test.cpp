@@ -5,16 +5,21 @@
 
 #include "campaign/runner.hpp"
 #include "orchestrator/fleet.hpp"
-#include "orchestrator/fleet_reference.hpp"
+#include "orchestrator/fleet_index.hpp"
 #include "orchestrator/timeline_io.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/presets.hpp"
+#include "telemetry/metrics.hpp"
+#include "tests/support/fleet_reference.hpp"
+#include "tests/support/timeline_text.hpp"
 
 /// Topology-enabled fleet equivalence: with the network fabric switched on
 /// the indexed window-loop engine must still reproduce the
 /// window-synchronous reference bit-for-bit — path admission, link release
 /// order, migration vetoes, and link-energy accounting all have to agree
-/// across every registry policy, preset, and routing mode.
+/// across every registry policy, preset, and routing mode. The policies
+/// that ignore the network answer from the index's buckets on the engine
+/// side and from linear scans on the reference side.
 
 namespace greennfv::orchestrator {
 namespace {
@@ -49,6 +54,35 @@ TEST(FleetTopology, EventEngineMatchesReferenceAcrossPolicies) {
       EXPECT_GT(event_engine.timeline().routed_chain_windows, 0);
     }
   }
+}
+
+TEST(FleetTopology, NetworkBlindPoliciesAnswerFromTheBucketsOnAFabric) {
+  // Only topology-aware-bestfit reads the fabric, so only it snapshots
+  // every node per placement query; the others touch at most one bucket
+  // entry per occupancy level, fabric or not.
+  namespace mc = telemetry::metrics;
+  mc::set_enabled(true);
+  for (const std::string& policy : fleet_policy_names()) {
+    const scenario::ScenarioSpec spec = topo_spec(policy, 7);
+    const FleetIndex index(spec.num_nodes, spec.node.total_cores -
+                                               spec.node.controller_cores);
+    mc::reset();
+    const FleetOrchestrator fleet(spec);
+    const double queries =
+        static_cast<double>(mc::counter("fleet.placement.queries").value());
+    ASSERT_GT(queries, 0.0) << policy;
+    const double per_query =
+        static_cast<double>(
+            mc::counter("fleet.placement.candidates_scanned").value()) /
+        queries;
+    if (policy == "topology-aware-bestfit") {
+      EXPECT_EQ(per_query, static_cast<double>(spec.num_nodes));
+    } else {
+      EXPECT_LE(per_query, index.awake_levels().num_levels()) << policy;
+    }
+  }
+  mc::set_enabled(false);
+  mc::reset();
 }
 
 TEST(FleetTopology, EventEngineMatchesReferenceAcrossPresetsAndRouting) {

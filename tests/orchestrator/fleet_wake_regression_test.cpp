@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "orchestrator/fleet.hpp"
-#include "orchestrator/fleet_reference.hpp"
-#include "orchestrator/timeline_io.hpp"
 #include "scenario/presets.hpp"
+#include "tests/support/fleet_reference.hpp"
+#include "tests/support/timeline_text.hpp"
 
 /// Regression for the dirty-tracking blind spot: a node that power-gated
 /// to Asleep is invisible to the indexed engine's incremental bookkeeping
@@ -35,12 +35,13 @@ class WakeOnMigratePolicy final : public FleetPolicy {
   }
 
   [[nodiscard]] int choose(const FleetView& view,
-                           double cores) const override {
+                           const ArrivalRequest& request,
+                           const topology::PathTable*) const override {
     for (std::size_t n = 0; n < view.nodes.size(); ++n)
-      if (!view.nodes[n].asleep && view.nodes[n].fits(cores))
+      if (!view.nodes[n].asleep && view.nodes[n].fits(request.cores))
         return static_cast<int>(n);
     for (std::size_t n = 0; n < view.nodes.size(); ++n)
-      if (view.nodes[n].asleep && view.nodes[n].fits(cores))
+      if (view.nodes[n].asleep && view.nodes[n].fits(request.cores))
         return static_cast<int>(n);
     return -1;
   }

@@ -1,4 +1,4 @@
-#include "orchestrator/fleet_reference.hpp"
+#include "tests/support/fleet_reference.hpp"
 
 #include <algorithm>
 #include <memory>
@@ -156,7 +156,7 @@ FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
   const auto place = [&](int id, int w, FleetTimeline::Window& win) {
     ChainInstance& chain = timeline.chains[static_cast<std::size_t>(id)];
     const ArrivalRequest request{chain.cores, chain.offered_gbps};
-    const int node = policy->choose_arrival(fleet_view(), request, net);
+    const int node = policy->choose(fleet_view(), request, net);
     if (node < 0) {
       ++win.rejected;
       ++timeline.rejected;
@@ -202,7 +202,7 @@ FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
     const ChainInstance& chain =
         timeline.chains[static_cast<std::size_t>(id)];
     const ArrivalRequest request{chain.cores, chain.offered_gbps};
-    const int node = policy->choose_arrival(fleet_view(), request, net);
+    const int node = policy->choose(fleet_view(), request, net);
     bool placed = node >= 0;
     if (placed && net != nullptr &&
         !net->commit_chain(id, node, chain.offered_gbps)) {

@@ -12,6 +12,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/series.hpp"
 #include "telemetry/trace.hpp"
+#include "tests/support/timeline_text.hpp"
 
 /// The health-series sampler's hard contract, mirroring the flight
 /// recorder's: simulation output is byte-identical with sampling on or

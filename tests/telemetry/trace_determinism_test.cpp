@@ -9,6 +9,7 @@
 #include "scenario/presets.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
+#include "tests/support/timeline_text.hpp"
 
 /// The flight recorder's hard contract: simulation output is byte-
 /// identical with the recorder on vs off. Spans and counters read the
@@ -45,9 +46,7 @@ TEST_F(TraceDeterminismTest, FleetTimelineIdenticalTracedVsUntraced) {
       orchestrator::timeline_to_text(recorded.timeline(), spec.num_nodes);
 
   EXPECT_EQ(untraced, traced);
-  if (trace::active()) {
-    EXPECT_GT(trace::recorded(), 0u);
-  }
+  EXPECT_GT(trace::recorded(), 0u);
   EXPECT_GT(metrics::counter("fleet.arrivals").value(), 0u);
 }
 

@@ -35,15 +35,6 @@ class TraceTest : public ::testing::Test {
     metrics::set_enabled(false);
     metrics::reset();
   }
-
-  /// Skips span-recording tests when the tracer is compiled out
-  /// (GREENNFV_TRACING=OFF builds still run the rest of the suite).
-  static bool tracer_available() {
-    set_enabled(true);
-    const bool ok = active();
-    if (!ok) set_enabled(false);
-    return ok;
-  }
 };
 
 TEST_F(TraceTest, DisabledSpansRecordNothing) {
@@ -56,7 +47,7 @@ TEST_F(TraceTest, DisabledSpansRecordNothing) {
 }
 
 TEST_F(TraceTest, SpansCloseInnermostFirst) {
-  if (!tracer_available()) GTEST_SKIP() << "tracer compiled out";
+  set_enabled(true);
   const Mark start = mark();
   {
     GNFV_TRACE_SPAN("test/outer");
@@ -78,7 +69,7 @@ TEST_F(TraceTest, SpansCloseInnermostFirst) {
 TEST_F(TraceTest, TimerCounterAccumulatesEvenWithTracingOff) {
   // The phase-breakdown contract benches rely on: an explicit Span with
   // an attached timer feeds the metrics registry whenever metrics are
-  // enabled — including builds where the tracer is compiled out.
+  // enabled, tracing on or off.
   metrics::set_enabled(true);
   metrics::Counter& timer = metrics::counter("test.span_timer_ns");
   {
@@ -91,7 +82,7 @@ TEST_F(TraceTest, TimerCounterAccumulatesEvenWithTracingOff) {
 }
 
 TEST_F(TraceTest, MarkBracketsExactlyTheSliceSinceIt) {
-  if (!tracer_available()) GTEST_SKIP() << "tracer compiled out";
+  set_enabled(true);
   { GNFV_TRACE_SPAN("test/before"); }
   const Mark m = mark();
   { GNFV_TRACE_SPAN("test/slice_a"); }
@@ -111,7 +102,7 @@ TEST_F(TraceTest, InternedNamesAreStableAndDeduplicated) {
 }
 
 TEST_F(TraceTest, WraparoundKeepsNewestAndCountsDropped) {
-  if (!tracer_available()) GTEST_SKIP() << "tracer compiled out";
+  set_enabled(true);
   constexpr std::size_t kCapacity = 32;
   constexpr std::uint64_t kSpans = 100;
   set_thread_capacity(kCapacity);
@@ -134,7 +125,7 @@ TEST_F(TraceTest, WraparoundKeepsNewestAndCountsDropped) {
 }
 
 TEST_F(TraceTest, FuzzedRingMatchesVectorOracle) {
-  if (!tracer_available()) GTEST_SKIP() << "tracer compiled out";
+  set_enabled(true);
   constexpr std::size_t kCapacity = 64;
   set_thread_capacity(kCapacity);
   std::mt19937_64 rng(20260808);
@@ -169,7 +160,7 @@ TEST_F(TraceTest, FuzzedRingMatchesVectorOracle) {
 }
 
 TEST_F(TraceTest, ExportCoversEveryThreadAndValidatesAsPerfetto) {
-  if (!tracer_available()) GTEST_SKIP() << "tracer compiled out";
+  set_enabled(true);
   metrics::set_enabled(true);
   metrics::counter("test.export_counter").add(5);
   { GNFV_TRACE_SPAN("test/main_thread"); }
