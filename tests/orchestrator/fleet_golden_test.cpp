@@ -266,6 +266,23 @@ TEST(FleetGolden, FaultEvalMatchesPinnedHistory) {
   expect_matches_golden("eval_fleet-fault-crash", eval_to_text(report));
 }
 
+TEST(FleetGolden, TrainedEvalMatchesPinnedHistory) {
+  // The full trained roster on the perfbench trained-smoke shape (static
+  // membership: one (node, chain count) key per model, 3 chains on one
+  // node, so the DDPG networks are 12 -> {64, 64} -> 15 at batch 64).
+  // 48 episodes of 4 steps give each GreenNFV policy about 65 DDPG train
+  // steps past the 128-transition warm-up: the GEMM kernels, backprop and
+  // Adam all shape these bits.
+  scenario::ScenarioSpec spec = scenario::preset("fleet-smoke");
+  spec.fleet.arrival_rate = 0.0;
+  spec.episodes = 48;
+  spec.q_episodes = 48;
+  spec.candidates = 1;
+  FleetOrchestrator orchestrator(spec);
+  const FleetReport report = orchestrator.run(scenario::default_roster(spec));
+  expect_matches_golden("eval_fleet-smoke-trained", eval_to_text(report));
+}
+
 /// A static deployment (fleet.enabled=0) with the roster it is run under.
 struct StaticCell {
   std::string name;
