@@ -2,17 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 /// Units for the batched GEMM kernel set against naive triple loops. The
 /// naive references accumulate the reduction index in increasing order —
-/// the same order the blocked kernels guarantee — so comparisons are exact
-/// (EXPECT_DOUBLE_EQ), not approximate. Shapes deliberately include
-/// non-square and non-multiple-of-block cases (the row block is 8).
+/// the same order the blocked kernels guarantee — so comparisons are exact:
+/// IEEE-754 bit patterns, not EXPECT_DOUBLE_EQ's four-ULP window. Shapes
+/// include non-square cases, ragged ones around the kMR = 4 by kNR = 16
+/// register tile, and the shapes the roster trains (batch 64, widths 1 to
+/// 64).
 
 namespace greennfv::rl {
 namespace {
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   Matrix m(rows, cols);
@@ -54,23 +61,39 @@ Matrix naive_gemm_nt(const Matrix& a, const Matrix& b,
   return c;
 }
 
+/// Zeroes every third element of `a`, the way ReLU zeroes activations
+/// and their gradients: exact zeros the kernels must multiply through.
+void sprinkle_zeros(Matrix& a) {
+  auto flat = a.flat();
+  for (std::size_t e = 0; e < flat.size(); e += 3) flat[e] = 0.0;
+}
+
 void expect_equal(const Matrix& got, const Matrix& want) {
   ASSERT_EQ(got.rows(), want.rows());
   ASSERT_EQ(got.cols(), want.cols());
   for (std::size_t i = 0; i < got.rows(); ++i)
     for (std::size_t j = 0; j < got.cols(); ++j)
-      EXPECT_DOUBLE_EQ(got(i, j), want(i, j)) << "at (" << i << "," << j
-                                              << ")";
+      ASSERT_EQ(bits(got(i, j)), bits(want(i, j)))
+          << "at (" << i << "," << j << "): " << got(i, j) << " vs "
+          << want(i, j);
 }
 
 struct Shape {
   std::size_t m, k, n;
 };
 
-// 1x1, tiny, block-aligned, and ragged (non-multiple-of-8) shapes.
+// 1x1, tiny, tile-aligned, and ragged (rows not a multiple of 4, columns
+// not a multiple of 16) shapes.
 const Shape kShapes[] = {{1, 1, 1},   {3, 5, 7},   {8, 8, 8},
                          {16, 8, 24}, {17, 23, 9}, {13, 64, 5},
                          {64, 37, 41}, {9, 300, 11}};
+
+// The layer widths the roster's networks have at batch 64: the critic's
+// scalar head (1), state and action widths for 1 to 3 chains (4·c and 5·c),
+// the 3-chain critic input (27) and the hidden width (64).
+const std::size_t kRosterWidths[] = {1, 5, 10, 12, 15, 27, 64};
+constexpr std::size_t kBatch = 64;
+constexpr std::size_t kHidden = 64;
 
 TEST(Gemm, MatchesNaiveAcrossShapes) {
   Rng rng(11);
@@ -98,7 +121,8 @@ TEST(Gemm, AccumulateAddsOntoExisting) {
     for (std::size_t j = 0; j < c.cols(); ++j) {
       double acc = c(i, j);
       for (std::size_t k = 0; k < a.cols(); ++k) acc += a(i, k) * b(k, j);
-      EXPECT_DOUBLE_EQ(twice(i, j), acc);
+      EXPECT_EQ(bits(twice(i, j)), bits(acc)) << "at (" << i << "," << j
+                                              << ")";
     }
 }
 
@@ -115,6 +139,35 @@ TEST(Gemm, SkipsZeroRowsWithoutChangingResult) {
   expect_equal(c, naive_gemm(a, b));
 }
 
+TEST(Gemm, RosterShapesMatchNaive) {
+  // Backprop's dX = dY·W at batch 64: a width-w layer's delta into the
+  // hidden layer, and a hidden delta into a width-w input.
+  Rng rng(14);
+  for (const std::size_t w : kRosterWidths) {
+    SCOPED_TRACE(w);
+    for (const Shape sh :
+         {Shape{kBatch, w, kHidden}, Shape{kBatch, kHidden, w}}) {
+      const Matrix a = random_matrix(sh.m, sh.k, rng);
+      const Matrix b = random_matrix(sh.k, sh.n, rng);
+      Matrix c(sh.m, sh.n);
+      gemm(a, b, c);
+      expect_equal(c, naive_gemm(a, b));
+    }
+  }
+}
+
+TEST(Gemm, ZerosInAOnRaggedTilesMatchNaive) {
+  Rng rng(15);
+  for (const Shape& sh : kShapes) {
+    Matrix a = random_matrix(sh.m, sh.k, rng);
+    sprinkle_zeros(a);
+    const Matrix b = random_matrix(sh.k, sh.n, rng);
+    Matrix c(sh.m, sh.n);
+    gemm(a, b, c);
+    expect_equal(c, naive_gemm(a, b));
+  }
+}
+
 TEST(GemmTn, MatchesNaiveAcrossShapes) {
   Rng rng(21);
   for (const Shape& sh : kShapes) {
@@ -124,6 +177,24 @@ TEST(GemmTn, MatchesNaiveAcrossShapes) {
     Matrix c(sh.m, sh.n);
     gemm_tn(a, b, c);
     expect_equal(c, naive_gemm_tn(a, b));
+  }
+}
+
+TEST(GemmTn, RosterShapesMatchNaive) {
+  // The weight gradient dW = dYᵀ·X at batch 64: m = w covers the critic
+  // head (m = 1) and the 3-chain actor head (m = 15); n = w covers the
+  // input layers.
+  Rng rng(23);
+  for (const std::size_t w : kRosterWidths) {
+    SCOPED_TRACE(w);
+    for (const auto& [m, n] : {std::pair{w, kHidden}, std::pair{kHidden, w}}) {
+      Matrix a = random_matrix(kBatch, m, rng);
+      sprinkle_zeros(a);
+      const Matrix b = random_matrix(kBatch, n, rng);
+      Matrix c(m, n);
+      gemm_tn(a, b, c);
+      expect_equal(c, naive_gemm_tn(a, b));
+    }
   }
 }
 
@@ -143,9 +214,7 @@ TEST(GemmTn, AccumulateMatchesPerSampleOuterProducts) {
   for (std::size_t s = 0; s < batch; ++s)
     accumulate_outer(dw_reference, dy.row(s), x.row(s));
 
-  for (std::size_t i = 0; i < out; ++i)
-    for (std::size_t j = 0; j < in; ++j)
-      EXPECT_DOUBLE_EQ(dw_batched(i, j), dw_reference(i, j));
+  expect_equal(dw_batched, dw_reference);
 }
 
 TEST(GemmNt, MatchesNaiveAcrossShapes) {
@@ -157,6 +226,26 @@ TEST(GemmNt, MatchesNaiveAcrossShapes) {
     Matrix c(sh.m, sh.n);
     gemm_nt(a, b, c);
     expect_equal(c, naive_gemm_nt(a, b, {}));
+  }
+}
+
+TEST(GemmNt, RosterShapesMatchNaive) {
+  // The batched forward Y = X·Wᵀ + b at batch 64: a width-w input into the
+  // hidden layer, and the hidden layer into a width-w head.
+  Rng rng(34);
+  for (const std::size_t w : kRosterWidths) {
+    SCOPED_TRACE(w);
+    for (const Shape sh :
+         {Shape{kBatch, w, kHidden}, Shape{kBatch, kHidden, w}}) {
+      Matrix a = random_matrix(sh.m, sh.k, rng);
+      sprinkle_zeros(a);
+      const Matrix b = random_matrix(sh.n, sh.k, rng);
+      std::vector<double> bias(sh.n);
+      for (double& v : bias) v = rng.uniform(-1.0, 1.0);
+      Matrix c(sh.m, sh.n);
+      gemm_nt(a, b, c, bias);
+      expect_equal(c, naive_gemm_nt(a, b, bias));
+    }
   }
 }
 
@@ -188,7 +277,8 @@ TEST(GemmNt, MatchesMatvecBitForBit) {
   for (std::size_t s = 0; s < batch; ++s) {
     matvec(w, x.row(s), bias, y_row);
     for (std::size_t j = 0; j < out; ++j)
-      EXPECT_DOUBLE_EQ(y(s, j), y_row[j]);
+      EXPECT_EQ(bits(y(s, j)), bits(y_row[j])) << "at (" << s << "," << j
+                                               << ")";
   }
 }
 
@@ -200,7 +290,7 @@ TEST(ColSums, AccumulatesRowsInOrder) {
 
   std::vector<double> want(6, 0.5);
   for (std::size_t i = 0; i < a.rows(); ++i) axpy(1.0, a.row(i), want);
-  for (std::size_t j = 0; j < 6; ++j) EXPECT_DOUBLE_EQ(got[j], want[j]);
+  for (std::size_t j = 0; j < 6; ++j) EXPECT_EQ(bits(got[j]), bits(want[j]));
 }
 
 TEST(MatrixResize, ReshapesWithoutLosingCapacity) {

@@ -2,16 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 /// Batched Mlp entry points versus the per-sample reference: forward_batch
 /// must reproduce row-wise forward() exactly, and backward_batch must
 /// accumulate the same minibatch gradients and input gradients as N
-/// per-sample backward() calls in batch order.
+/// per-sample backward() calls in batch order. "Exactly" means equal
+/// IEEE-754 bit patterns, not EXPECT_DOUBLE_EQ's four-ULP window.
 
 namespace greennfv::rl {
 namespace {
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 std::vector<LayerSpec> tanh_net() {
   return {{13, Activation::kRelu},
@@ -38,7 +43,7 @@ TEST(MlpBatch, ForwardMatchesPerSampleRows) {
   for (std::size_t i = 0; i < x.rows(); ++i) {
     const std::vector<double> yi = net.forward(x.row(i));
     for (std::size_t j = 0; j < yi.size(); ++j)
-      EXPECT_DOUBLE_EQ(y(i, j), yi[j]);
+      EXPECT_EQ(bits(y(i, j)), bits(yi[j]));
   }
 }
 
@@ -50,8 +55,8 @@ TEST(MlpBatch, ForwardIntoMatchesForward) {
   std::vector<double> out(2);
   net.forward_into(x, ws, out);
   const std::vector<double> want = net.forward(x);
-  EXPECT_DOUBLE_EQ(out[0], want[0]);
-  EXPECT_DOUBLE_EQ(out[1], want[1]);
+  EXPECT_EQ(bits(out[0]), bits(want[0]));
+  EXPECT_EQ(bits(out[1]), bits(want[1]));
 }
 
 TEST(MlpBatch, BackwardMatchesPerSampleAccumulation) {
@@ -81,16 +86,17 @@ TEST(MlpBatch, BackwardMatchesPerSampleAccumulation) {
 
   for (std::size_t l = 0; l < batched.dw.size(); ++l) {
     for (std::size_t e = 0; e < batched.dw[l].size(); ++e)
-      EXPECT_DOUBLE_EQ(batched.dw[l].flat()[e], reference.dw[l].flat()[e])
+      EXPECT_EQ(bits(batched.dw[l].flat()[e]),
+                bits(reference.dw[l].flat()[e]))
           << "dw layer " << l;
     for (std::size_t e = 0; e < batched.db[l].size(); ++e)
-      EXPECT_DOUBLE_EQ(batched.db[l][e], reference.db[l][e])
+      EXPECT_EQ(bits(batched.db[l][e]), bits(reference.db[l][e]))
           << "db layer " << l;
   }
   ASSERT_EQ(dx.rows(), n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t d = 0; d < 6u; ++d)
-      EXPECT_DOUBLE_EQ(dx(i, d), dx_reference(i, d));
+      EXPECT_EQ(bits(dx(i, d)), bits(dx_reference(i, d)));
 }
 
 TEST(MlpBatch, SingleLayerNetwork) {
@@ -115,7 +121,7 @@ TEST(MlpBatch, SingleLayerNetwork) {
     (void)net.backward(dy.row(i), sws, ref);
   }
   for (std::size_t e = 0; e < grads.dw[0].size(); ++e)
-    EXPECT_DOUBLE_EQ(grads.dw[0].flat()[e], ref.dw[0].flat()[e]);
+    EXPECT_EQ(bits(grads.dw[0].flat()[e]), bits(ref.dw[0].flat()[e]));
 }
 
 TEST(MlpBatch, WorkspaceReusableAcrossBatchSizes) {
@@ -132,7 +138,7 @@ TEST(MlpBatch, WorkspaceReusableAcrossBatchSizes) {
   for (std::size_t i = 0; i < 3u; ++i) {
     const std::vector<double> yi = net.forward(x.row(i));
     for (std::size_t j = 0; j < yi.size(); ++j)
-      EXPECT_DOUBLE_EQ(y(i, j), yi[j]);
+      EXPECT_EQ(bits(y(i, j)), bits(yi[j]));
   }
 }
 
