@@ -58,7 +58,6 @@ DdpgAgent::DdpgAgent(DdpgConfig config, std::uint64_t seed)
   target_critic_.copy_from(critic_);
   critic_grads_ = critic_.make_gradients();
   actor_grads_ = actor_.make_gradients();
-  critic_scratch_ = critic_.make_gradients();
 }
 
 std::vector<double> DdpgAgent::act(std::span<const double> state) const {
@@ -194,11 +193,11 @@ const TrainStats& DdpgAgent::train_step(ReplayInterface& replay, Rng& rng) {
       dq_(i, 0) = td * batch_.weights[i] * inv_n;
     }
     stats_.critic_loss = critic_loss * inv_n;
-    (void)critic_.backward_batch(dq_, critic_ws_, critic_grads_);
+    critic_.backward_batch(dq_, critic_ws_, critic_grads_);
     critic_opt_.step(critic_, critic_grads_);
   }
 
-  // --- pass 4: actor fwd+bwd via the critic's ∂Q/∂a slice (lines 7-8) -------
+  // --- pass 4: actor fwd+bwd via the critic's ∂Q/∂a (lines 7-8) -------------
   {
     const telemetry::trace::Span actor_span("rl/actor_update", &t_actor);
     const Matrix& policy_actions = actor_.forward_batch(actor_ws_);
@@ -213,13 +212,12 @@ const TrainStats& DdpgAgent::train_step(ReplayInterface& replay, Rng& rng) {
     double objective = 0.0;
     for (std::size_t i = 0; i < n; ++i) objective += q_policy(i, 0);
     stats_.actor_objective = objective * inv_n;
-    const Matrix& input_grad =
-        critic_.backward_batch(ones_, critic_pol_ws_, critic_scratch_);
+    const Matrix& input_grad = critic_.input_grad_batch(ones_, critic_pol_ws_);
     // Gradient *ascent* on Q -> descend on -Q.
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t d = 0; d < a; ++d)
         dq_da_(i, d) = -input_grad(i, s + d) * inv_n;
-    (void)actor_.backward_batch(dq_da_, actor_ws_, actor_grads_);
+    actor_.backward_batch(dq_da_, actor_ws_, actor_grads_);
     actor_opt_.step(actor_, actor_grads_);
   }
 
@@ -316,12 +314,6 @@ std::vector<double> DdpgAgent::actor_parameters() const {
 
 void DdpgAgent::set_actor_parameters(std::span<const double> params) {
   actor_.set_parameters(params);
-}
-
-void DdpgAgent::scale_learning_rates(double factor) {
-  GNFV_REQUIRE(factor > 0.0, "scale_learning_rates: factor must be > 0");
-  actor_opt_.set_learning_rate(actor_opt_.learning_rate() * factor);
-  critic_opt_.set_learning_rate(critic_opt_.learning_rate() * factor);
 }
 
 void DdpgAgent::save_actor(const std::string& path) const {

@@ -73,9 +73,11 @@ class DdpgAgent {
 
   /// One minibatch update from `replay` (critic + actor + target sync),
   /// executed as four batched GEMM passes (target-actor, target-critic,
-  /// critic fwd+bwd, actor fwd+bwd chained through the critic's ∂Q/∂a
-  /// slice) over transitions gathered straight into reusable batch
-  /// matrices — zero allocations after the first call. Returns stats incl.
+  /// critic forward + parameter gradients, actor forward + the critic's
+  /// input gradient ∂Q/∂a + actor parameter gradients) over transitions
+  /// gathered straight into reusable batch matrices — no gradient is
+  /// computed that the update does not read, and there are zero
+  /// allocations after the first call. Returns stats incl.
   /// per-sample TD errors (a reference to persistent storage, valid until
   /// the next train step), which the caller pushes back into prioritized
   /// replay.
@@ -102,10 +104,6 @@ class DdpgAgent {
 
   [[nodiscard]] std::int64_t train_steps() const { return train_steps_; }
 
-  /// Multiplies both optimizers' learning rates (annealing for late-stage
-  /// fine-tuning; DDPG is prone to late-training policy drift otherwise).
-  void scale_learning_rates(double factor);
-
  private:
   DdpgConfig config_;
   Rng init_rng_;
@@ -129,7 +127,6 @@ class DdpgAgent {
   Mlp::BatchWorkspace actor_ws_;
   Mlp::Gradients critic_grads_;
   Mlp::Gradients actor_grads_;
-  Mlp::Gradients critic_scratch_;       ///< discarded ∂Q/∂θ of the actor pass
   std::vector<double> y_;               ///< TD targets
   Matrix dq_;                           ///< batch×1 critic loss gradient
   Matrix ones_;                         ///< batch×1, dQ seed for ∂Q/∂a

@@ -179,19 +179,28 @@ std::vector<double> Mlp::backward(std::span<const double> output_grad,
   return delta;  // dL/d(input)
 }
 
-const Matrix& Mlp::backward_batch(const Matrix& output_grad,
-                                  BatchWorkspace& ws,
-                                  Gradients& grads) const {
+void Mlp::backward_batch(const Matrix& output_grad, BatchWorkspace& ws,
+                         Gradients& grads) const {
+  GNFV_REQUIRE(grads.dw.size() == weights_.size(),
+               "Mlp::backward_batch: gradient shape");
+  backward_sweep(output_grad, ws, &grads);
+}
+
+const Matrix& Mlp::input_grad_batch(const Matrix& output_grad,
+                                    BatchWorkspace& ws) const {
+  backward_sweep(output_grad, ws, nullptr);
+  return ws.dx;
+}
+
+void Mlp::backward_sweep(const Matrix& output_grad, BatchWorkspace& ws,
+                         Gradients* grads) const {
   const std::size_t n = ws.input.rows();
   GNFV_REQUIRE(output_grad.rows() == n &&
                    output_grad.cols() == output_dim(),
                "Mlp::backward_batch: dY shape");
   GNFV_REQUIRE(ws.pre.size() == weights_.size(),
                "Mlp::backward_batch: stale workspace");
-  GNFV_REQUIRE(grads.dw.size() == weights_.size(),
-               "Mlp::backward_batch: gradient shape");
   ws.delta.resize(weights_.size());
-  ws.dx.resize(n, input_dim_);
 
   for (std::size_t li = weights_.size(); li-- > 0;) {
     Matrix& delta = ws.delta[li];
@@ -206,17 +215,20 @@ const Matrix& Mlp::backward_batch(const Matrix& output_grad,
       for (std::size_t u = 0; u < d.size(); ++u)
         d[u] *= activation_grad(activations_[li], pre[u], post[u]);
     }
-    const Matrix& layer_input = li == 0 ? ws.input : ws.post[li - 1];
-    gemm_tn(delta, layer_input, grads.dw[li], /*accumulate=*/false);
-    std::vector<double>& db = grads.db[li];
-    db.assign(db.size(), 0.0);
-    add_col_sums(delta, db);
-
+    if (grads != nullptr) {
+      const Matrix& layer_input = li == 0 ? ws.input : ws.post[li - 1];
+      gemm_tn(delta, layer_input, grads->dw[li], /*accumulate=*/false);
+      std::vector<double>& db = grads->db[li];
+      db.assign(db.size(), 0.0);
+      add_col_sums(delta, db);
+    }
+    // dL/d(post[li-1]) for the layer below; at layer 0 this is dL/dX,
+    // which only the input-gradient sweep wants.
+    if (li == 0 && grads != nullptr) break;
     Matrix& downstream = li == 0 ? ws.dx : ws.delta[li - 1];
     downstream.resize(n, weights_[li].cols());
     gemm(delta, weights_[li], downstream);
   }
-  return ws.dx;
 }
 
 Mlp::Gradients Mlp::make_gradients() const {

@@ -52,15 +52,16 @@ class Mlp {
 
   /// Minibatch-granularity workspace: one row per sample. `input` doubles
   /// as the staging buffer — callers gather sampled transitions straight
-  /// into it, then run forward_batch/backward_batch. All matrices are
-  /// resized on first use and reused thereafter, so the batched hot path
-  /// performs zero allocations once shapes stabilize.
+  /// into it, then run forward_batch and backward_batch or
+  /// input_grad_batch. All matrices are resized on first use and reused
+  /// thereafter, so the batched hot path performs zero allocations once
+  /// shapes stabilize.
   struct BatchWorkspace {
     Matrix input;               ///< batch × input_dim
     std::vector<Matrix> pre;    ///< batch × units[l]
     std::vector<Matrix> post;   ///< batch × units[l]
     std::vector<Matrix> delta;  ///< backward scratch, batch × units[l]
-    Matrix dx;                  ///< batch × input_dim (dL/dX)
+    Matrix dx;                  ///< batch × input_dim (input_grad_batch)
   };
 
   /// Builds the network. Hidden layers get Xavier init; the output layer
@@ -107,11 +108,18 @@ class Mlp {
   /// in `ws`, overwriting `grads` with the minibatch-summed parameter
   /// gradients (no pre-zeroing needed — each element's sum starts at 0 and
   /// accumulates the batch in order, exactly as zeroed-then-accumulated
-  /// per-sample backward() calls would). Returns dL/dX (batch ×
-  /// input_dim) — a reference to ws.dx. Gradient buffers and workspace
-  /// scratch persist across steps: zero steady-state allocations.
-  const Matrix& backward_batch(const Matrix& output_grad, BatchWorkspace& ws,
-                               Gradients& grads) const;
+  /// per-sample backward() calls would). Computes no dL/dX: that is
+  /// input_grad_batch. Gradient buffers and workspace scratch persist
+  /// across steps: zero steady-state allocations.
+  void backward_batch(const Matrix& output_grad, BatchWorkspace& ws,
+                      Gradients& grads) const;
+
+  /// Batched dL/dX (batch × input_dim) for dY through the pass recorded in
+  /// `ws`, and no parameter gradients — what DDPG's actor update needs
+  /// from the critic. Each row equals per-sample backward()'s return value
+  /// bit for bit. Returns a reference to ws.dx.
+  const Matrix& input_grad_batch(const Matrix& output_grad,
+                                 BatchWorkspace& ws) const;
 
   [[nodiscard]] Gradients make_gradients() const;
 
@@ -143,6 +151,11 @@ class Mlp {
   /// against.
   void run_forward(std::span<const double> input, Workspace& ws,
                    bool fast) const;
+  /// The batched backward sweep, top layer down. With `grads` it fills
+  /// the parameter gradients and stops propagating at layer 0; without, it
+  /// computes only the deltas that lead to ws.dx.
+  void backward_sweep(const Matrix& output_grad, BatchWorkspace& ws,
+                      Gradients* grads) const;
 };
 
 /// Adam (Kingma & Ba) with per-parameter first/second moments.
@@ -155,8 +168,6 @@ class AdamOptimizer {
   /// gradient-descent direction) to `model`.
   void step(Mlp& model, const Mlp::Gradients& grads);
 
-  [[nodiscard]] double learning_rate() const { return lr_; }
-  void set_learning_rate(double lr) { lr_ = lr; }
   [[nodiscard]] std::int64_t steps_taken() const { return t_; }
 
  private:

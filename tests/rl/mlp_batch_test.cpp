@@ -8,10 +8,11 @@
 #include <vector>
 
 /// Batched Mlp entry points versus the per-sample reference: forward_batch
-/// must reproduce row-wise forward() exactly, and backward_batch must
-/// accumulate the same minibatch gradients and input gradients as N
-/// per-sample backward() calls in batch order. "Exactly" means equal
-/// IEEE-754 bit patterns, not EXPECT_DOUBLE_EQ's four-ULP window.
+/// must reproduce row-wise forward() exactly, backward_batch must
+/// accumulate the same minibatch gradients, and input_grad_batch the same
+/// input gradients, as N per-sample backward() calls in batch order.
+/// "Exactly" means equal IEEE-754 bit patterns, not EXPECT_DOUBLE_EQ's
+/// four-ULP window.
 
 namespace greennfv::rl {
 namespace {
@@ -71,7 +72,8 @@ TEST(MlpBatch, BackwardMatchesPerSampleAccumulation) {
   (void)net.forward_batch(x, bws);
   Mlp::Gradients batched = net.make_gradients();
   batched.zero();
-  const Matrix& dx = net.backward_batch(dy, bws, batched);
+  net.backward_batch(dy, bws, batched);
+  const Matrix& dx = net.input_grad_batch(dy, bws);
 
   // Per-sample reference in the same batch order.
   Mlp::Workspace ws;
@@ -109,16 +111,19 @@ TEST(MlpBatch, SingleLayerNetwork) {
   (void)net.forward_batch(x, ws);
   Mlp::Gradients grads = net.make_gradients();
   grads.zero();
-  const Matrix& dx = net.backward_batch(dy, ws, grads);
-  EXPECT_EQ(dx.rows(), 5u);
-  EXPECT_EQ(dx.cols(), 3u);
+  net.backward_batch(dy, ws, grads);
+  const Matrix& dx = net.input_grad_batch(dy, ws);
+  ASSERT_EQ(dx.rows(), 5u);
+  ASSERT_EQ(dx.cols(), 3u);
 
   Mlp::Workspace sws;
   Mlp::Gradients ref = net.make_gradients();
   ref.zero();
   for (std::size_t i = 0; i < 5u; ++i) {
     (void)net.forward(x.row(i), sws);
-    (void)net.backward(dy.row(i), sws, ref);
+    const std::vector<double> dxi = net.backward(dy.row(i), sws, ref);
+    for (std::size_t d = 0; d < dxi.size(); ++d)
+      EXPECT_EQ(bits(dx(i, d)), bits(dxi[d]));
   }
   for (std::size_t e = 0; e < grads.dw[0].size(); ++e)
     EXPECT_EQ(bits(grads.dw[0].flat()[e]), bits(ref.dw[0].flat()[e]));
