@@ -1,6 +1,8 @@
 #include "rl/tensor.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "telemetry/metrics.hpp"
 
@@ -118,76 +120,94 @@ namespace {
 /// Register-tile geometry for the shared GEMM core: kMR×kNR output
 /// elements accumulate in registers while the reduction streams past, so
 /// the adds form kMR·kNR independent chains (latency hidden) and the kNR
-/// axis vectorizes — SIMD across *outputs*, never across the reduction,
-/// which keeps every element's k-order fixed.
+/// axis is SIMD — across *outputs*, never across the reduction, which keeps
+/// every element's k-order fixed.
 constexpr std::size_t kMR = 4;
 constexpr std::size_t kNR = 16;
 
-/// Packs a kMR-row slab of A reduction-major: pan[t·kMR + ii] = a(ii, t),
-/// where a(ii, t) = ap[ii·si + t·st]. One O(kMR·k) pass per slab makes the
-/// micro-kernel's four per-t loads contiguous — the layout the compiler
-/// turns into a single vector load + broadcasts — for both the normal
-/// (si=k, st=1) and transposed (si=1, st=m) left operands.
+/// The micro-kernel's vector: the widest double vector the compile target
+/// has, as a GCC/Clang vector type (no intrinsics, no runtime dispatch).
+/// The lane count only decides how many outputs one instruction updates,
+/// never an output's sequence of IEEE ops, so every width gives the same
+/// bits.
+#if defined(__AVX512F__)
+constexpr std::size_t kLanes = 8;
+#elif defined(__AVX__)
+constexpr std::size_t kLanes = 4;
+#else
+constexpr std::size_t kLanes = 2;
+#endif
+constexpr std::size_t kVecs = kNR / kLanes;  // vectors per tile row
+using Vec = double __attribute__((vector_size(kLanes * sizeof(double))));
+
+inline Vec load(const double* p) {
+  Vec v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store(double* p, Vec v) { std::memcpy(p, &v, sizeof v); }
+
+/// Packs an mr-row slab of A (mr ≤ kMR) reduction-major: pan[t·kMR + ii] =
+/// a(ii, t), where a(ii, t) = ap[ii·si + t·st], with rows mr..kMR zero. One
+/// O(kMR·k) pass per slab makes the micro-kernel's per-t loads contiguous
+/// for both the normal (si=k, st=1) and transposed (si=1, st=m) left
+/// operands; the zero rows let a ragged slab run the same kernel (they
+/// feed only outputs that are never stored).
 inline void pack_a_panel(const double* ap, std::size_t si, std::size_t st,
-                         std::size_t kk, double* pan) {
+                         std::size_t mr, std::size_t kk, double* pan) {
   for (std::size_t t = 0; t < kk; ++t)
     for (std::size_t ii = 0; ii < kMR; ++ii)
-      pan[t * kMR + ii] = ap[ii * si + t * st];
+      pan[t * kMR + ii] = ii < mr ? ap[ii * si + t * st] : 0.0;
 }
 
-/// The micro-kernel: a kMR×kNR block of C accumulates in registers while
-/// the packed A panel and B stream past. The four accumulator rows are
-/// separate fixed-size arrays (not one 2-D array) so the compiler reliably
-/// keeps each in vector registers. C carries the accumulator seed (bias /
-/// zero / running sum), which keeps this body branch-free — variants that
-/// seeded the registers directly measurably pessimized the codegen.
+/// Copies an nr-column strip of B (nr < kNR, kk rows, leading dimension
+/// ldb) into a kk×kNR strip whose columns nr..kNR are zero.
+inline void pack_b_strip(const double* bp, std::size_t ldb, std::size_t nr,
+                         std::size_t kk, double* strip) {
+  for (std::size_t t = 0; t < kk; ++t)
+    for (std::size_t jj = 0; jj < kNR; ++jj)
+      strip[t * kNR + jj] = jj < nr ? bp[t * ldb + jj] : 0.0;
+}
+
+/// The micro-kernel: a kMR×kNR block of C accumulates in vector registers
+/// while the packed A panel and B stream past. C carries the accumulator
+/// seed (bias / zero / running sum), and every product is added, exact
+/// zeros in A included — each element sees the naive triple loop's ops.
 inline void tile_4x16(const double* pan, const double* bp, std::size_t ldb,
                       double* cp, std::size_t ldc, std::size_t kk) {
-  double* c0 = cp;
-  double* c1 = cp + ldc;
-  double* c2 = cp + 2 * ldc;
-  double* c3 = cp + 3 * ldc;
-  double x0[kNR], x1[kNR], x2[kNR], x3[kNR];
-  for (std::size_t jj = 0; jj < kNR; ++jj) {
-    x0[jj] = c0[jj];
-    x1[jj] = c1[jj];
-    x2[jj] = c2[jj];
-    x3[jj] = c3[jj];
-  }
+  Vec acc[kMR][kVecs];
+  for (std::size_t ii = 0; ii < kMR; ++ii)
+    for (std::size_t v = 0; v < kVecs; ++v)
+      acc[ii][v] = load(cp + ii * ldc + v * kLanes);
   for (std::size_t t = 0; t < kk; ++t) {
-    const double* brow = bp + t * ldb;
-    const double* av = pan + t * kMR;
-    const double v0 = av[0];
-    const double v1 = av[1];
-    const double v2 = av[2];
-    const double v3 = av[3];
-    for (std::size_t jj = 0; jj < kNR; ++jj) x0[jj] += v0 * brow[jj];
-    for (std::size_t jj = 0; jj < kNR; ++jj) x1[jj] += v1 * brow[jj];
-    for (std::size_t jj = 0; jj < kNR; ++jj) x2[jj] += v2 * brow[jj];
-    for (std::size_t jj = 0; jj < kNR; ++jj) x3[jj] += v3 * brow[jj];
-  }
-  for (std::size_t jj = 0; jj < kNR; ++jj) {
-    c0[jj] = x0[jj];
-    c1[jj] = x1[jj];
-    c2[jj] = x2[jj];
-    c3[jj] = x3[jj];
-  }
-}
-
-/// Edge tiles (mr < kMR or nr < kNR): plain loops, same per-element order.
-inline void edge_update(const double* ap, std::size_t si, std::size_t st,
-                        const double* bp, std::size_t ldb, double* cp,
-                        std::size_t ldc, std::size_t mr, std::size_t nr,
-                        std::size_t kk) {
-  for (std::size_t t = 0; t < kk; ++t) {
-    const double* brow = bp + t * ldb;
-    for (std::size_t ii = 0; ii < mr; ++ii) {
-      const double av = ap[ii * si + t * st];
-      if (av == 0.0) continue;
-      double* crow = cp + ii * ldc;
-      for (std::size_t jj = 0; jj < nr; ++jj) crow[jj] += av * brow[jj];
+    Vec b[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v)
+      b[v] = load(bp + t * ldb + v * kLanes);
+    for (std::size_t ii = 0; ii < kMR; ++ii) {
+      const double a = pan[t * kMR + ii];
+      for (std::size_t v = 0; v < kVecs; ++v) acc[ii][v] += a * b[v];
     }
   }
+  for (std::size_t ii = 0; ii < kMR; ++ii)
+    for (std::size_t v = 0; v < kVecs; ++v)
+      store(cp + ii * ldc + v * kLanes, acc[ii][v]);
+}
+
+/// A ragged mr×nr corner of C (mr ≤ kMR, nr ≤ kNR) through the same
+/// micro-kernel: staged in a zero-padded stack tile, so the kernel never
+/// reads or writes C out of bounds.
+inline void tile_staged(const double* pan, const double* bp, std::size_t ldb,
+                        double* cp, std::size_t ldc, std::size_t mr,
+                        std::size_t nr, std::size_t kk) {
+  alignas(64) double tile[kMR * kNR] = {};
+  for (std::size_t ii = 0; ii < mr; ++ii)
+    for (std::size_t jj = 0; jj < nr; ++jj)
+      tile[ii * kNR + jj] = cp[ii * ldc + jj];
+  tile_4x16(pan, bp, ldb, tile, kNR, kk);
+  for (std::size_t ii = 0; ii < mr; ++ii)
+    for (std::size_t jj = 0; jj < nr; ++jj)
+      cp[ii * ldc + jj] = tile[ii * kNR + jj];
 }
 
 /// C(m×n) += Σ_t a(·, t)·B[t][·] over an already-initialized C (the init
@@ -196,22 +216,30 @@ inline void edge_update(const double* ap, std::size_t si, std::size_t st,
 void gemm_core(const double* ap, std::size_t si, std::size_t st,
                const double* bp, double* cp, std::size_t m, std::size_t n,
                std::size_t kk) {
-  const std::size_t m_main = m - m % kMR;
   const std::size_t n_main = n - n % kNR;
   static thread_local std::vector<double> panel;
+  static thread_local std::vector<double> strip;
   panel.resize(kMR * kk);
-  for (std::size_t i0 = 0; i0 < m_main; i0 += kMR) {
-    pack_a_panel(ap + i0 * si, si, st, kk, panel.data());
-    double* c = cp + i0 * n;
-    for (std::size_t j0 = 0; j0 < n_main; j0 += kNR)
-      tile_4x16(panel.data(), bp + j0, n, c + j0, n, kk);
-    if (n_main < n)
-      edge_update(panel.data(), 1, kMR, bp + n_main, n, c + n_main, n, kMR,
-                  n - n_main, kk);
+  if (n_main < n) {
+    strip.resize(kk * kNR);
+    pack_b_strip(bp + n_main, n, n - n_main, kk, strip.data());
   }
-  if (m_main < m)
-    edge_update(ap + m_main * si, si, st, bp, n, cp + m_main * n, n,
-                m - m_main, n, kk);
+  for (std::size_t i0 = 0; i0 < m; i0 += kMR) {
+    const std::size_t mr = std::min(kMR, m - i0);
+    pack_a_panel(ap + i0 * si, si, st, mr, kk, panel.data());
+    double* c = cp + i0 * n;
+    for (std::size_t j0 = 0; j0 < n_main; j0 += kNR) {
+      if (mr == kMR) {
+        tile_4x16(panel.data(), bp + j0, n, c + j0, n, kk);
+      } else {
+        tile_staged(panel.data(), bp + j0, n, c + j0, n, mr, kNR, kk);
+      }
+    }
+    if (n_main < n) {
+      tile_staged(panel.data(), strip.data(), kNR, c + n_main, n, mr,
+                  n - n_main, kk);
+    }
+  }
 }
 
 }  // namespace

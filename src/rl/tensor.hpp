@@ -16,9 +16,13 @@
 ///
 /// Determinism contract: every GEMM accumulates each output element over
 /// the reduction index k in strictly increasing order — blocking only ever
-/// tiles the non-reduced dimensions. A given seed therefore produces
-/// bit-identical results run to run, and the batched path reproduces the
-/// per-sample reference path's floating-point sums.
+/// tiles the non-reduced dimensions — and adds every product, exact zeros
+/// included, exactly as a naive triple loop does. A given seed therefore
+/// produces bit-identical results run to run, and the batched path
+/// reproduces the per-sample reference path's floating-point sums. The
+/// micro-kernel's vector width follows the compile target, but a lane
+/// only ever holds a different output element, so native and portable
+/// builds produce the same bits.
 
 namespace greennfv::rl {
 
@@ -104,8 +108,7 @@ void accumulate_outer(Matrix& dw, std::span<const double> y_grad,
 
 /// C = A·B (or C += A·B). A: m×k, B: k×n, C: m×n. Backprop's dX = dY·W.
 /// Inner structure streams B rows (contiguous) against register-tiled
-/// blocks of C. (Only the edge tiles skip zero A elements; the branch-free
-/// main tile multiplies them through — same values, ±0 sign aside.)
+/// blocks of C; ragged edge blocks run the same tile, zero-padded.
 void gemm(const Matrix& a, const Matrix& b, Matrix& c,
           bool accumulate = false);
 

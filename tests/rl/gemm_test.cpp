@@ -126,19 +126,6 @@ TEST(Gemm, AccumulateAddsOntoExisting) {
     }
 }
 
-TEST(Gemm, SkipsZeroRowsWithoutChangingResult) {
-  // ReLU backprop produces many exact zeros in A; the kernel's skip must
-  // not change the sum.
-  Rng rng(13);
-  Matrix a = random_matrix(9, 12, rng);
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t k = 0; k < a.cols(); k += 2) a(i, k) = 0.0;
-  const Matrix b = random_matrix(12, 7, rng);
-  Matrix c(9, 7);
-  gemm(a, b, c);
-  expect_equal(c, naive_gemm(a, b));
-}
-
 TEST(Gemm, RosterShapesMatchNaive) {
   // Backprop's dX = dY·W at batch 64: a width-w layer's delta into the
   // hidden layer, and a hidden delta into a width-w input.
@@ -157,6 +144,8 @@ TEST(Gemm, RosterShapesMatchNaive) {
 }
 
 TEST(Gemm, ZerosInAOnRaggedTilesMatchNaive) {
+  // ReLU backprop produces many exact zeros in A. Every tile, ragged ones
+  // included, multiplies them through, as the naive loop does.
   Rng rng(15);
   for (const Shape& sh : kShapes) {
     Matrix a = random_matrix(sh.m, sh.k, rng);
@@ -247,6 +236,23 @@ TEST(GemmNt, RosterShapesMatchNaive) {
       expect_equal(c, naive_gemm_nt(a, b, bias));
     }
   }
+}
+
+TEST(GemmNt, ZeroRowsOverNegativeZeroBiasMatchNaive) {
+  // A -0.0 seed is where multiplying a zero through differs from skipping
+  // it: -0.0 + (+0.0) is +0.0. Rows 1 and 5 of A are zero, in a full and a
+  // ragged row slab, across a full and a ragged column strip.
+  Rng rng(35);
+  Matrix a = random_matrix(6, 10, rng);
+  for (std::size_t k = 0; k < a.cols(); ++k) {
+    a(1, k) = 0.0;
+    a(5, k) = 0.0;
+  }
+  const Matrix b = random_matrix(21, 10, rng);
+  const std::vector<double> bias(21, -0.0);
+  Matrix c(6, 21);
+  gemm_nt(a, b, c, bias);
+  expect_equal(c, naive_gemm_nt(a, b, bias));
 }
 
 TEST(GemmNt, BiasSeedsEveryOutputElement) {
