@@ -80,14 +80,27 @@ void Mlp::apply_activation(Activation act, std::span<double> v) {
   }
 }
 
-double Mlp::activation_grad(Activation act, double pre, double post) {
+void Mlp::scale_by_activation_grad(Activation act, std::span<double> d,
+                                   std::span<const double> pre,
+                                   std::span<const double> post) {
+  // One loop per activation, so each is branch-free and vectorizes (a
+  // per-element switch left ReLU a data-dependent branch).
   switch (act) {
-    case Activation::kLinear:  return 1.0;
-    case Activation::kRelu:    return pre > 0.0 ? 1.0 : 0.0;
-    case Activation::kTanh:    return 1.0 - post * post;
-    case Activation::kSigmoid: return post * (1.0 - post);
+    case Activation::kLinear:
+      return;  // f' = 1
+    case Activation::kRelu:
+      for (std::size_t u = 0; u < d.size(); ++u)
+        d[u] *= pre[u] > 0.0 ? 1.0 : 0.0;
+      return;
+    case Activation::kTanh:
+      for (std::size_t u = 0; u < d.size(); ++u)
+        d[u] *= 1.0 - post[u] * post[u];
+      return;
+    case Activation::kSigmoid:
+      for (std::size_t u = 0; u < d.size(); ++u)
+        d[u] *= post[u] * (1.0 - post[u]);
+      return;
   }
-  return 1.0;
 }
 
 std::vector<double> Mlp::forward(std::span<const double> input) const {
@@ -162,10 +175,8 @@ std::vector<double> Mlp::backward(std::span<const double> output_grad,
   std::vector<double> delta(output_grad.begin(), output_grad.end());
   for (std::size_t li = weights_.size(); li-- > 0;) {
     // delta currently holds dL/d(post[li]); convert to dL/d(pre[li]).
-    for (std::size_t u = 0; u < delta.size(); ++u) {
-      delta[u] *= activation_grad(activations_[li], ws.pre[li][u],
-                                  ws.post[li][u]);
-    }
+    scale_by_activation_grad(activations_[li], delta, ws.pre[li],
+                             ws.post[li]);
     const std::span<const double> layer_input =
         li == 0 ? std::span<const double>(ws.input)
                 : std::span<const double>(ws.post[li - 1]);
@@ -208,13 +219,8 @@ void Mlp::backward_sweep(const Matrix& output_grad, BatchWorkspace& ws,
       delta = output_grad;
     }  // else: filled by the gemm of layer li+1 below.
     // delta holds dL/d(post[li]); convert to dL/d(pre[li]).
-    {
-      auto d = delta.flat();
-      const auto pre = ws.pre[li].flat();
-      const auto post = ws.post[li].flat();
-      for (std::size_t u = 0; u < d.size(); ++u)
-        d[u] *= activation_grad(activations_[li], pre[u], post[u]);
-    }
+    scale_by_activation_grad(activations_[li], delta.flat(),
+                             ws.pre[li].flat(), ws.post[li].flat());
     if (grads != nullptr) {
       const Matrix& layer_input = li == 0 ? ws.input : ws.post[li - 1];
       gemm_tn(delta, layer_input, grads->dw[li], /*accumulate=*/false);

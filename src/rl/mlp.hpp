@@ -144,7 +144,11 @@ class Mlp {
   std::vector<Activation> activations_;
 
   static void apply_activation(Activation act, std::span<double> v);
-  static double activation_grad(Activation act, double pre, double post);
+  /// d ⊙= f'(z) for layer pre-activations `pre` and outputs `post`:
+  /// turns dL/d(post) into dL/d(pre).
+  static void scale_by_activation_grad(Activation act, std::span<double> d,
+                                       std::span<const double> pre,
+                                       std::span<const double> post);
   /// Runs the forward pass into `ws` without materializing a return value.
   /// `fast` selects the ILP-friendly matvec4 kernel (bit-identical output);
   /// the reference training path keeps the plain kernel it is benchmarked
