@@ -1,17 +1,20 @@
 /// RL training microbenchmark: DDPG train_step throughput (batched GEMM
 /// engine vs the per-sample reference path) and actor inference rate at
-/// the paper's network geometry — 6 chains (state 24 / action 30), two
-/// 300-unit hidden layers, batch 64. Writes out/BENCH_train.json with
-/// train_steps/sec, reference_steps/sec, speedup, and actions/sec so the
-/// perf trajectory has an RL data point PR over PR.
+/// the geometry the scheduler roster trains — 3 chains (state 12 / action
+/// 15), two 64-unit hidden layers, batch 64. Writes out/BENCH_train.json
+/// with train_steps/sec, reference_steps/sec, speedup, and actions/sec so
+/// the perf trajectory has an RL data point PR over PR.
 ///
 /// Keys:
-///   chains=6 hidden=300 batch=64    network geometry
-///   steps=400 ref_steps=60          timed train steps per path
+///   chains=3 hidden=64 batch=64     network geometry (chains=6 hidden=300
+///                                   is the paper-scale width; pair it
+///                                   with steps=400 ref_steps=60)
+///   steps=2000 ref_steps=400        timed train steps per path
 ///   actions=20000                   timed actor inference steps
 ///   smoke=0                         1 = CI-sized run (fewer steps)
 ///   baseline=<path>                 compare against a checked-in
-///                                   BENCH_train.json; warns (exit 0) on
+///                                   BENCH_train.json recorded at the same
+///                                   geometry; warns (exit 0) on
 ///                                   >warn_pct% train-throughput regression
 ///   warn_pct=30
 ///
@@ -23,9 +26,11 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/string_util.hpp"
 #include "rl/ddpg.hpp"
 #include "rl/replay.hpp"
 #include "telemetry/metrics.hpp"
@@ -80,11 +85,11 @@ int main(int argc, char** argv) {
   bench::Perf perf("train");
 
   const bool smoke = config.get_bool("smoke", false);
-  const int chains = config.get_int32("chains", 6);
-  const int hidden = config.get_int32("hidden", 300);
+  const int chains = config.get_int32("chains", 3);
+  const int hidden = config.get_int32("hidden", 64);
   const int batch = config.get_int32("batch", 64);
-  const int steps = config.get_int32("steps", smoke ? 60 : 400);
-  const int ref_steps = config.get_int32("ref_steps", smoke ? 12 : 60);
+  const int steps = config.get_int32("steps", smoke ? 300 : 2000);
+  const int ref_steps = config.get_int32("ref_steps", smoke ? 60 : 400);
   const int action_steps = config.get_int32("actions", smoke ? 4000 : 20000);
   const auto seed = static_cast<std::uint64_t>(config.get_int("seed", 42));
 
@@ -190,14 +195,30 @@ int main(int argc, char** argv) {
   // The comparison metric is speedup_vs_reference: both sides of that
   // ratio run on the *current* host in the *current* binary, so it stays
   // meaningful on machines slower or faster than the one that recorded
-  // the baseline. Absolute steps/s are printed for context only.
+  // the baseline. Absolute steps/s are printed for context only. The ratio
+  // grows with the network width, so a baseline recorded at another
+  // geometry says nothing about this run and is not compared.
   const std::string baseline = config.get_string("baseline", "");
   if (!baseline.empty()) {
     const double warn_pct = config.get_double("warn_pct", 30.0);
     const double base_speedup =
         baseline_metric(baseline, "speedup_vs_reference");
     const double base_rate = baseline_metric(baseline, "train_steps_per_sec");
-    if (base_speedup <= 0.0) {
+    std::string mismatch;
+    for (const auto& [key, value] :
+         {std::pair<const char*, double>{"state_dim", ddpg.state_dim},
+          {"action_dim", ddpg.action_dim},
+          {"hidden", hidden},
+          {"batch", batch}}) {
+      const double base = baseline_metric(baseline, key);
+      if (base != value)
+        mismatch += format(" %s %g (run %g)", key, base, value);
+    }
+    if (!mismatch.empty()) {
+      std::printf("[baseline] %s was recorded at another geometry:%s; "
+                  "skipping comparison\n",
+                  baseline.c_str(), mismatch.c_str());
+    } else if (base_speedup <= 0.0) {
       std::printf("[baseline] %s has no speedup_vs_reference; skipping "
                   "comparison\n",
                   baseline.c_str());
