@@ -6,8 +6,10 @@
 #      evaluation path (a static scenario through the fleet orchestrator,
 #      full scheduler roster, tiny budgets) is exercised end to end in the
 #      gate, a 200-node fleet replayed twice in parallel with identical
-#      stdout, and the end-to-end benchmark's self-test
-#      (perfbench/run.py --selftest)
+#      stdout, the end-to-end benchmark's self-test
+#      (perfbench/run.py --selftest), and a portable build of the RL
+#      kernels (GREENNFV_NATIVE_KERNELS=OFF) that must pass the bit-exact
+#      RL suites and reproduce every fleet golden
 #   2. an ASan/UBSan Debug build of the test suite, with the nfvsim suites
 #      (threaded engine, mempool, ring) always run under the sanitizers —
 #      that's where lifetime bugs would land.
@@ -234,6 +236,24 @@ echo "=== [1e] end-to-end benchmark self-test ==="
 # untraced. A non-zero exit fails the gate: the benchmark must keep
 # building and agreeing with the program it measures.
 python3 perfbench/run.py --selftest
+
+echo
+echo "=== [1f] portable RL kernels: native == portable, bit for bit ==="
+# The RL kernel sources build with -march=native by default, where the
+# GEMM micro-kernel runs the host's widest vectors. A portable build runs
+# 2-lane vectors; it must pass the bit-exact RL suites and reproduce every
+# fleet golden, the trained roster's included, byte for byte.
+cmake -B build-portable -S . \
+  -DCMAKE_BUILD_TYPE=Release \
+  -DGREENNFV_SANITIZE=OFF \
+  -DGREENNFV_TSAN=OFF \
+  -DGREENNFV_NATIVE_KERNELS=OFF \
+  -DGREENNFV_BUILD_TESTS=ON \
+  -DGREENNFV_BUILD_BENCH=OFF \
+  -DGREENNFV_BUILD_EXAMPLES=OFF
+cmake --build build-portable -j "$JOBS"
+(cd build-portable && ctest --output-on-failure --no-tests=error -j "$JOBS" \
+  -R '^rl\.|^orchestrator\.FleetGolden\.')
 
 echo
 echo "=== [2/3] sanitizer gate: ASan/UBSan Debug build ==="
