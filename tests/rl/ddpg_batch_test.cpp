@@ -9,11 +9,13 @@
 #include <vector>
 
 #include "rl/per.hpp"
+#include "telemetry/metrics.hpp"
 
 /// The batched GEMM training engine versus the per-sample reference path:
 ///   * numerical equivalence (per-step stats and post-step parameters
 ///     within 1e-9 over >100 steps, uniform and prioritized replay),
 ///   * same-seed bit-identical batched training,
+///   * no GEMM for a gradient the step does not read,
 ///   * zero steady-state heap allocations in train_step and the act path
 ///     (counted by overriding global operator new in this binary).
 
@@ -179,6 +181,28 @@ TEST(DdpgBatchDeterminism, SameSeedBitIdenticalTraining) {
   // Bit-identical parameters (EXPECT_EQ, not NEAR).
   EXPECT_EQ(a.actor().parameters(), b.actor().parameters());
   EXPECT_EQ(a.critic().parameters(), b.critic().parameters());
+}
+
+// --- only the gradients a step reads ---------------------------------------
+
+TEST(DdpgBatchWork, TrainStepComputesNoUnreadGradient) {
+  // Three layers per network: three GEMMs per forward pass (four passes),
+  // five per parameter backward (every layer's dW, dL/dX of the top two
+  // only; critic and actor) and three for the critic's ∂Q/∂a (dL/dX only,
+  // no dW) — 28. Discarded critic gradients and layer-0 dL/dX made 33.
+  const DdpgConfig config = small_config();
+  DdpgAgent agent(config, 3);
+  UniformReplay replay(512);
+  fill_replay(replay, 51, config, 200);
+  Rng rng(53);
+  (void)agent.train_step(replay, rng);
+
+  telemetry::metrics::set_enabled(true);
+  telemetry::metrics::reset();
+  (void)agent.train_step(replay, rng);
+  const double calls = telemetry::metrics::snapshot().value("rl.gemm_calls");
+  telemetry::metrics::set_enabled(false);
+  EXPECT_EQ(calls, 28.0);
 }
 
 // --- zero steady-state allocations ------------------------------------------
