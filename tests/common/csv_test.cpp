@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace greennfv {
 namespace {
@@ -19,7 +20,12 @@ std::string slurp(const std::string& path) {
 class CsvTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = "/tmp/gnfv_csv_test.csv";
+  // One file per test: ctest runs the cases as parallel processes, and a
+  // shared path let one case's TearDown delete another's file.
+  std::string path_ =
+      std::string("/tmp/gnfv_csv_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "rl/ddpg.hpp"
 
@@ -13,7 +14,12 @@ namespace {
 class CheckpointTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = "/tmp/gnfv_checkpoint_test.ckpt";
+  // One file per test: ctest runs the cases as parallel processes, and a
+  // shared path let one case's TearDown delete another's checkpoint.
+  std::string path_ =
+      std::string("/tmp/gnfv_checkpoint_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".ckpt";
 };
 
 TEST_F(CheckpointTest, RoundTripPreservesEverything) {
