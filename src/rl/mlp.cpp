@@ -208,9 +208,9 @@ void Mlp::backward_sweep(const Matrix& output_grad, BatchWorkspace& ws,
   const std::size_t n = ws.input.rows();
   GNFV_REQUIRE(output_grad.rows() == n &&
                    output_grad.cols() == output_dim(),
-               "Mlp::backward_batch: dY shape");
+               "Mlp batched backward: dY shape");
   GNFV_REQUIRE(ws.pre.size() == weights_.size(),
-               "Mlp::backward_batch: stale workspace");
+               "Mlp batched backward: stale workspace");
   ws.delta.resize(weights_.size());
 
   for (std::size_t li = weights_.size(); li-- > 0;) {
