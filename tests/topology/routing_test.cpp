@@ -5,16 +5,21 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 
 // Property/fuzz coverage for the routing core: randomized fabrics, a
-// brute-force DFS oracle for path optimality, and commit/release churn
-// checking the link-commit conservation laws (0 <= committed <= capacity,
-// committed == the sum of active contributions, exactly zero after every
-// chain departs). All accounting is exact integer kbps, so "exactly" is a
-// plain ==, not a tolerance.
+// brute-force DFS oracle for path optimality, an exact-path oracle (the
+// linear-scan router, kept here as a reference) under commit/move/fault
+// churn, and commit/release churn checking the link-commit conservation
+// laws (0 <= committed <= capacity, committed == the sum of active
+// contributions, exactly zero after every chain departs). All accounting
+// is exact integer kbps, so "exactly" is a plain ==, not a tolerance.
 
 namespace greennfv::topology {
 namespace {
@@ -161,6 +166,344 @@ TEST(Routing, WidestMatchesBruteForceOracleOnRandomFabrics) {
       EXPECT_EQ(view.bottleneck_kbps, oracle.best_bneck);
     }
   }
+}
+
+/// The router's per-vertex labels: hop count, bottleneck free kbps and
+/// the link to the parent vertex (-1 = unreached).
+struct ScanLabels {
+  std::vector<int> hops;
+  std::vector<std::int64_t> bneck;
+  std::vector<int> parent;
+};
+
+/// The reference router: a label-setting Dijkstra from the ingress that
+/// finds each next vertex by scanning all of them and settles the best
+/// label in the routing mode's lexicographic order, the lowest vertex id
+/// among equal labels. Links that are down or have less than
+/// `demand_kbps` free are absent. `freed_links` carry `freed_kbps` of
+/// free capacity on top (a chain's own commitment, as try_move
+/// re-routes it). PathTable must settle the same labels and parents.
+ScanLabels scan_route(const Topology& topo, const PathTable& table,
+                      Routing routing, std::int64_t demand_kbps,
+                      const std::vector<int>& freed_links,
+                      std::int64_t freed_kbps) {
+  const auto n = static_cast<std::size_t>(topo.num_vertices());
+  constexpr int kUnreached = std::numeric_limits<int>::max();
+  ScanLabels l{std::vector<int>(n, kUnreached),
+               std::vector<std::int64_t>(n, 0), std::vector<int>(n, -1)};
+  std::vector<char> done(n, 0);
+  const auto src = static_cast<std::size_t>(topo.ingress());
+  l.hops[src] = 0;
+  l.bneck[src] = std::numeric_limits<std::int64_t>::max();
+  auto better = [&](int ha, std::int64_t ba, int hb, std::int64_t bb) {
+    if (routing == Routing::kShortest) {
+      if (ha != hb) return ha < hb;
+      return ba > bb;
+    }
+    if (ba != bb) return ba > bb;
+    return ha < hb;
+  };
+  for (std::size_t round = 0; round < n; ++round) {
+    std::size_t u = n;
+    for (std::size_t v = 0; v < n; ++v) {
+      if (done[v] || l.hops[v] == kUnreached) continue;
+      if (u == n || better(l.hops[v], l.bneck[v], l.hops[u], l.bneck[u])) {
+        u = v;
+      }
+    }
+    if (u == n) break;
+    done[u] = 1;
+    for (const int link : topo.adjacency(static_cast<int>(u))) {
+      if (table.link_failed(link)) continue;
+      std::int64_t used = table.committed_kbps(link);
+      if (std::find(freed_links.begin(), freed_links.end(), link) !=
+          freed_links.end()) {
+        used -= freed_kbps;
+      }
+      const std::int64_t free =
+          topo.links()[static_cast<std::size_t>(link)].capacity_kbps - used;
+      if (free < demand_kbps) continue;
+      const auto v = static_cast<std::size_t>(
+          topo.other_end(link, static_cast<int>(u)));
+      if (done[v]) continue;
+      const int nh = l.hops[u] + 1;
+      const std::int64_t nb = std::min(l.bneck[u], free);
+      if (l.parent[v] < 0 || better(nh, nb, l.hops[v], l.bneck[v])) {
+        l.hops[v] = nh;
+        l.bneck[v] = nb;
+        l.parent[v] = link;
+      }
+    }
+  }
+  return l;
+}
+
+/// The links commit_chain stores for `host` (host-side link first), or
+/// nullopt when the labels leave the host unreached.
+std::optional<std::vector<int>> scan_path(const Topology& topo,
+                                          const ScanLabels& l, int host) {
+  std::vector<int> links;
+  for (int v = host; v != topo.ingress();) {
+    const int link = l.parent[static_cast<std::size_t>(v)];
+    if (link < 0) return std::nullopt;
+    links.push_back(link);
+    v = topo.other_end(link, v);
+  }
+  return links;
+}
+
+PathView scan_view(const Topology& topo, const ScanLabels& l, int host) {
+  PathView view;
+  const std::optional<std::vector<int>> path = scan_path(topo, l, host);
+  if (!path) return view;
+  view.feasible = true;
+  if (host == topo.ingress()) {
+    view.bottleneck_kbps = std::numeric_limits<std::int64_t>::max();
+    return view;
+  }
+  view.hops = l.hops[static_cast<std::size_t>(host)];
+  view.bottleneck_kbps = l.bneck[static_cast<std::size_t>(host)];
+  for (const int link : *path) {
+    view.latency_ns += topo.links()[static_cast<std::size_t>(link)].latency_ns;
+  }
+  return view;
+}
+
+/// Drives one PathTable through random churn — commits, releases, moves,
+/// link failures with their riders re-routed or released, repairs,
+/// previews — and compares every routing answer with scan_route: the
+/// exact links after every commit_chain and try_move (failed ones
+/// included) and every PathView of preview and preview_hosts. Counts the
+/// mismatches instead of stopping at the first, and keeps that one's
+/// description.
+struct ScanComparison {
+  const Topology& topo;
+  Routing routing;
+  PathTable table;
+  Rng rng;
+  std::vector<std::int64_t> demand_kbps;  ///< by chain id, 0 = inactive
+  std::vector<int> host;                  ///< by chain id
+  std::vector<int> down;                  ///< failed link ids
+  std::int64_t comparisons = 0;
+  std::int64_t mismatches = 0;
+  std::int64_t failed_commits = 0;
+  std::int64_t failed_moves = 0;
+  std::string first_mismatch;
+  std::string where;
+
+  ScanComparison(const Topology& t, Routing r, std::uint64_t seed,
+                 std::string label)
+      : topo(t), routing(r), table(t, r, 0), rng(seed),
+        where(std::move(label)) {}
+
+  void check(bool equal, int op, const char* what) {
+    ++comparisons;
+    if (equal) return;
+    if (mismatches++ == 0) {
+      std::ostringstream os;
+      os << where << " op " << op << ": " << what;
+      first_mismatch = os.str();
+    }
+  }
+
+  ScanLabels reference(std::int64_t kbps) const {
+    return scan_route(topo, table, routing, kbps, {}, 0);
+  }
+
+  void commit(int op, int id, int h, double gbps) {
+    const std::int64_t kbps = kbps_from_gbps(gbps);
+    const std::optional<std::vector<int>> want =
+        scan_path(topo, reference(kbps), h);
+    const bool ok = table.commit_chain(id, h, gbps);
+    check(ok == want.has_value(), op, "commit_chain feasibility");
+    if (!ok) {
+      ++failed_commits;
+      check(!table.chain_active(id), op, "failed commit left chain active");
+      return;
+    }
+    demand_kbps[static_cast<std::size_t>(id)] = kbps;
+    host[static_cast<std::size_t>(id)] = h;
+    check(want && table.chain_links(id) == *want, op, "commit_chain links");
+  }
+
+  bool move(int op, int id, int h) {
+    const std::vector<int> before = table.chain_links(id);
+    const std::int64_t kbps = demand_kbps[static_cast<std::size_t>(id)];
+    const std::optional<std::vector<int>> want = scan_path(
+        topo, scan_route(topo, table, routing, kbps, before, kbps), h);
+    const bool ok = table.try_move(id, h);
+    check(ok == want.has_value(), op, "try_move feasibility");
+    check(table.chain_links(id) == (want ? *want : before), op,
+          "try_move links");
+    if (ok) {
+      host[static_cast<std::size_t>(id)] = h;
+    } else {
+      ++failed_moves;
+    }
+    return ok;
+  }
+
+  void release(int id) {
+    table.release_chain(id);
+    demand_kbps[static_cast<std::size_t>(id)] = 0;
+  }
+
+  void compare_view(int op, const PathView& got, const PathView& want) {
+    check(got.feasible == want.feasible && got.hops == want.hops &&
+              got.bottleneck_kbps == want.bottleneck_kbps &&
+              got.latency_ns == want.latency_ns,
+          op, "PathView");
+  }
+
+  /// Fails a random up link (at most a tenth of them stay down at once),
+  /// checks the riders, and re-routes each on its host or releases it —
+  /// what the fleet's fault handler does.
+  void fail_random_link(int op) {
+    const int link = static_cast<int>(
+        rng.uniform_u64(static_cast<std::uint64_t>(topo.num_links())));
+    if (table.link_failed(link) ||
+        static_cast<int>(down.size()) >= std::max(1, topo.num_links() / 10)) {
+      return;
+    }
+    std::vector<int> expected;
+    for (int c = 0; c < static_cast<int>(demand_kbps.size()); ++c) {
+      if (demand_kbps[static_cast<std::size_t>(c)] == 0) continue;
+      const std::vector<int>& links = table.chain_links(c);
+      if (std::find(links.begin(), links.end(), link) != links.end()) {
+        expected.push_back(c);
+      }
+    }
+    const std::vector<int> riders = table.fail_link(link);
+    down.push_back(link);
+    check(riders == expected, op, "fail_link riders");
+    for (const int id : riders) {
+      if (!move(op, id, host[static_cast<std::size_t>(id)])) release(id);
+    }
+  }
+
+  void run(int ops, int max_chains, int max_gbps) {
+    demand_kbps.assign(static_cast<std::size_t>(max_chains), 0);
+    host.assign(static_cast<std::size_t>(max_chains), -1);
+    const auto hosts = static_cast<std::uint64_t>(topo.num_hosts());
+    for (int op = 0; op < ops; ++op) {
+      const std::uint64_t kind = rng.uniform_u64(20);
+      const int h = static_cast<int>(rng.uniform_u64(hosts));
+      const double gbps = static_cast<double>(rng.uniform_int(1, max_gbps));
+      if (kind < 12) {
+        const int id = static_cast<int>(
+            rng.uniform_u64(static_cast<std::uint64_t>(max_chains)));
+        if (demand_kbps[static_cast<std::size_t>(id)] == 0) {
+          commit(op, id, h, gbps);
+        } else if (rng.bernoulli(0.4)) {
+          release(id);
+        } else {
+          (void)move(op, id, h);
+        }
+      } else if (kind < 14) {
+        fail_random_link(op);
+      } else if (kind < 16) {
+        if (down.empty()) continue;
+        const std::size_t i = rng.uniform_u64(down.size());
+        table.repair_link(down[i]);
+        down.erase(down.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (kind < 18) {
+        compare_view(op, table.preview(h, gbps),
+                     scan_view(topo, reference(kbps_from_gbps(gbps)), h));
+      } else {
+        const std::vector<PathView> views = table.preview_hosts(gbps);
+        const ScanLabels l = reference(kbps_from_gbps(gbps));
+        check(views.size() == hosts, op, "preview_hosts size");
+        for (int v = 0; v < static_cast<int>(views.size()); ++v) {
+          compare_view(op, views[static_cast<std::size_t>(v)],
+                       scan_view(topo, l, v));
+        }
+      }
+    }
+  }
+};
+
+/// A random connected fabric in which about half the hosts get a second
+/// link, to a switch or to another host, so a host can lie inside
+/// another host's path. Capacities are multiples of 10 Gbps, so equal
+/// labels — where the vertex-id tie-break decides the path — are common.
+Topology random_multihomed_topology(Rng& rng, int hosts, int switches) {
+  Topology t(hosts);
+  auto capacity = [&] { return 10.0 * static_cast<double>(rng.uniform_int(1, 3)); };
+  auto latency = [&] { return static_cast<double>(rng.uniform_int(1, 10)); };
+  auto pick = [&](int n) {
+    return static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(n)));
+  };
+  for (int s = 0; s < switches; ++s) (void)t.add_switch();
+  t.set_ingress(hosts + pick(switches));
+  for (int s = 1; s < switches; ++s) {
+    t.add_link(hosts + pick(s), hosts + s, capacity(), latency(), 1.0, 0.5);
+  }
+  for (int e = pick(switches + 1); e > 0; --e) {
+    const int a = hosts + pick(switches);
+    const int b = hosts + pick(switches);
+    if (a != b) t.add_link(a, b, capacity(), latency(), 1.0, 0.5);
+  }
+  for (int h = 0; h < hosts; ++h) {
+    t.add_link(h, hosts + pick(switches), capacity(), latency(), 1.0, 0.5);
+  }
+  for (int h = 0; h < hosts; ++h) {
+    if (!rng.bernoulli(0.5)) continue;
+    const int other = rng.bernoulli(0.5) ? pick(hosts) : hosts + pick(switches);
+    if (other != h) t.add_link(h, other, capacity(), latency(), 1.0, 0.5);
+  }
+  t.check();
+  return t;
+}
+
+TEST(Routing, HeapMatchesLinearScanExactly) {
+  std::int64_t comparisons = 0;
+  std::int64_t failed_commits = 0;
+  std::int64_t failed_moves = 0;
+  auto run = [&](const Topology& topo, std::uint64_t seed,
+                 const std::string& label) {
+    for (const Routing routing : {Routing::kShortest, Routing::kWidest}) {
+      ScanComparison cmp(topo, routing, seed,
+                         label + (routing == Routing::kShortest
+                                      ? " shortest"
+                                      : " widest"));
+      cmp.run(/*ops=*/1200, /*max_chains=*/2 * topo.num_hosts() + 4,
+              /*max_gbps=*/6);
+      EXPECT_EQ(cmp.mismatches, 0)
+          << cmp.mismatches << " of " << cmp.comparisons
+          << " answers differ from the linear scan; first: "
+          << cmp.first_mismatch;
+      comparisons += cmp.comparisons;
+      failed_commits += cmp.failed_commits;
+      failed_moves += cmp.failed_moves;
+    }
+  };
+
+  std::uint64_t seed = 1;
+  for (const std::string& preset : TopologySpec::preset_names()) {
+    for (const int hosts : {1, 6, 23, 48}) {
+      TopologySpec spec;
+      spec.enabled = true;
+      spec.preset = preset;
+      spec.spines = 2 + hosts % 3;
+      spec.fat_k = 2;
+      while (spec.fat_k * spec.fat_k * spec.fat_k / 4 < hosts) spec.fat_k += 2;
+      spec.link_gbps = 10.0;
+      spec.core_gbps = 20.0;
+      const Topology topo = Topology::build(spec, hosts);
+      run(topo, seed++, preset + " hosts=" + std::to_string(hosts));
+    }
+  }
+  Rng rng(20);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int hosts = static_cast<int>(rng.uniform_int(2, 12));
+    const int switches = static_cast<int>(rng.uniform_int(1, 6));
+    const Topology topo = random_multihomed_topology(rng, hosts, switches);
+    run(topo, seed++, "random fabric " + std::to_string(trial));
+  }
+  // The churn must reach both outcomes of every routed call.
+  EXPECT_GT(comparisons, 100000);
+  EXPECT_GT(failed_commits, 0);
+  EXPECT_GT(failed_moves, 0);
 }
 
 TEST(Routing, CommitReleaseChurnConservesLinkCommitments) {
