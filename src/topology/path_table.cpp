@@ -1,5 +1,6 @@
 #include "topology/path_table.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -49,7 +50,7 @@ const std::vector<int>& PathTable::chain_links(int chain) const {
 }
 
 void PathTable::route_labels(std::int64_t demand_kbps, int exclude_chain,
-                             std::vector<int>& hops,
+                             int target, std::vector<int>& hops,
                              std::vector<std::int64_t>& bneck,
                              std::vector<int>& parent) const {
   static auto& c_passes = telemetry::metrics::counter("net.route_passes");
@@ -63,7 +64,6 @@ void PathTable::route_labels(std::int64_t demand_kbps, int exclude_chain,
 
   // The excluded chain's own commitment counts as free capacity (the
   // re-route case: its links would be released before re-committing).
-  std::vector<std::int64_t> extra;
   const Entry* excluded = nullptr;
   if (exclude_chain >= 0 && chain_active(exclude_chain)) {
     excluded = &chains_[static_cast<std::size_t>(exclude_chain)];
@@ -86,11 +86,10 @@ void PathTable::route_labels(std::int64_t demand_kbps, int exclude_chain,
   hops[static_cast<std::size_t>(src)] = 0;
   bneck[static_cast<std::size_t>(src)] = kInf;
 
-  // Label-setting Dijkstra, O(V^2 + E): deterministic vertex selection by
-  // (label, vertex id) — the same winner every run, on every engine.
-  // "better" is lexicographic per routing mode; both orderings keep the
-  // dominance property (extending the selected label never improves a
-  // settled vertex), so the primary objective is exact.
+  // Label-setting Dijkstra on a binary heap, O((V + E) log V). "better"
+  // is lexicographic per routing mode; both orderings keep the dominance
+  // property (extending the settled label never improves a settled
+  // vertex), so the primary objective is exact.
   auto better = [&](int ha, std::int64_t ba, int hb, std::int64_t bb) {
     if (routing_ == Routing::kShortest) {
       if (ha != hb) return ha < hb;
@@ -99,30 +98,47 @@ void PathTable::route_labels(std::int64_t demand_kbps, int exclude_chain,
     if (ba != bb) return ba > bb;
     return ha < hb;
   };
-
-  for (int round = 0; round < n; ++round) {
-    int u = -1;
-    for (int v = 0; v < n; ++v) {
-      if (done[static_cast<std::size_t>(v)]) continue;
-      if (hops[static_cast<std::size_t>(v)] ==
-          std::numeric_limits<int>::max()) {
-        continue;
-      }
-      if (u < 0 || better(hops[static_cast<std::size_t>(v)],
-                          bneck[static_cast<std::size_t>(v)],
-                          hops[static_cast<std::size_t>(u)],
-                          bneck[static_cast<std::size_t>(u)])) {
-        u = v;
-      }
-    }
-    if (u < 0) break;
+  // Each vertex settles at its best label, the lowest vertex id first
+  // among equal labels — the same winner every run, on every engine. An
+  // entry is pushed whenever a vertex's label strictly improves, so every
+  // reached unsettled vertex has an entry holding its current label, and
+  // an entry left behind by an improvement orders after that vertex's
+  // current one. The first unsettled vertex off the heap is therefore the
+  // best (label, id) among all reached unsettled vertices; entries of
+  // settled vertices are stale and skipped.
+  struct Queued {
+    int hops;
+    std::int64_t bneck;
+    int vertex;
+  };
+  auto pops_after = [&](const Queued& a, const Queued& b) {
+    if (better(b.hops, b.bneck, a.hops, a.bneck)) return true;
+    if (better(a.hops, a.bneck, b.hops, b.bneck)) return false;
+    return a.vertex > b.vertex;
+  };
+  std::vector<Queued> heap = {{0, kInf, src}};
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), pops_after);
+    const int u = heap.back().vertex;
+    heap.pop_back();
+    if (done[static_cast<std::size_t>(u)]) continue;
     done[static_cast<std::size_t>(u)] = 1;
+    // Labels and parent links are written only for unsettled vertices,
+    // and each parent settled before its child, so once the target
+    // settles its label and its whole path back to the ingress are final.
+    if (u == target) break;
     for (int link : topo_.adjacency(u)) {
       if (failed_[static_cast<std::size_t>(link)]) continue;  // down link
       const std::int64_t free = free_kbps(link);
       if (free < demand_kbps) continue;  // infeasible link: absent
       const int v = topo_.other_end(link, u);
       if (done[static_cast<std::size_t>(v)]) continue;
+      // A vertex with one link is a dead end: no path to another vertex
+      // runs through it, and settling it relaxes nothing (its one
+      // neighbour is already settled). Skip it unless it is the target.
+      if (target >= 0 && v != target && topo_.adjacency(v).size() == 1) {
+        continue;
+      }
       const int nh = hops[static_cast<std::size_t>(u)] + 1;
       const std::int64_t nb =
           std::min(bneck[static_cast<std::size_t>(u)], free);
@@ -132,6 +148,8 @@ void PathTable::route_labels(std::int64_t demand_kbps, int exclude_chain,
         hops[static_cast<std::size_t>(v)] = nh;
         bneck[static_cast<std::size_t>(v)] = nb;
         parent[static_cast<std::size_t>(v)] = link;
+        heap.push_back({nh, nb, v});
+        std::push_heap(heap.begin(), heap.end(), pops_after);
       }
     }
   }
@@ -164,7 +182,7 @@ PathView PathTable::preview(int host, double gbps) const {
   std::vector<int> hops;
   std::vector<std::int64_t> bneck;
   std::vector<int> parent;
-  route_labels(kbps_from_gbps(gbps), -1, hops, bneck, parent);
+  route_labels(kbps_from_gbps(gbps), -1, host, hops, bneck, parent);
   return view_from_labels(host, hops, bneck, parent);
 }
 
@@ -173,7 +191,7 @@ std::vector<PathView> PathTable::preview_hosts(double gbps) const {
   std::vector<int> hops;
   std::vector<std::int64_t> bneck;
   std::vector<int> parent;
-  route_labels(kbps_from_gbps(gbps), -1, hops, bneck, parent);
+  route_labels(kbps_from_gbps(gbps), -1, -1, hops, bneck, parent);
   std::vector<PathView> views;
   views.reserve(static_cast<std::size_t>(topo_.num_hosts()));
   for (int h = 0; h < topo_.num_hosts(); ++h) {
@@ -225,7 +243,7 @@ bool PathTable::commit_chain(int chain, int host, double gbps) {
   std::vector<int> hops;
   std::vector<std::int64_t> bneck;
   std::vector<int> parent;
-  route_labels(demand, -1, hops, bneck, parent);
+  route_labels(demand, -1, host, hops, bneck, parent);
   if (host != topo_.ingress() &&
       parent[static_cast<std::size_t>(host)] < 0) {
     return false;
@@ -254,7 +272,7 @@ bool PathTable::try_move(int chain, int host) {
   std::vector<int> hops;
   std::vector<std::int64_t> bneck;
   std::vector<int> parent;
-  route_labels(e.demand_kbps, chain, hops, bneck, parent);
+  route_labels(e.demand_kbps, chain, host, hops, bneck, parent);
   if (host != topo_.ingress() &&
       parent[static_cast<std::size_t>(host)] < 0) {
     c_moves_failed.add();

@@ -111,7 +111,11 @@ class PathTable {
   /// (hops, bottleneck, parent-link) labels for a `demand_kbps` flow,
   /// treating links with free < demand as absent. `exclude_chain >= 0`
   /// ignores that chain's own commitment (the try_move re-route).
-  void route_labels(std::int64_t demand_kbps, int exclude_chain,
+  /// `target >= 0` routes to that vertex alone: the pass stops once it
+  /// settles and never enters another one-link vertex, so only the
+  /// target's label and the parent links of its path are meaningful.
+  /// `target < 0` labels every vertex.
+  void route_labels(std::int64_t demand_kbps, int exclude_chain, int target,
                     std::vector<int>& hops, std::vector<std::int64_t>& bneck,
                     std::vector<int>& parent) const;
   [[nodiscard]] PathView view_from_labels(
