@@ -239,6 +239,9 @@ void PathTable::release_entry(Entry& e) {
 
 bool PathTable::commit_chain(int chain, int host, double gbps) {
   GNFV_TRACE_SPAN("net/commit", static_cast<std::uint64_t>(chain));
+  GNFV_REQUIRE(chain >= 0 && !chain_active(chain),
+               "PathTable::commit_chain: chain id is negative or already "
+               "active");
   const std::int64_t demand = kbps_from_gbps(gbps);
   std::vector<int> hops;
   std::vector<std::int64_t> bneck;

@@ -50,7 +50,8 @@ class PathTable {
   [[nodiscard]] std::vector<PathView> preview_hosts(double gbps) const;
 
   /// Routes and commits `chain` to `host`; false (state unchanged) if no
-  /// feasible path exists.
+  /// feasible path exists. `chain` must be >= 0 and not active: a chain
+  /// changes hosts through try_move, or release_chain then commit_chain.
   bool commit_chain(int chain, int host, double gbps);
   /// Releases every link the chain holds. No-op for unknown chains.
   void release_chain(int chain);

@@ -590,6 +590,26 @@ TEST(Routing, TryMoveIsAtomicOnFailure) {
   EXPECT_EQ(table.committed_kbps(1), kbps_from_gbps(6.0));
 }
 
+TEST(Routing, CommitChainRejectsAnActiveOrNegativeChain) {
+  // A second commit of an active chain would add its demand to the links
+  // again and count it twice; releasing it then could never return them
+  // to zero.
+  Topology topo(1);
+  const int sw = topo.add_switch();
+  topo.set_ingress(sw);
+  topo.add_link(0, sw, 10.0, 2.0, 1.0, 0.5);
+  topo.check();
+  PathTable table(topo, Routing::kShortest, 0);
+  ASSERT_TRUE(table.commit_chain(0, 0, 4.0));
+  EXPECT_DEATH((void)table.commit_chain(0, 0, 4.0), "already active");
+  EXPECT_DEATH((void)table.commit_chain(-1, 0, 4.0), "negative");
+  table.release_chain(0);
+  EXPECT_EQ(table.committed_kbps(0), 0);
+  EXPECT_TRUE(table.commit_chain(0, 0, 4.0));
+  EXPECT_EQ(table.committed_kbps(0), kbps_from_gbps(4.0));
+  EXPECT_EQ(table.active_chains(), 1);
+}
+
 TEST(Routing, TryMoveReusesItsOwnCapacity) {
   // One host, one 10 Gbps link carrying a 6 Gbps chain: re-routing the
   // chain to its own host must succeed — its own commitment is free
