@@ -106,6 +106,11 @@ void PathTable::route_labels(std::int64_t demand_kbps, int exclude_chain,
   // current one. The first unsettled vertex off the heap is therefore the
   // best (label, id) among all reached unsettled vertices; entries of
   // settled vertices are stale and skipped.
+  //
+  // Labels and parent links are written only for unsettled vertices, and
+  // each parent settled before its child, so a settled vertex's label and
+  // its whole path back to the ingress are final: a pass for one target
+  // returns as soon as the target settles.
   struct Queued {
     int hops;
     std::int64_t bneck;
@@ -123,22 +128,13 @@ void PathTable::route_labels(std::int64_t demand_kbps, int exclude_chain,
     heap.pop_back();
     if (done[static_cast<std::size_t>(u)]) continue;
     done[static_cast<std::size_t>(u)] = 1;
-    // Labels and parent links are written only for unsettled vertices,
-    // and each parent settled before its child, so once the target
-    // settles its label and its whole path back to the ingress are final.
-    if (u == target) break;
+    if (u == target) return;
     for (int link : topo_.adjacency(u)) {
       if (failed_[static_cast<std::size_t>(link)]) continue;  // down link
       const std::int64_t free = free_kbps(link);
       if (free < demand_kbps) continue;  // infeasible link: absent
       const int v = topo_.other_end(link, u);
       if (done[static_cast<std::size_t>(v)]) continue;
-      // A vertex with one link is a dead end: no path to another vertex
-      // runs through it, and settling it relaxes nothing (its one
-      // neighbour is already settled). Skip it unless it is the target.
-      if (target >= 0 && v != target && topo_.adjacency(v).size() == 1) {
-        continue;
-      }
       const int nh = hops[static_cast<std::size_t>(u)] + 1;
       const std::int64_t nb =
           std::min(bneck[static_cast<std::size_t>(u)], free);
@@ -148,6 +144,15 @@ void PathTable::route_labels(std::int64_t demand_kbps, int exclude_chain,
         hops[static_cast<std::size_t>(v)] = nh;
         bneck[static_cast<std::size_t>(v)] = nb;
         parent[static_cast<std::size_t>(v)] = link;
+        // A vertex with one link (every preset host) is relaxed only by
+        // its one neighbour, which settles once: this label is final.
+        // Settling the vertex relaxes nothing, so it may settle out of
+        // heap order: it settles here and never enters the heap.
+        if (topo_.adjacency(v).size() == 1) {
+          done[static_cast<std::size_t>(v)] = 1;
+          if (v == target) return;
+          continue;
+        }
         heap.push_back({nh, nb, v});
         std::push_heap(heap.begin(), heap.end(), pops_after);
       }

@@ -112,10 +112,9 @@ class PathTable {
   /// (hops, bottleneck, parent-link) labels for a `demand_kbps` flow,
   /// treating links with free < demand as absent. `exclude_chain >= 0`
   /// ignores that chain's own commitment (the try_move re-route).
-  /// `target >= 0` routes to that vertex alone: the pass stops once it
-  /// settles and never enters another one-link vertex, so only the
-  /// target's label and the parent links of its path are meaningful.
-  /// `target < 0` labels every vertex.
+  /// `target >= 0` routes to that vertex alone: the pass stops once the
+  /// target's label is final, so only that label and the parent links of
+  /// its path are meaningful. `target < 0` labels every vertex.
   void route_labels(std::int64_t demand_kbps, int exclude_chain, int target,
                     std::vector<int>& hops, std::vector<std::int64_t>& bneck,
                     std::vector<int>& parent) const;

@@ -428,7 +428,9 @@ struct ScanComparison {
 /// labels — where the vertex-id tie-break decides the path — are common.
 Topology random_multihomed_topology(Rng& rng, int hosts, int switches) {
   Topology t(hosts);
-  auto capacity = [&] { return 10.0 * static_cast<double>(rng.uniform_int(1, 3)); };
+  auto capacity = [&] {
+    return 10.0 * static_cast<double>(rng.uniform_int(1, 3));
+  };
   auto latency = [&] { return static_cast<double>(rng.uniform_int(1, 10)); };
   auto pick = [&](int n) {
     return static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(n)));
