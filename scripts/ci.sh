@@ -109,6 +109,16 @@ echo "=== [1c5] topology fleet smoke: leaf-spine fabric + latency SLA ==="
 ./build/example_run_scenario scenario=fleet-smoke models=baseline,ee-pstate \
   topology.enabled=1 topology.preset=leaf-spine \
   fleet.policy=topology-aware-bestfit sla.latency=40
+# Routing at scale: 200 hosts on a leaf-spine fabric under widest routing.
+# Every arrival is scored by a full preview_hosts pass before its commit,
+# link failures send their riders through try_move, and crashed nodes'
+# chains are released and committed again on their new hosts.
+./build/example_run_scenario scenario=mega-fleet nodes=200 \
+  fleet.arrival_rate=50 fleet.horizon=140 topology.enabled=1 \
+  topology.preset=leaf-spine topology.core_gbps=20000 topology.link_gbps=400 \
+  fault.enabled=1 fault.node_crash_rate=0.002 fault.rack_outage_rate=0.01 \
+  fault.link_fail_rate=0.01 sla.latency=60 \
+  fleet.policy=topology-aware-bestfit topology.routing=widest models=baseline
 
 echo
 echo "=== [1c6] path-frontier smoke: 2 topology cells at jobs=2 ==="
