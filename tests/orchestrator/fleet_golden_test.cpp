@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -9,6 +11,7 @@
 #include "orchestrator/fleet.hpp"
 #include "orchestrator/timeline_io.hpp"
 #include "scenario/presets.hpp"
+#include "telemetry/metrics.hpp"
 #include "tests/support/timeline_text.hpp"
 
 /// Golden equivalence suite. The files under tests/orchestrator/golden/
@@ -264,6 +267,49 @@ TEST(FleetGolden, FaultEvalMatchesPinnedHistory) {
   const FleetReport report = orchestrator.run(scenario::filter_roster(
       scenario::untrained_roster(spec), "baseline,ee-pstate"));
   expect_matches_golden("eval_fleet-fault-crash", eval_to_text(report));
+}
+
+TEST(FleetGolden, ChurnEvalRebuildsFullNodesOnThePool) {
+  // A churning mega-fleet slice on a faulty leaf-spine fabric: eight
+  // nodes, so the replay runs on the pool, filled up to four chains each
+  // and rebuilt on about a third of their occupied windows. Baseline runs
+  // with CAT off, Heuristics and EE-Pstate with it on, so every rebuilt
+  // node's windows are pinned bit-exact under both cache modes.
+  namespace mc = telemetry::metrics;
+  scenario::ScenarioSpec spec = scenario::preset("mega-fleet");
+  spec.seed = 17;
+  spec.num_nodes = 8;
+  spec.fleet.horizon_windows = 24;
+  spec.fleet.arrival_rate = 3.0;
+  spec.fleet.mean_holding_windows = 8.0;
+  spec.topology.enabled = true;
+  spec.topology.preset = "leaf-spine";
+  spec.topology.link_gbps = 40.0;
+  spec.topology.core_gbps = 400.0;
+  spec.fault.enabled = true;
+  spec.fault.node_crash_rate = 0.05;
+  spec.fault.link_fail_rate = 0.05;
+  mc::set_enabled(true);
+  mc::reset();
+  FleetOrchestrator orchestrator(spec);
+  const FleetReport report = orchestrator.run(scenario::filter_roster(
+      scenario::untrained_roster(spec), "baseline,heuristics,ee-pstate"));
+  const std::uint64_t rebuilds = mc::counter("fleet.env_rebuilds").value();
+  mc::set_enabled(false);
+  mc::reset();
+  ASSERT_EQ(report.report.models.size(), 3u);
+  EXPECT_GE(rebuilds, 3u * 50u);
+
+  const orchestrator::FleetTimeline& timeline = orchestrator.timeline();
+  EXPECT_GT(timeline.node_crashes + timeline.link_fails, 0);
+  orchestrator::MembershipReplay replay(timeline, spec.num_nodes);
+  std::size_t most_chains = 0;
+  for (int w = 0; w < spec.fleet.horizon_windows; ++w) {
+    for (const int n : replay.advance())
+      most_chains = std::max(most_chains, replay.members(n).size());
+  }
+  EXPECT_EQ(most_chains, 4u);
+  expect_matches_golden("eval_mega-fleet-churn", eval_to_text(report));
 }
 
 TEST(FleetGolden, TrainedEvalMatchesPinnedHistory) {
