@@ -1,66 +1,97 @@
 #include "core/environment.hpp"
 
 #include "common/assert.hpp"
-#include "common/string_util.hpp"
 #include "traffic/generator.hpp"
 
 namespace greennfv::core {
 
-std::unique_ptr<nfvsim::OnvmController> make_eval_controller(
-    const hwmodel::NodeSpec& spec, int num_chains,
-    const std::vector<std::vector<std::string>>& chain_nfs) {
+namespace {
+
+/// Deploys the evaluation chains onto `controller`: chain_nfs, or the
+/// standard rotation when it is empty, named chain0.. (hybrid, CAT on).
+void deploy_eval_chains(
+    nfvsim::OnvmController& controller, const hwmodel::NodeSpec& spec,
+    int num_chains, const std::vector<std::vector<std::string>>& chain_nfs) {
   GNFV_REQUIRE(chain_nfs.empty() ||
                    chain_nfs.size() == static_cast<std::size_t>(num_chains),
                "make_eval_controller: chain_nfs must match num_chains");
+  if (!chain_nfs.empty()) {
+    controller.redeploy(spec, nfvsim::SchedMode::kHybrid, chain_nfs, "chain");
+    return;
+  }
+  std::vector<std::vector<std::string>> standard;
+  for (int c = 0; c < num_chains; ++c)
+    standard.push_back(nfvsim::standard_chain_nfs(c));
+  controller.redeploy(spec, nfvsim::SchedMode::kHybrid, standard, "chain");
+}
+
+}  // namespace
+
+std::unique_ptr<nfvsim::OnvmController> make_eval_controller(
+    const hwmodel::NodeSpec& spec, int num_chains,
+    const std::vector<std::vector<std::string>>& chain_nfs) {
   auto controller = std::make_unique<nfvsim::OnvmController>(
       spec, nfvsim::SchedMode::kHybrid);
-  for (int c = 0; c < num_chains; ++c) {
-    controller->add_chain(
-        format("chain%d", c),
-        chain_nfs.empty() ? nfvsim::standard_chain_nfs(c)
-                          : chain_nfs[static_cast<std::size_t>(c)]);
-  }
+  deploy_eval_chains(*controller, spec, num_chains, chain_nfs);
   return controller;
 }
 
-NfvEnvironment::NfvEnvironment(EnvConfig config, std::uint64_t seed)
-    : config_(std::move(config)),
-      controller_(make_eval_controller(config_.spec, config_.num_chains,
-                                       config_.chain_nfs)),
-      state_codec_(config_.spec,
-                   static_cast<std::size_t>(config_.num_chains),
-                   config_.window_s),
-      action_codec_(config_.spec,
-                    static_cast<std::size_t>(config_.num_chains)) {
-  GNFV_REQUIRE(config_.num_chains >= 1, "env: need >= 1 chain");
-  GNFV_REQUIRE(config_.flows.empty() ? config_.num_flows >= 1
-                                     : true,
+NfvEnvironment::NfvEnvironment(EnvConfig config, std::uint64_t seed) {
+  reconfigure(std::move(config), seed);
+}
+
+void NfvEnvironment::reconfigure(EnvConfig config, std::uint64_t seed) {
+  GNFV_REQUIRE(config.num_chains >= 1, "env: need >= 1 chain");
+  GNFV_REQUIRE(config.flows.empty() ? config.num_flows >= 1 : true,
                "env: need >= 1 flow");
-  GNFV_REQUIRE(config_.window_s > 0.0, "env: bad window");
-  GNFV_REQUIRE(config_.sub_windows >= 1, "env: bad sub-window count");
-  engine_ = std::make_unique<nfvsim::AnalyticEngine>(
-      *controller_,
-      traffic::TrafficGenerator(
-          config_.flows.empty()
-              ? traffic::make_eval_flows(config_.num_flows,
-                                         config_.num_chains,
-                                         config_.total_offered_gbps, seed)
-              : config_.flows,
-          seed));
+  GNFV_REQUIRE(config.window_s > 0.0, "env: bad window");
+  GNFV_REQUIRE(config.sub_windows >= 1, "env: bad sub-window count");
+  config_ = std::move(config);
+  const auto num_chains = static_cast<std::size_t>(config_.num_chains);
+
+  if (controller_ == nullptr) {
+    controller_ = std::make_unique<nfvsim::OnvmController>(
+        config_.spec, nfvsim::SchedMode::kHybrid);
+  }
+  deploy_eval_chains(*controller_, config_.spec, config_.num_chains,
+                     config_.chain_nfs);
+
+  std::vector<traffic::FlowSpec> eval_flows;
+  if (config_.flows.empty()) {
+    eval_flows = traffic::make_eval_flows(config_.num_flows,
+                                          config_.num_chains,
+                                          config_.total_offered_gbps, seed);
+  }
+  const auto& flows = config_.flows.empty() ? eval_flows : config_.flows;
+  if (engine_ == nullptr) {
+    engine_ = std::make_unique<nfvsim::AnalyticEngine>(
+        *controller_, traffic::TrafficGenerator(flows, seed));
+  } else {
+    engine_->reconfigure(flows, seed);
+  }
   engine_->generator().set_rate_profile(config_.rate_profile);
-  last_knobs_.assign(static_cast<std::size_t>(config_.num_chains),
-                     nfvsim::baseline_knobs(config_.spec));
+
+  state_codec_.emplace(config_.spec, num_chains, config_.window_s);
+  action_codec_.emplace(config_.spec, num_chains);
+  // A default outcome, keeping the observation buffer.
+  std::vector<ChainObservation> observations =
+      std::move(last_outcome_.observations);
+  observations.clear();
+  last_outcome_ = WindowOutcome{};
+  last_outcome_.observations = std::move(observations);
+  last_knobs_.assign(num_chains, nfvsim::baseline_knobs(config_.spec));
+  steps_in_episode_ = 0;
 }
 
 std::size_t NfvEnvironment::state_dim() const {
-  return state_codec_.state_dim();
+  return state_codec_->state_dim();
 }
 
 std::size_t NfvEnvironment::action_dim() const {
-  return action_codec_.action_dim();
+  return action_codec_->action_dim();
 }
 
-NfvEnvironment::WindowOutcome NfvEnvironment::run_window(
+const NfvEnvironment::WindowOutcome& NfvEnvironment::run_window(
     const std::vector<nfvsim::ChainKnobs>& knobs) {
   GNFV_REQUIRE(knobs.size() == controller_->num_chains(),
                "run_window: knob count mismatch");
@@ -70,9 +101,9 @@ NfvEnvironment::WindowOutcome NfvEnvironment::run_window(
   }
 
   const double dt = config_.window_s / config_.sub_windows;
-  const auto summary = engine_->run(config_.sub_windows, dt);
+  const auto& summary = engine_->run(config_.sub_windows, dt);
 
-  WindowOutcome outcome;
+  WindowOutcome& outcome = last_outcome_;
   outcome.throughput_gbps = summary.mean_gbps;
   outcome.energy_j = summary.energy_j;
   outcome.drop_fraction = summary.drop_fraction;
@@ -86,13 +117,12 @@ NfvEnvironment::WindowOutcome NfvEnvironment::run_window(
           : config_.sla.reward(outcome.throughput_gbps, outcome.energy_j);
   outcome.efficiency =
       Sla::efficiency(outcome.throughput_gbps, outcome.energy_j);
-  outcome.observations = StateCodec::observe(summary);
-  last_outcome_ = outcome;
+  StateCodec::observe(summary, outcome.observations);
   return outcome;
 }
 
 std::vector<double> NfvEnvironment::encode_state() const {
-  return state_codec_.encode(last_outcome_.observations);
+  return state_codec_->encode(last_outcome_.observations);
 }
 
 std::vector<double> NfvEnvironment::reset(std::uint64_t seed) {
@@ -109,7 +139,7 @@ std::vector<double> NfvEnvironment::reset(std::uint64_t seed) {
 
 rl::Environment::StepResult NfvEnvironment::step(
     std::span<const double> action) {
-  const auto knobs = action_codec_.decode(action);
+  const auto knobs = action_codec_->decode(action);
   (void)run_window(knobs);
   ++steps_in_episode_;
 

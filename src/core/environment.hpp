@@ -47,6 +47,17 @@ class NfvEnvironment final : public rl::Environment {
  public:
   NfvEnvironment(EnvConfig config, std::uint64_t seed);
 
+  /// Becomes NfvEnvironment(config, seed) in place: chains named chain0..
+  /// at baseline knobs, CAT on and hybrid scheduling, a fresh traffic
+  /// generator, zero clock and meter, no observations and a step count of
+  /// 0. It keeps the controller and the engine with their buffers,
+  /// rebuilds the DVFS ladder and the node model only when the spec
+  /// changes, and reuses every chain whose NF list matches an incoming
+  /// one, so only the other chains build NFs. The constructor is this
+  /// call on an empty environment. It throws what the constructor throws;
+  /// the environment is then unusable until a reconfigure succeeds.
+  void reconfigure(EnvConfig config, std::uint64_t seed);
+
   [[nodiscard]] std::size_t state_dim() const override;
   [[nodiscard]] std::size_t action_dim() const override;
   [[nodiscard]] std::vector<double> reset(std::uint64_t seed) override;
@@ -65,7 +76,10 @@ class NfvEnvironment final : public rl::Environment {
     bool sla_satisfied = false;
     std::vector<ChainObservation> observations;
   };
-  WindowOutcome run_window(const std::vector<nfvsim::ChainKnobs>& knobs);
+  /// The outcome is last_outcome(): it lives in the environment until the
+  /// next window, which reuses its buffers.
+  const WindowOutcome& run_window(
+      const std::vector<nfvsim::ChainKnobs>& knobs);
 
   // --- introspection for telemetry/benches -----------------------------------
   [[nodiscard]] const EnvConfig& config() const { return config_; }
@@ -76,6 +90,10 @@ class NfvEnvironment final : public rl::Environment {
     return last_knobs_;
   }
   [[nodiscard]] nfvsim::OnvmController& controller() { return *controller_; }
+  /// The engine behind the windows: its clock, meter and generator.
+  [[nodiscard]] const nfvsim::AnalyticEngine& engine() const {
+    return *engine_;
+  }
   /// The live traffic generator (SDN flow steering hooks in here).
   [[nodiscard]] traffic::TrafficGenerator& generator() {
     return engine_->generator();
@@ -100,8 +118,8 @@ class NfvEnvironment final : public rl::Environment {
   EnvConfig config_;
   std::unique_ptr<nfvsim::OnvmController> controller_;
   std::unique_ptr<nfvsim::AnalyticEngine> engine_;
-  StateCodec state_codec_;
-  ActionCodec action_codec_;
+  std::optional<StateCodec> state_codec_;
+  std::optional<ActionCodec> action_codec_;
   WindowOutcome last_outcome_;
   std::vector<nfvsim::ChainKnobs> last_knobs_;
   int steps_in_episode_ = 0;

@@ -19,17 +19,19 @@ EvalResult NfController::run(int windows, telemetry::Recorder* recorder,
 
   // Bootstrap observations: run one window at the scheduler's answer to
   // "no information" (collect-state happens before the first allocation in
-  // Algorithm 3, here folded into a settling window).
-  std::vector<ChainObservation> obs =
+  // Algorithm 3, here folded into a settling window). Later windows decide
+  // on the environment's own last observations.
+  const std::vector<ChainObservation> none(
       env_.last_outcome().observations.empty()
-          ? std::vector<ChainObservation>(env_.controller().num_chains())
-          : env_.last_outcome().observations;
+          ? env_.controller().num_chains()
+          : 0);
 
   double t = 0.0;
   for (int w = 0; w < windows; ++w) {
-    const auto knobs = scheduler_.decide(obs, env_.last_knobs());
-    const auto outcome = env_.run_window(knobs);
-    obs = outcome.observations;
+    const auto& seen = env_.last_outcome().observations;
+    const auto knobs =
+        scheduler_.decide(seen.empty() ? none : seen, env_.last_knobs());
+    const auto& outcome = env_.run_window(knobs);
 
     result.mean_gbps += outcome.throughput_gbps;
     result.mean_energy_j += outcome.energy_j;

@@ -49,16 +49,15 @@ std::vector<double> StateCodec::encode(
   return state;
 }
 
-std::vector<ChainObservation> StateCodec::observe(
-    const nfvsim::AnalyticEngine::RunSummary& summary) {
-  std::vector<ChainObservation> obs(summary.chain_gbps.size());
+void StateCodec::observe(const nfvsim::AnalyticEngine::RunSummary& summary,
+                         std::vector<ChainObservation>& obs) {
+  obs.resize(summary.chain_gbps.size());
   for (std::size_t c = 0; c < obs.size(); ++c) {
     obs[c].throughput_gbps = summary.chain_gbps[c];
     obs[c].energy_j = summary.chain_energy_j[c];
     obs[c].busy_cores = summary.chain_busy_cores[c];
     obs[c].arrival_pps = summary.chain_arrival_pps[c];
   }
-  return obs;
 }
 
 ActionCodec::ActionCodec(const hwmodel::NodeSpec& spec,

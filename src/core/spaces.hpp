@@ -42,9 +42,10 @@ class StateCodec {
   [[nodiscard]] std::vector<double> encode(
       const std::vector<ChainObservation>& obs) const;
 
-  /// Builds observations straight from an engine run summary.
-  [[nodiscard]] static std::vector<ChainObservation> observe(
-      const nfvsim::AnalyticEngine::RunSummary& summary);
+  /// Writes observations straight from an engine run summary into `obs`,
+  /// one per chain, reusing its buffer.
+  static void observe(const nfvsim::AnalyticEngine::RunSummary& summary,
+                      std::vector<ChainObservation>& obs);
 
  private:
   std::size_t num_chains_;

@@ -1,6 +1,7 @@
 #include "hwmodel/cat.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <stdexcept>
 
@@ -23,7 +24,10 @@ void CatAllocator::set_clos(ClosId clos, int first_way, int way_count) {
   clos_[clos] = Mask{first_way, way_count};
 }
 
-std::vector<int> CatAllocator::partition(const std::vector<double>& fractions) {
+void apportion_ways(std::span<const double> fractions, int ways,
+                    std::span<int> out) {
+  GNFV_REQUIRE(ways > 0 && ways <= kMaxLlcWays,
+               "CAT: way count outside a 64-bit CBM");
   if (fractions.empty())
     throw std::invalid_argument("CAT: partition needs at least one fraction");
   for (const double f : fractions)
@@ -34,36 +38,39 @@ std::vector<int> CatAllocator::partition(const std::vector<double>& fractions) {
     throw std::invalid_argument("CAT: fractions sum to zero");
 
   const auto n = static_cast<int>(fractions.size());
-  if (n > allocatable_ways_)
-    throw std::invalid_argument("CAT: more classes than ways");
+  if (n > ways) throw std::invalid_argument("CAT: more classes than ways");
+  GNFV_REQUIRE(out.size() >= fractions.size(), "CAT: short way buffer");
 
   // Largest-remainder apportionment with a 1-way floor per class.
-  std::vector<int> ways(static_cast<std::size_t>(n), 1);
-  int remaining = allocatable_ways_ - n;
-  std::vector<double> remainders(static_cast<std::size_t>(n));
+  std::array<double, kMaxLlcWays> remainders;
+  int remaining = ways - n;
   for (int i = 0; i < n; ++i) {
-    const double ideal =
-        fractions[static_cast<std::size_t>(i)] / total * allocatable_ways_;
-    const int extra = std::max(
-        0, std::min(remaining, static_cast<int>(ideal) - 1));
-    ways[static_cast<std::size_t>(i)] += extra;
+    const auto c = static_cast<std::size_t>(i);
+    const double ideal = fractions[c] / total * ways;
+    const int extra =
+        std::max(0, std::min(remaining, static_cast<int>(ideal) - 1));
+    out[c] = 1 + extra;
     remaining -= extra;
-    remainders[static_cast<std::size_t>(i)] =
-        ideal - static_cast<double>(ways[static_cast<std::size_t>(i)]);
+    remainders[c] = ideal - static_cast<double>(out[c]);
   }
   while (remaining > 0) {
-    const auto it = std::max_element(remainders.begin(), remainders.end());
+    const auto it =
+        std::max_element(remainders.begin(), remainders.begin() + n);
     const auto idx = static_cast<std::size_t>(it - remainders.begin());
-    ways[idx] += 1;
+    out[idx] += 1;
     remainders[idx] -= 1.0;
     --remaining;
   }
+}
 
+std::vector<int> CatAllocator::partition(const std::vector<double>& fractions) {
+  std::vector<int> ways(fractions.size());
+  apportion_ways(fractions, allocatable_ways_, ways);
   clos_.clear();
   int cursor = 0;
-  for (int i = 0; i < n; ++i) {
-    set_clos(i, cursor, ways[static_cast<std::size_t>(i)]);
-    cursor += ways[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < ways.size(); ++i) {
+    set_clos(static_cast<ClosId>(i), cursor, ways[i]);
+    cursor += ways[i];
   }
   return ways;
 }

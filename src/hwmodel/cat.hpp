@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "hwmodel/node_spec.hpp"
@@ -16,6 +17,17 @@
 namespace greennfv::hwmodel {
 
 using ClosId = int;
+
+/// Capacity bitmasks are 64-bit, so a node has at most this many LLC ways.
+inline constexpr int kMaxLlcWays = 64;
+
+/// Largest-remainder apportionment of `ways` among classes weighted by
+/// `fractions` (normalized, so they need not sum to 1), at least one way
+/// each: the split CatAllocator::partition assigns, without its CLOS
+/// bookkeeping or a heap allocation. Writes `out[i]` for every class.
+/// Throws std::invalid_argument on the inputs partition rejects.
+void apportion_ways(std::span<const double> fractions, int ways,
+                    std::span<int> out);
 
 class CatAllocator {
  public:

@@ -1,8 +1,10 @@
 #include "hwmodel/node.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <numeric>
+#include <span>
+#include <stdexcept>
 
 #include "common/assert.hpp"
 #include "common/math_util.hpp"
@@ -15,24 +17,46 @@ NodeModel::NodeModel(const NodeSpec& spec)
 
 NodeEvaluation NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
                                    bool use_cat) const {
-  GNFV_REQUIRE(!chains.empty(), "NodeModel::evaluate: no chains");
   NodeEvaluation out;
+  evaluate(chains, use_cat, out);
+  return out;
+}
+
+void NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
+                         bool use_cat, NodeEvaluation& out) const {
+  GNFV_REQUIRE(!chains.empty(), "NodeModel::evaluate: no chains");
+  // Every per-chain field is written below before it is read; the totals
+  // accumulate from zero.
   out.chains.resize(chains.size());
+  out.utilization = 0.0;
+  out.allocated_cores = 0.0;
+  out.power_w = 0.0;
+  out.total_goodput_gbps = 0.0;
+  out.total_offered_gbps = 0.0;
+  out.total_goodput_pps = 0.0;
+  out.total_drop_pps = 0.0;
 
   // --- resolve LLC allocations ------------------------------------------------
-  std::vector<std::uint64_t> llc_bytes(chains.size());
   if (use_cat) {
-    CatAllocator cat(spec_);
-    std::vector<double> fractions;
-    fractions.reserve(chains.size());
-    for (const auto& c : chains)
-      fractions.push_back(std::max(c.llc_fraction, 1e-3));
-    cat.partition(fractions);
+    // More classes than a CBM has ways is what apportion_ways rejects;
+    // checked first so the stack buffers below always fit.
+    if (chains.size() > static_cast<std::size_t>(kMaxLlcWays))
+      throw std::invalid_argument("CAT: more classes than ways");
+    std::array<double, kMaxLlcWays> fractions;
+    std::array<int, kMaxLlcWays> ways;
     for (std::size_t i = 0; i < chains.size(); ++i)
-      llc_bytes[i] = cat.bytes(static_cast<ClosId>(i));
+      fractions[i] = std::max(chains[i].llc_fraction, 1e-3);
+    apportion_ways(std::span(fractions.data(), chains.size()),
+                   spec_.llc_ways - spec_.ddio_ways,
+                   std::span(ways.data(), chains.size()));
+    for (std::size_t i = 0; i < chains.size(); ++i) {
+      out.chains[i].llc_bytes =
+          static_cast<std::uint64_t>(ways[i]) * spec_.bytes_per_way();
+    }
   } else {
     // Unpartitioned LLC: chains get demand-proportional contended shares.
-    std::vector<double> demands(chains.size());
+    // Each chain's demand in bytes waits in its llc_bytes until the total
+    // is known.
     double total_demand = 0.0;
     for (std::size_t i = 0; i < chains.size(); ++i) {
       ChainResources res;
@@ -40,13 +64,15 @@ NodeEvaluation NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
       res.dma_bytes = chains[i].dma_bytes;
       const CacheDemand d =
           cost_.demand_of(chains[i].nfs, chains[i].workload, res);
-      demands[i] = static_cast<double>(d.state_bytes + d.packet_window_bytes);
-      total_demand += demands[i];
+      out.chains[i].llc_bytes = d.state_bytes + d.packet_window_bytes;
+      total_demand += static_cast<double>(out.chains[i].llc_bytes);
     }
-    for (std::size_t i = 0; i < chains.size(); ++i) {
+    for (auto& report : out.chains) {
       const double share =
-          total_demand > 0.0 ? demands[i] / total_demand : 1.0;
-      llc_bytes[i] = cost_.cache().contended_share(share);
+          total_demand > 0.0
+              ? static_cast<double>(report.llc_bytes) / total_demand
+              : 1.0;
+      report.llc_bytes = cost_.cache().contended_share(share);
     }
   }
 
@@ -59,14 +85,13 @@ NodeEvaluation NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
     ChainResources res;
     res.cores = chain.cores;
     res.freq_ghz = chain.freq_ghz;
-    res.llc_bytes = llc_bytes[i];
+    res.llc_bytes = out.chains[i].llc_bytes;
     res.dma_bytes = chain.dma_bytes;
     res.batch = chain.batch;
     res.poll_mode = chain.poll_mode;
     res.shared_llc = !use_cat;
 
     ChainReport& report = out.chains[i];
-    report.llc_bytes = llc_bytes[i];
     report.eval = cost_.evaluate_chain(chain.nfs, chain.workload, res);
 
     out.allocated_cores += chain.cores;
@@ -163,8 +188,6 @@ NodeEvaluation NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
     out.chains[i].energy_per_mpkt_j =
         mpps > 1e-9 ? out.chains[i].power_w / mpps : 0.0;
   }
-
-  return out;
 }
 
 }  // namespace greennfv::hwmodel

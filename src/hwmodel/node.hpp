@@ -66,6 +66,11 @@ class NodeModel {
   [[nodiscard]] NodeEvaluation evaluate(
       const std::vector<ChainDeployment>& chains, bool use_cat = true) const;
 
+  /// The same evaluation written into `out`, whose per-chain buffer is
+  /// reused: no heap allocation once it has held this many chains.
+  void evaluate(const std::vector<ChainDeployment>& chains, bool use_cat,
+                NodeEvaluation& out) const;
+
   [[nodiscard]] const NodeSpec& spec() const { return spec_; }
   [[nodiscard]] const CostModel& cost_model() const { return cost_; }
   [[nodiscard]] const PowerModel& power_model() const { return power_; }

@@ -131,6 +131,8 @@ struct NodeSpec {
   [[nodiscard]] std::uint64_t allocatable_llc_bytes() const {
     return llc_bytes - ddio_bytes();
   }
+
+  bool operator==(const NodeSpec&) const = default;
 };
 
 }  // namespace greennfv::hwmodel

@@ -16,6 +16,7 @@
 /// NFs and exposes the cost profiles consumed by the analytic model. It
 /// holds no packet queues: the threaded engine owns the RX ring it feeds
 /// each chain through, so an analytic node carries no packet buffers.
+/// Every construction counts in the `nfvsim.chains_built` metric.
 
 namespace greennfv::nfvsim {
 
@@ -37,6 +38,14 @@ class ServiceChain {
 
   /// Cost profiles of all NFs, in chain order (for hwmodel::CostModel).
   [[nodiscard]] std::vector<hwmodel::NfCostProfile> cost_profiles() const;
+
+  /// Whether the chain's NFs are exactly `nf_names`, in order.
+  [[nodiscard]] bool runs(const std::vector<std::string>& nf_names) const;
+
+  /// Renames the chain and resets every NF: afterwards it is
+  /// indistinguishable from ServiceChain(name, its NF names). How a
+  /// controller redeploys a composition without building its NFs again.
+  void reuse_as(std::string name);
 
   /// Runs one packet through every NF inline (no rings); returns false if
   /// some NF dropped it. Used by tests and the quickstart example.

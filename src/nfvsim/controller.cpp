@@ -1,5 +1,7 @@
 #include "nfvsim/controller.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace greennfv::nfvsim {
@@ -8,16 +10,67 @@ std::string to_string(SchedMode mode) {
   return mode == SchedMode::kPoll ? "poll" : "hybrid";
 }
 
-OnvmController::OnvmController(hwmodel::NodeSpec spec, SchedMode mode)
-    : spec_(spec), dvfs_(spec), sched_mode_(mode) {
-  dvfs_.set_governor(hwmodel::Governor::kUserspace);
+namespace {
+
+hwmodel::DvfsController userspace_dvfs(const hwmodel::NodeSpec& spec) {
+  hwmodel::DvfsController dvfs(spec);
+  dvfs.set_governor(hwmodel::Governor::kUserspace);
+  return dvfs;
 }
+
+}  // namespace
+
+OnvmController::OnvmController(hwmodel::NodeSpec spec, SchedMode mode)
+    : spec_(spec), dvfs_(userspace_dvfs(spec)), sched_mode_(mode) {}
 
 int OnvmController::add_chain(const std::string& name,
                               const std::vector<std::string>& nf_names) {
-  chains_.push_back(std::make_unique<ServiceChain>(name, nf_names));
-  knobs_.push_back(baseline_knobs(spec_));
+  deploy(std::make_unique<ServiceChain>(name, nf_names));
   return static_cast<int>(chains_.size()) - 1;
+}
+
+void OnvmController::redeploy(
+    const hwmodel::NodeSpec& spec, SchedMode mode,
+    const std::vector<std::vector<std::string>>& nf_lists,
+    std::string_view name_prefix) {
+  if (!(spec == spec_)) {
+    spec_ = spec;
+    dvfs_ = userspace_dvfs(spec);
+  }
+  sched_mode_ = mode;
+  use_cat_ = true;
+  spares_.swap(chains_);
+  chains_.reserve(nf_lists.size());
+  knobs_.clear();
+  for (std::size_t i = 0; i < nf_lists.size(); ++i) {
+    std::string name = std::string(name_prefix) + std::to_string(i);
+    const auto spare = std::find_if(
+        spares_.begin(), spares_.end(),
+        [&](const std::unique_ptr<ServiceChain>& chain) {
+          return chain != nullptr && chain->runs(nf_lists[i]);
+        });
+    if (spare == spares_.end()) {
+      deploy(std::make_unique<ServiceChain>(std::move(name), nf_lists[i]));
+    } else {
+      (*spare)->reuse_as(std::move(name));
+      deploy(std::move(*spare));
+    }
+  }
+  spares_.clear();
+  deployments_.resize(chains_.size());
+}
+
+void OnvmController::deploy(std::unique_ptr<ServiceChain> chain) {
+  // A redeploy refills the deployment entries it already holds, keeping
+  // their profile buffers.
+  const std::size_t i = chains_.size();
+  if (i == deployments_.size()) deployments_.emplace_back();
+  std::vector<hwmodel::NfCostProfile>& profiles = deployments_[i].nfs;
+  profiles.clear();
+  for (std::size_t k = 0; k < chain->num_nfs(); ++k)
+    profiles.push_back(chain->nf(k).profile());
+  chains_.push_back(std::move(chain));
+  knobs_.push_back(baseline_knobs(spec_));
 }
 
 ChainKnobs OnvmController::apply_knobs(std::size_t chain_index,
@@ -29,15 +82,12 @@ ChainKnobs OnvmController::apply_knobs(std::size_t chain_index,
   return applied;
 }
 
-std::vector<hwmodel::ChainDeployment> OnvmController::deployments(
-    const std::vector<hwmodel::ChainWorkload>& workloads) const {
+const std::vector<hwmodel::ChainDeployment>& OnvmController::deployments(
+    const std::vector<hwmodel::ChainWorkload>& workloads) {
   GNFV_REQUIRE(workloads.size() == chains_.size(),
                "deployments: workload count != chain count");
-  std::vector<hwmodel::ChainDeployment> out;
-  out.reserve(chains_.size());
   for (std::size_t i = 0; i < chains_.size(); ++i) {
-    hwmodel::ChainDeployment dep;
-    dep.nfs = chains_[i]->cost_profiles();
+    hwmodel::ChainDeployment& dep = deployments_[i];
     dep.workload = workloads[i];
     dep.cores = knobs_[i].cores;
     dep.freq_ghz = knobs_[i].freq_ghz;
@@ -45,9 +95,8 @@ std::vector<hwmodel::ChainDeployment> OnvmController::deployments(
     dep.dma_bytes = knobs_[i].dma_bytes;
     dep.batch = knobs_[i].batch;
     dep.poll_mode = sched_mode_ == SchedMode::kPoll;
-    out.push_back(std::move(dep));
   }
-  return out;
+  return deployments_;
 }
 
 }  // namespace greennfv::nfvsim

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hwmodel/dvfs.hpp"
@@ -36,6 +37,16 @@ class OnvmController {
   int add_chain(const std::string& name,
                 const std::vector<std::string>& nf_names);
 
+  /// Becomes OnvmController(spec, mode) followed by
+  /// add_chain(name_prefix + i, nf_lists[i]) for each i: CAT on, baseline
+  /// knobs. A held chain whose NF list matches an incoming one is reused
+  /// (ServiceChain::reuse_as) instead of built again, the DVFS ladder is
+  /// rebuilt only when the spec changed, and held chains that nothing
+  /// claims are freed.
+  void redeploy(const hwmodel::NodeSpec& spec, SchedMode mode,
+                const std::vector<std::vector<std::string>>& nf_lists,
+                std::string_view name_prefix);
+
   [[nodiscard]] std::size_t num_chains() const { return chains_.size(); }
   [[nodiscard]] ServiceChain& chain(std::size_t i) { return *chains_.at(i); }
   [[nodiscard]] const ServiceChain& chain(std::size_t i) const {
@@ -60,18 +71,25 @@ class OnvmController {
   [[nodiscard]] const hwmodel::NodeSpec& spec() const { return spec_; }
   [[nodiscard]] const hwmodel::DvfsController& dvfs() const { return dvfs_; }
 
-  /// Builds hwmodel deployments for the current knob state and the given
-  /// per-chain workloads (one entry per chain).
-  [[nodiscard]] std::vector<hwmodel::ChainDeployment> deployments(
-      const std::vector<hwmodel::ChainWorkload>& workloads) const;
+  /// hwmodel deployments for the current knob state and the given
+  /// per-chain workloads (one entry per chain). The controller owns the
+  /// buffer, whose entries cache their chain's cost profiles from when
+  /// the chain was deployed: valid until the next call or redeploy.
+  [[nodiscard]] const std::vector<hwmodel::ChainDeployment>& deployments(
+      const std::vector<hwmodel::ChainWorkload>& workloads);
 
  private:
+  void deploy(std::unique_ptr<ServiceChain> chain);
+
   hwmodel::NodeSpec spec_;
   hwmodel::DvfsController dvfs_;
   SchedMode sched_mode_;
   bool use_cat_ = true;
   std::vector<std::unique_ptr<ServiceChain>> chains_;
   std::vector<ChainKnobs> knobs_;
+  std::vector<hwmodel::ChainDeployment> deployments_;
+  /// redeploy's scratch: the chains held before it, until claimed.
+  std::vector<std::unique_ptr<ServiceChain>> spares_;
 };
 
 }  // namespace greennfv::nfvsim

@@ -12,6 +12,10 @@ AnalyticEngine::AnalyticEngine(OnvmController& controller,
     : controller_(controller),
       generator_(std::move(generator)),
       node_model_(controller.spec()) {
+  check_flows();
+}
+
+void AnalyticEngine::check_flows() const {
   GNFV_REQUIRE(controller_.num_chains() > 0,
                "AnalyticEngine: controller has no chains");
   for (const auto& flow : generator_.flows()) {
@@ -23,40 +27,37 @@ AnalyticEngine::AnalyticEngine(OnvmController& controller,
   }
 }
 
-std::vector<hwmodel::ChainWorkload> AnalyticEngine::chain_workloads(
-    const traffic::WindowLoad& load) const {
+void AnalyticEngine::fold_workloads() {
   const std::size_t n_chains = controller_.num_chains();
-  std::vector<double> pps(n_chains, 0.0);
-  std::vector<double> byte_weight(n_chains, 0.0);
+  workloads_.resize(n_chains);
+  chain_bytes_.assign(n_chains, 0.0);
+  for (auto& workload : workloads_) workload.offered_pps = 0.0;
   const auto& flows = generator_.flows();
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const auto chain = static_cast<std::size_t>(flows[i].chain_index);
-    pps[chain] += load.per_flow_pps[i];
-    byte_weight[chain] += load.per_flow_pps[i] * flows[i].pkt_bytes;
+    workloads_[chain].offered_pps += load_.per_flow_pps[i];
+    chain_bytes_[chain] += load_.per_flow_pps[i] * flows[i].pkt_bytes;
   }
-  std::vector<hwmodel::ChainWorkload> workloads(n_chains);
   for (std::size_t c = 0; c < n_chains; ++c) {
-    workloads[c].offered_pps = pps[c];
-    workloads[c].pkt_bytes =
-        pps[c] > 0.0
-            ? static_cast<std::uint32_t>(
-                  std::clamp(byte_weight[c] / pps[c], 64.0, 1518.0))
-            : 1024;
+    const double pps = workloads_[c].offered_pps;
+    workloads_[c].pkt_bytes =
+        pps > 0.0 ? static_cast<std::uint32_t>(
+                        std::clamp(chain_bytes_[c] / pps, 64.0, 1518.0))
+                  : 1024;
   }
-  return workloads;
 }
 
-WindowMetrics AnalyticEngine::step(double dt) {
+const WindowMetrics& AnalyticEngine::step(double dt) {
   GNFV_REQUIRE(dt > 0.0, "AnalyticEngine::step: dt must be positive");
 
-  const traffic::WindowLoad load = generator_.next_window(dt);
-  const auto workloads = chain_workloads(load);
-  WindowMetrics metrics;
+  generator_.next_window(dt, load_);
+  fold_workloads();
+  WindowMetrics& metrics = metrics_;
   metrics.t_start_s = time_s_;
   metrics.dt_s = dt;
-  metrics.offered_pps = load.total_pps;
-  metrics.node = node_model_.evaluate(controller_.deployments(workloads),
-                                      controller_.use_cat());
+  metrics.offered_pps = load_.total_pps;
+  node_model_.evaluate(controller_.deployments(workloads_),
+                       controller_.use_cat(), metrics.node);
   metrics.energy_j = metrics.node.power_w * dt;
   meter_.accumulate(metrics.node.power_w, dt);
   time_s_ += dt;
@@ -66,9 +67,9 @@ WindowMetrics AnalyticEngine::step(double dt) {
   const auto& flows = generator_.flows();
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const auto chain = static_cast<std::size_t>(flows[i].chain_index);
-    const double chain_offered = workloads[chain].offered_pps;
+    const double chain_offered = workloads_[chain].offered_pps;
     if (chain_offered <= 0.0) continue;
-    const double share = load.per_flow_pps[i] / chain_offered;
+    const double share = load_.per_flow_pps[i] / chain_offered;
     const auto& eval = metrics.node.chains[chain].eval;
     generator_.report_feedback(i, eval.goodput_pps * share,
                                eval.drop_pps * share);
@@ -76,9 +77,18 @@ WindowMetrics AnalyticEngine::step(double dt) {
   return metrics;
 }
 
-AnalyticEngine::RunSummary AnalyticEngine::run(int windows, double dt) {
+const AnalyticEngine::RunSummary& AnalyticEngine::run(int windows,
+                                                      double dt) {
   GNFV_REQUIRE(windows > 0, "AnalyticEngine::run: windows must be positive");
-  RunSummary summary;
+  RunSummary& summary = summary_;
+  summary.duration_s = 0.0;
+  summary.mean_gbps = 0.0;
+  summary.mean_power_w = 0.0;
+  summary.energy_j = 0.0;
+  summary.mean_utilization = 0.0;
+  summary.mean_offered_pps = 0.0;
+  summary.mean_goodput_pps = 0.0;
+  summary.drop_fraction = 0.0;
   const std::size_t n_chains = controller_.num_chains();
   summary.chain_gbps.assign(n_chains, 0.0);
   summary.chain_arrival_pps.assign(n_chains, 0.0);
@@ -88,7 +98,7 @@ AnalyticEngine::RunSummary AnalyticEngine::run(int windows, double dt) {
   double goodput_pps_sum = 0.0;
   double offered_pps_sum = 0.0;
   for (int w = 0; w < windows; ++w) {
-    const WindowMetrics m = step(dt);
+    const WindowMetrics& m = step(dt);
     summary.duration_s += dt;
     summary.mean_gbps += m.total_gbps();
     summary.mean_power_w += m.power_w();
@@ -126,6 +136,16 @@ void AnalyticEngine::reset(std::uint64_t seed) {
   generator_.reset(seed);
   meter_ = hwmodel::EnergyMeter{};
   time_s_ = 0.0;
+}
+
+void AnalyticEngine::reconfigure(const std::vector<traffic::FlowSpec>& flows,
+                                 std::uint64_t seed) {
+  generator_.reset(flows, seed);
+  if (!(node_model_.spec() == controller_.spec()))
+    node_model_ = hwmodel::NodeModel(controller_.spec());
+  meter_ = hwmodel::EnergyMeter{};
+  time_s_ = 0.0;
+  check_flows();
 }
 
 }  // namespace greennfv::nfvsim

@@ -13,7 +13,8 @@
 /// knob state, integrates energy, and feeds goodput/drop feedback to TCP
 /// flows. Fast enough to run the RL training loops (tens of thousands of
 /// episodes) while exercising the exact same controller/knob code path as
-/// the threaded engine.
+/// the threaded engine. Steps and runs work in buffers the engine owns, so
+/// once they have held the node's chains and flows they allocate nothing.
 
 namespace greennfv::nfvsim {
 
@@ -37,8 +38,9 @@ class AnalyticEngine {
   AnalyticEngine(OnvmController& controller,
                  traffic::TrafficGenerator generator);
 
-  /// Advances virtual time by `dt` seconds and returns the window metrics.
-  WindowMetrics step(double dt);
+  /// Advances virtual time by `dt` seconds and returns the window metrics,
+  /// which live in the engine until the next step.
+  const WindowMetrics& step(double dt);
 
   /// Runs `windows` steps of `dt` and returns aggregate means/totals —
   /// the "episode" primitive the RL environment builds on.
@@ -60,7 +62,8 @@ class AnalyticEngine {
     /// Per-chain mean busy cores (the state-space ξ signal; 1.0 = 100%).
     std::vector<double> chain_busy_cores;
   };
-  RunSummary run(int windows, double dt);
+  /// The summary lives in the engine until the next run.
+  const RunSummary& run(int windows, double dt);
 
   [[nodiscard]] double time_s() const { return time_s_; }
   [[nodiscard]] const hwmodel::EnergyMeter& meter() const { return meter_; }
@@ -70,6 +73,13 @@ class AnalyticEngine {
   /// Resets virtual time, the meter, and the traffic state.
   void reset(std::uint64_t seed);
 
+  /// Becomes AnalyticEngine(controller, TrafficGenerator(flows, seed)) on
+  /// the controller's current chains: a fresh generator, zero clock and
+  /// meter, and the node model rebuilt only if the controller's spec
+  /// changed. The buffers are kept.
+  void reconfigure(const std::vector<traffic::FlowSpec>& flows,
+                   std::uint64_t seed);
+
  private:
   OnvmController& controller_;
   traffic::TrafficGenerator generator_;
@@ -77,10 +87,18 @@ class AnalyticEngine {
   hwmodel::EnergyMeter meter_;
   double time_s_ = 0.0;
 
+  // Per-step buffers, overwritten by every step.
+  traffic::WindowLoad load_;
+  std::vector<hwmodel::ChainWorkload> workloads_;
+  std::vector<double> chain_bytes_;
+  WindowMetrics metrics_;
+  RunSummary summary_;
+
+  void check_flows() const;
+
   /// Folds the per-flow loads into per-chain workloads (offered pps plus
   /// pps-weighted mean frame size).
-  [[nodiscard]] std::vector<hwmodel::ChainWorkload> chain_workloads(
-      const traffic::WindowLoad& load) const;
+  void fold_workloads();
 };
 
 }  // namespace greennfv::nfvsim

@@ -48,6 +48,10 @@ class NetworkFunction {
     dropped_ = 0;
   }
 
+  /// Returns the NF to its just-built state: the counters plus whatever
+  /// per-flow state it learned from packets.
+  virtual void reset() { reset_stats(); }
+
  protected:
   void count_drop() { ++dropped_; }
 
@@ -85,16 +89,21 @@ class NatNf final : public NetworkFunction {
  public:
   NatNf();
   void process(Packet& pkt) override;
+  void reset() override;
 
   [[nodiscard]] std::size_t table_size() const { return table_.size(); }
 
  private:
+  static constexpr std::uint16_t kFirstPort = 1024;
+
   std::unordered_map<std::uint64_t, std::uint16_t> table_;
-  std::uint16_t next_port_ = 1024;
+  std::uint16_t next_port_ = kFirstPort;
   std::uint32_t external_ip_;
 };
 
 /// IPv4 router: longest-prefix match over a binary trie, TTL handling.
+/// The trie is immutable once built, so every router on the default FIB
+/// shares one.
 class RouterNf final : public NetworkFunction {
  public:
   struct Route {
@@ -103,7 +112,9 @@ class RouterNf final : public NetworkFunction {
     int next_hop = 0;
   };
 
-  explicit RouterNf(std::vector<Route> routes = default_routes());
+  /// A router on default_routes().
+  RouterNf();
+  explicit RouterNf(const std::vector<Route>& routes);
   void process(Packet& pkt) override;
 
   /// LPM lookup; returns next hop or -1 when no route matches.
@@ -116,9 +127,11 @@ class RouterNf final : public NetworkFunction {
     int children[2] = {-1, -1};
     int next_hop = -1;
   };
-  std::vector<TrieNode> trie_;
+  using Trie = std::vector<TrieNode>;
+  std::shared_ptr<const Trie> trie_;
 
-  void insert(const Route& route);
+  [[nodiscard]] static std::shared_ptr<const Trie> build_trie(
+      const std::vector<Route>& routes);
 };
 
 /// Signature IDS: payload-proportional scanning work; raises an alert flag
@@ -127,6 +140,7 @@ class IdsNf final : public NetworkFunction {
  public:
   IdsNf();
   void process(Packet& pkt) override;
+  void reset() override;
 
   [[nodiscard]] std::uint64_t alerts() const { return alerts_; }
 
@@ -150,6 +164,7 @@ class EpcNf final : public NetworkFunction {
  public:
   EpcNf();
   void process(Packet& pkt) override;
+  void reset() override;
 
  private:
   struct Bearer {
@@ -165,6 +180,7 @@ class FlowMonitorNf final : public NetworkFunction {
  public:
   FlowMonitorNf();
   void process(Packet& pkt) override;
+  void reset() override;
 
   [[nodiscard]] std::size_t flows_seen() const { return counters_.size(); }
 

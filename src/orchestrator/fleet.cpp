@@ -825,16 +825,21 @@ scenario::ModelReport FleetOrchestrator::run_model(
     if (!failure || seen.before(*failure)) failure = std::move(seen);
   };
 
-  // Rebuilds node `n`'s runtime onto `change` at window `w`.
+  // Rebuilds node `n`'s runtime onto `change` at window `w`: the node's
+  // environment is reconfigured in place, as a fresh one would be built,
+  // so chains that stay keep their NF objects. A node that empties frees
+  // it, so memory follows the occupied nodes.
   const auto rebuild = [&](NodeRuntime& rt, int n, int w,
                            const MembershipChange& change) {
     rt.controller.reset();
-    rt.env.reset();
     const auto [first, last] = members_of(change);
     rt.chains.assign(first, last);
-    if (rt.chains.empty()) return;
+    if (rt.chains.empty()) {
+      rt.env.reset();
+      return;
+    }
     c_rebuilds.add();
-    const core::EnvConfig env_config = env_config_of(rt.chains, n);
+    core::EnvConfig env_config = env_config_of(rt.chains, n);
     const std::uint64_t env_seed =
         scenario::node_eval_seed(spec_, static_cast<std::size_t>(n)) +
         kEpochSeedStride * static_cast<std::uint64_t>(rt.epochs);
@@ -842,7 +847,12 @@ scenario::ModelReport FleetOrchestrator::run_model(
     core::Scheduler& scheduler =
         *schedulers.at({n, static_cast<int>(rt.chains.size())});
     scheduler.reset();
-    rt.env = std::make_unique<core::NfvEnvironment>(env_config, env_seed);
+    if (rt.env == nullptr) {
+      rt.env = std::make_unique<core::NfvEnvironment>(std::move(env_config),
+                                                      env_seed);
+    } else {
+      rt.env->reconfigure(std::move(env_config), env_seed);
+    }
     rt.controller = std::make_unique<core::NfController>(*rt.env, scheduler);
     if (w == 0) {
       // Deployment settling, exactly evaluate_scheduler's preamble:

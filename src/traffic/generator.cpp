@@ -7,22 +7,32 @@
 
 namespace greennfv::traffic {
 
+namespace {
+
+void check_flows(const std::vector<FlowSpec>& flows) {
+  GNFV_REQUIRE(!flows.empty(), "TrafficGenerator: no flows");
+  for (const auto& flow : flows) validate(flow);
+}
+
+}  // namespace
+
 TrafficGenerator::TrafficGenerator(std::vector<FlowSpec> flows,
                                    std::uint64_t seed)
     : flows_(std::move(flows)), rng_(seed) {
-  GNFV_REQUIRE(!flows_.empty(), "TrafficGenerator: no flows");
-  arrivals_.reserve(flows_.size());
-  tcp_window_.assign(flows_.size(), 1.0);
-  for (const auto& flow : flows_) {
-    validate(flow);
-    arrivals_.push_back(make_arrival(flow));
-  }
+  check_flows(flows_);
+  reset(seed);
 }
 
 WindowLoad TrafficGenerator::next_window(double dt) {
-  GNFV_REQUIRE(dt > 0.0, "next_window: dt must be positive");
   WindowLoad load;
+  next_window(dt, load);
+  return load;
+}
+
+void TrafficGenerator::next_window(double dt, WindowLoad& load) {
+  GNFV_REQUIRE(dt > 0.0, "next_window: dt must be positive");
   load.per_flow_pps.resize(flows_.size());
+  load.total_pps = 0.0;
   // Envelope evaluated at the window midpoint so square-wave edges land
   // where a whole-window average would put them.
   const double envelope =
@@ -34,7 +44,6 @@ WindowLoad TrafficGenerator::next_window(double dt) {
     load.total_pps += rate;
   }
   time_s_ += dt;
-  return load;
 }
 
 void TrafficGenerator::report_feedback(std::size_t flow_index,
@@ -65,9 +74,17 @@ void TrafficGenerator::reset(std::uint64_t seed) {
   rng_ = Rng(seed);
   time_s_ = 0.0;
   profile_t0_s_ = 0.0;
-  std::fill(tcp_window_.begin(), tcp_window_.end(), 1.0);
+  tcp_window_.assign(flows_.size(), 1.0);
   arrivals_.clear();
   for (const auto& flow : flows_) arrivals_.push_back(make_arrival(flow));
+}
+
+void TrafficGenerator::reset(const std::vector<FlowSpec>& flows,
+                             std::uint64_t seed) {
+  check_flows(flows);
+  flows_ = flows;
+  profile_ = RateProfile{};
+  reset(seed);
 }
 
 std::vector<FlowSpec> make_eval_flows(int n, int num_chains,

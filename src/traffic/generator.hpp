@@ -30,6 +30,9 @@ class TrafficGenerator {
   /// window.
   [[nodiscard]] WindowLoad next_window(double dt);
 
+  /// The same step written into `out`, reusing its per-flow buffer.
+  void next_window(double dt, WindowLoad& out);
+
   /// Closes the TCP loop: reports what one flow achieved last window.
   /// No-op for UDP flows.
   void report_feedback(std::size_t flow_index, double goodput_pps,
@@ -40,6 +43,10 @@ class TrafficGenerator {
 
   /// Resets time and all per-flow state (TCP windows, MMPP phases).
   void reset(std::uint64_t seed);
+
+  /// Becomes TrafficGenerator(flows, seed): the new flows, the steady
+  /// profile, and fresh per-flow state, clocks and random stream.
+  void reset(const std::vector<FlowSpec>& flows, std::uint64_t seed);
 
   /// Re-steers a flow onto another chain (SDN flow scheduling; the paper's
   /// §6 envisions the SDN and NF controllers updating each other). Takes
