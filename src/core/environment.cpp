@@ -16,13 +16,13 @@ void deploy_eval_chains(
                    chain_nfs.size() == static_cast<std::size_t>(num_chains),
                "make_eval_controller: chain_nfs must match num_chains");
   if (!chain_nfs.empty()) {
-    controller.redeploy(spec, nfvsim::SchedMode::kHybrid, chain_nfs, "chain");
+    controller.redeploy(spec, nfvsim::SchedMode::kHybrid, chain_nfs);
     return;
   }
   std::vector<std::vector<std::string>> standard;
   for (int c = 0; c < num_chains; ++c)
     standard.push_back(nfvsim::standard_chain_nfs(c));
-  controller.redeploy(spec, nfvsim::SchedMode::kHybrid, standard, "chain");
+  controller.redeploy(spec, nfvsim::SchedMode::kHybrid, standard);
 }
 
 }  // namespace

@@ -31,8 +31,7 @@ int OnvmController::add_chain(const std::string& name,
 
 void OnvmController::redeploy(
     const hwmodel::NodeSpec& spec, SchedMode mode,
-    const std::vector<std::vector<std::string>>& nf_lists,
-    std::string_view name_prefix) {
+    const std::vector<std::vector<std::string>>& nf_lists) {
   if (!(spec == spec_)) {
     spec_ = spec;
     dvfs_ = userspace_dvfs(spec);
@@ -43,7 +42,7 @@ void OnvmController::redeploy(
   chains_.reserve(nf_lists.size());
   knobs_.clear();
   for (std::size_t i = 0; i < nf_lists.size(); ++i) {
-    std::string name = std::string(name_prefix) + std::to_string(i);
+    std::string name = "chain" + std::to_string(i);
     const auto spare = std::find_if(
         spares_.begin(), spares_.end(),
         [&](const std::unique_ptr<ServiceChain>& chain) {

@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "hwmodel/dvfs.hpp"
@@ -38,14 +37,14 @@ class OnvmController {
                 const std::vector<std::string>& nf_names);
 
   /// Becomes OnvmController(spec, mode) followed by
-  /// add_chain(name_prefix + i, nf_lists[i]) for each i: CAT on, baseline
+  /// add_chain("chain<i>", nf_lists[i]) for each i: CAT on, baseline
   /// knobs. A held chain whose NF list matches an incoming one is reused
   /// (ServiceChain::reuse_as) instead of built again, the DVFS ladder is
   /// rebuilt only when the spec changed, and held chains that nothing
-  /// claims are freed.
+  /// claims are freed. If it throws (an unknown NF name), the controller
+  /// is unusable until a redeploy succeeds.
   void redeploy(const hwmodel::NodeSpec& spec, SchedMode mode,
-                const std::vector<std::vector<std::string>>& nf_lists,
-                std::string_view name_prefix);
+                const std::vector<std::vector<std::string>>& nf_lists);
 
   [[nodiscard]] std::size_t num_chains() const { return chains_.size(); }
   [[nodiscard]] ServiceChain& chain(std::size_t i) { return *chains_.at(i); }

@@ -94,10 +94,11 @@ class AnalyticEngine {
   WindowMetrics metrics_;
   RunSummary summary_;
 
+  /// Requires chains, and a chain for every flow to feed.
   void check_flows() const;
 
-  /// Folds the per-flow loads into per-chain workloads (offered pps plus
-  /// pps-weighted mean frame size).
+  /// Folds load_'s per-flow rates into workloads_ (offered pps plus
+  /// pps-weighted mean frame size per chain).
   void fold_workloads();
 };
 
