@@ -17,7 +17,9 @@
 #      running every suite that exercises concurrent code — thread pool,
 #      telemetry shards and trace rings, the threaded engine with its
 #      mempool and rings, concurrent replay buffers and Ape-X, parallel
-#      campaigns, parallel fleet replay — then a 200-node fleet and a
+#      campaigns, parallel fleet replay and the fleet goldens (a node's
+#      environment is reconfigured in place, on whichever pool thread
+#      runs its next block) — then a 200-node fleet and a
 #      16-node fleet campaign at jobs=2 and jobs=1 end to end, halting on
 #      the first data-race report.
 #
@@ -301,7 +303,7 @@ cmake --build build-tsan -j "$JOBS"
 # a warning at exit.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 (cd build-tsan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
-  -R '^common\.ThreadPool\.|^telemetry\.|^nfvsim\.|^rl\.(PerConcurrent|Apex)|^campaign\.(CampaignRunner|FleetCampaign)\.|^orchestrator\.(FleetDeterminism|FleetFault|FleetTopology|FleetParallelReplay)\.|^integration\.Determinism\.')
+  -R '^common\.ThreadPool\.|^telemetry\.|^nfvsim\.|^rl\.(PerConcurrent|Apex)|^campaign\.(CampaignRunner|FleetCampaign)\.|^orchestrator\.(FleetDeterminism|FleetFault|FleetGolden|FleetTopology|FleetParallelReplay)\.|^integration\.Determinism\.')
 ./build-tsan/example_run_scenario scenario=mega-fleet nodes=200 \
   fleet.horizon=30 models=baseline,ee-pstate
 # Both kinds of range in one process: at jobs=2 the campaign's cells hold
