@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 namespace greennfv::nfvsim {
 namespace {
 
@@ -70,6 +74,44 @@ TEST(Chain, ResetStatsClearsDrops) {
   EXPECT_GT(chain.total_nf_drops(), 0u);
   chain.reset_stats();
   EXPECT_EQ(chain.total_nf_drops(), 0u);
+}
+
+TEST(Chain, ReuseForgetsWhatPacketsTaught) {
+  // NAT ports, EPC bearer counters, flow-monitor and IDS tables all
+  // depend on earlier packets; a reused chain must process the next
+  // packets exactly as a newly built one does.
+  const std::vector<std::string> nfs = {"nat", "epc", "flow_monitor", "ids"};
+  const auto packet = [](std::uint32_t i) {
+    Packet pkt;
+    pkt.id = i;
+    pkt.flow_id = i % 3;
+    pkt.src_ip = 0xC0A80000 + i % 5;
+    pkt.dst_ip = 0x0A010105;
+    pkt.src_port = static_cast<std::uint16_t>(1000 + i);
+    pkt.dst_port = 443;
+    pkt.frame_bytes = 512;
+    return pkt;
+  };
+  ServiceChain reused("old", nfs);
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    Packet pkt = packet(i);
+    (void)reused.process_inline(pkt);
+  }
+  reused.reuse_as("chain1");
+  EXPECT_EQ(reused.name(), "chain1");
+  EXPECT_TRUE(reused.runs(nfs));
+  EXPECT_FALSE(reused.runs({"nat", "epc"}));
+  EXPECT_EQ(reused.nf(0).processed(), 0u);
+
+  ServiceChain fresh("chain1", nfs);
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    Packet a = packet(i);
+    Packet b = packet(i);
+    EXPECT_EQ(reused.process_inline(a), fresh.process_inline(b));
+    EXPECT_EQ(a.src_port, b.src_port) << i;
+    EXPECT_EQ(a.payload_digest, b.payload_digest) << i;
+    EXPECT_EQ(a.flags, b.flags) << i;
+  }
 }
 
 TEST(Chain, StandardChainsAreThreeNfs) {
