@@ -54,8 +54,10 @@ class NfvEnvironment final : public rl::Environment {
   /// rebuilds the DVFS ladder and the node model only when the spec
   /// changes, and reuses every chain whose NF list matches an incoming
   /// one, so only the other chains build NFs. The constructor is this
-  /// call on an empty environment. It throws what the constructor throws;
-  /// the environment is then unusable until a reconfigure succeeds.
+  /// call on an empty environment. An NfController made before it must be
+  /// made again, since its scheduler's CAT and scheduling choices are
+  /// undone. It throws what the constructor throws; the environment is
+  /// then unusable until a reconfigure succeeds.
   void reconfigure(EnvConfig config, std::uint64_t seed);
 
   [[nodiscard]] std::size_t state_dim() const override;
