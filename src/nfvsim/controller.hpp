@@ -87,7 +87,7 @@ class OnvmController {
   std::vector<std::unique_ptr<ServiceChain>> chains_;
   std::vector<ChainKnobs> knobs_;
   std::vector<hwmodel::ChainDeployment> deployments_;
-  /// redeploy's scratch: the chains held before it, until claimed.
+  /// During a redeploy: the chains held before it, until claimed.
   std::vector<std::unique_ptr<ServiceChain>> spares_;
 };
 

@@ -188,10 +188,21 @@ void expect_same_deployment(NfvEnvironment& got, NfvEnvironment& want) {
   }
   EXPECT_EQ(got.state_dim(), want.state_dim());
   EXPECT_EQ(got.action_dim(), want.action_dim());
-  EXPECT_TRUE(got.generator().flows().size() ==
-              want.generator().flows().size());
+  const auto& got_flows = got.generator().flows();
+  const auto& want_flows = want.generator().flows();
+  ASSERT_EQ(got_flows.size(), want_flows.size());
+  for (std::size_t i = 0; i < got_flows.size(); ++i) {
+    EXPECT_EQ(got_flows[i].chain_index, want_flows[i].chain_index);
+    EXPECT_EQ(got_flows[i].proto, want_flows[i].proto);
+    EXPECT_EQ(got_flows[i].arrival, want_flows[i].arrival);
+    EXPECT_EQ(got_flows[i].pkt_bytes, want_flows[i].pkt_bytes);
+    EXPECT_EQ(bits(got_flows[i].mean_rate_pps),
+              bits(want_flows[i].mean_rate_pps));
+  }
   EXPECT_EQ(got.generator().rate_profile().kind,
             want.generator().rate_profile().kind);
+  EXPECT_EQ(bits(got.generator().rate_profile().period_s),
+            bits(want.generator().rate_profile().period_s));
 }
 
 void expect_bits_equal(const std::vector<double>& got,
