@@ -277,16 +277,17 @@ cmake -B build-asan -S . \
   -DGREENNFV_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j "$JOBS"
 
-# The threaded data path and the fleet index's pooled allocators are the
-# sanitizer-critical surfaces; run their suites explicitly (pattern match
-# keeps this in sync as suites are added), then the rest of the tree.
+# The threaded data path, the fleet index's pooled allocators and the
+# policies that read the index in place are the sanitizer-critical
+# surfaces; run their suites explicitly (pattern match keeps this in sync
+# as suites are added), then the rest of the tree.
 export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" -R '^nfvsim\.')
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
-  -R '^common\.(Arena|ArenaAllocator|BucketQueue)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression)\.|^topology\.|^telemetry\.')
+  -R '^common\.(Arena|ArenaAllocator|BucketQueue)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression|FleetPolicy|FleetPlacementOracle)\.|^topology\.|^telemetry\.')
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
-  -E '^nfvsim\.|^common\.(Arena|ArenaAllocator|BucketQueue)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression)\.|^topology\.|^telemetry\.')
+  -E '^nfvsim\.|^common\.(Arena|ArenaAllocator|BucketQueue)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression|FleetPolicy|FleetPlacementOracle)\.|^topology\.|^telemetry\.')
 
 echo
 echo "=== [3/3] ThreadSanitizer gate: TSan build of the concurrent suites ==="

@@ -95,11 +95,15 @@ const NfvEnvironment::WindowOutcome& NfvEnvironment::run_window(
     const std::vector<nfvsim::ChainKnobs>& knobs) {
   GNFV_REQUIRE(knobs.size() == controller_->num_chains(),
                "run_window: knob count mismatch");
-  last_knobs_.clear();
+  // In place, so run_window(last_knobs()) re-applies the held knobs.
+  last_knobs_.resize(knobs.size());
   for (std::size_t c = 0; c < knobs.size(); ++c) {
-    last_knobs_.push_back(controller_->apply_knobs(c, knobs[c]));
+    last_knobs_[c] = controller_->apply_knobs(c, knobs[c]);
   }
+  return measure_window();
+}
 
+const NfvEnvironment::WindowOutcome& NfvEnvironment::measure_window() {
   const double dt = config_.window_s / config_.sub_windows;
   const auto& summary = engine_->run(config_.sub_windows, dt);
 
@@ -128,12 +132,13 @@ std::vector<double> NfvEnvironment::encode_state() const {
 std::vector<double> NfvEnvironment::reset(std::uint64_t seed) {
   engine_->reset(seed);
   steps_in_episode_ = 0;
-  // Settle one window at the *current* knob configuration. Algorithm 3's
-  // controller runs continuously — episodes are a training artifact — so
-  // the state distribution the policy trains on must match the closed loop
-  // it will drive at deployment, not a baseline restart. (The very first
-  // reset settles at the construction-time baseline knobs.)
-  (void)run_window(last_knobs_);
+  // Settle one window at the knobs the controller already holds, leaving
+  // last_knobs() as it was. Algorithm 3's controller runs continuously —
+  // episodes are a training artifact — so the state distribution the
+  // policy trains on must match the closed loop it will drive at
+  // deployment, not a baseline restart. (The very first reset settles at
+  // the construction-time baseline knobs.)
+  (void)measure_window();
   return encode_state();
 }
 

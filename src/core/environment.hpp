@@ -62,6 +62,8 @@ class NfvEnvironment final : public rl::Environment {
 
   [[nodiscard]] std::size_t state_dim() const override;
   [[nodiscard]] std::size_t action_dim() const override;
+  /// Reseeds the traffic and settles one window at the knobs the
+  /// controller holds; last_knobs() keeps its value.
   [[nodiscard]] std::vector<double> reset(std::uint64_t seed) override;
   [[nodiscard]] StepResult step(std::span<const double> action) override;
 
@@ -127,6 +129,9 @@ class NfvEnvironment final : public rl::Environment {
   int steps_in_episode_ = 0;
 
   [[nodiscard]] std::vector<double> encode_state() const;
+  /// Runs one window at the knobs the controller holds and records its
+  /// outcome; run_window applies its knobs first, reset() does not.
+  const WindowOutcome& measure_window();
 };
 
 /// Builds the standard evaluation node: `num_chains` heterogeneous 3-NF

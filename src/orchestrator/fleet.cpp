@@ -246,7 +246,7 @@ void FleetOrchestrator::build_timeline() {
     // A one-node static deployment hosts every chain, however full.
     const int node = static_deployment_ && num_nodes == 1
                          ? 0
-                         : policy->choose_indexed(index, request, net);
+                         : policy->choose(index, request, net);
     if (node < 0) {
       if (static_deployment_) {
         throw std::invalid_argument(format(
@@ -274,7 +274,7 @@ void FleetOrchestrator::build_timeline() {
       chain.path_latency_ns = net->chain_latency_ns(id);
     }
     activate(node, id, w, win);
-    index.place_chain(id, node, chain.cores, chain.offered_gbps);
+    index.place_chain(id, node, chain.cores);
     win.arrivals.push_back(id);
     ++timeline_.arrivals;
     chain.first_node = node;
@@ -297,7 +297,7 @@ void FleetOrchestrator::build_timeline() {
     const ChainInstance& chain =
         timeline_.chains[static_cast<std::size_t>(id)];
     const ArrivalRequest request{chain.cores, chain.offered_gbps};
-    const int node = policy->choose_indexed(index, request, net);
+    const int node = policy->choose(index, request, net);
     bool placed = node >= 0;
     if (placed && net != nullptr &&
         !net->commit_chain(id, node, chain.offered_gbps)) {
@@ -311,7 +311,7 @@ void FleetOrchestrator::build_timeline() {
       return;
     }
     activate(node, id, w, win);
-    index.place_chain(id, node, chain.cores, chain.offered_gbps);
+    index.place_chain(id, node, chain.cores);
     win.replacements.push_back({id, from, node});
     ++timeline_.replaced;
     win.charges.push_back({id, spec_.fault.replace_downtime_s,
@@ -500,7 +500,7 @@ void FleetOrchestrator::build_timeline() {
           "fleet/consolidate_tick", static_cast<std::uint64_t>(w),
           &c_phase_consolidate);
       const std::vector<Migration> plan =
-          policy->consolidate_indexed(index, spec_.fleet.consolidate_below);
+          policy->consolidate(index, spec_.fleet.consolidate_below);
       c_mig_attempted.add(plan.size());
       for (const Migration& move : plan) {
         // Network veto: a consolidation move whose re-routed path has no
@@ -517,8 +517,7 @@ void FleetOrchestrator::build_timeline() {
         // The policies never wake a node to consolidate into, but a custom
         // policy could — account for it either way.
         activate(move.to, move.chain, w, win);
-        index.place_chain(move.chain, move.to, chain.cores,
-                          chain.offered_gbps);
+        index.place_chain(move.chain, move.to, chain.cores);
         win.migrations.push_back(move);
         ++timeline_.migrations;
         win.charges.push_back({move.chain, spec_.fleet.migration_downtime_s,

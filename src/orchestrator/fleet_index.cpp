@@ -73,19 +73,16 @@ void FleetIndex::set_level(int node, double committed) {
   }
 }
 
-void FleetIndex::place_chain(int chain, int node, double cores,
-                             double offered_gbps) {
+void FleetIndex::place_chain(int chain, int node, double cores) {
   const auto id = static_cast<std::size_t>(chain);
   if (id >= chain_node_.size()) {
     chain_node_.resize(id + 1, -1);
     chain_cores_.resize(id + 1, 0.0);
-    chain_gbps_.resize(id + 1, 0.0);
   }
   GNFV_ASSERT(chain_node_[id] < 0, "FleetIndex: chain already placed");
   c_place().add();
   chain_node_[id] = node;
   chain_cores_[id] = cores;
-  chain_gbps_[id] = offered_gbps;
   hosted_[static_cast<std::size_t>(node)].push_back(chain);
   set_level(node, committed_[static_cast<std::size_t>(node)] + cores);
 }
@@ -100,14 +97,6 @@ void FleetIndex::remove_chain(int chain) {
   hosted.erase(std::find(hosted.begin(), hosted.end(), chain));
   set_level(node, committed_[static_cast<std::size_t>(node)] -
                       chain_cores_[id]);
-}
-
-void FleetIndex::move_chain(int chain, int to) {
-  const auto id = static_cast<std::size_t>(chain);
-  const double cores = chain_cores_[id];
-  const double gbps = chain_gbps_[id];
-  remove_chain(chain);
-  place_chain(chain, to, cores, gbps);
 }
 
 void FleetIndex::wake(int node) {
@@ -162,36 +151,14 @@ void FleetIndex::sort_hosted(int node) {
 }
 
 int FleetIndex::max_fitting_level(double cores) const {
-  // Same tolerance (and the same arithmetic) as NodeView::fits: a node at
-  // integral level L fits iff L + cores <= capacity + 1e-9.
+  // The policies' fits() tolerance and arithmetic: a node at integral
+  // level L fits iff L + cores <= capacity + 1e-9.
   for (int level = static_cast<int>(awake_.num_levels()) - 1; level >= 0;
        --level) {
     if (static_cast<double>(level) + cores <= capacity_ + 1e-9)
       return level;
   }
   return -1;
-}
-
-FleetView FleetIndex::materialize_view() const {
-  FleetView view;
-  view.nodes.reserve(committed_.size());
-  for (std::size_t n = 0; n < committed_.size(); ++n) {
-    NodeView node;
-    // Down nodes are presented at capacity 0 so fits() fails for any
-    // request — view-based policies mask them the same way the bucket
-    // queries do (where a down node simply is not present).
-    node.capacity_cores = down_flags_[n] != 0 ? 0.0 : capacity_;
-    node.committed_cores = committed_[n];
-    node.asleep = asleep_flags_[n] != 0;
-    node.down = down_flags_[n] != 0;
-    node.chains.reserve(hosted_[n].size());
-    for (const int id : hosted_[n]) {
-      node.chains.push_back({id, chain_cores_[static_cast<std::size_t>(id)],
-                             chain_gbps_[static_cast<std::size_t>(id)]});
-    }
-    view.nodes.push_back(std::move(node));
-  }
-  return view;
 }
 
 }  // namespace greennfv::orchestrator

@@ -4,15 +4,17 @@
 
 #include "common/arena.hpp"
 #include "common/bucket_queue.hpp"
-#include "orchestrator/policy.hpp"
 
 /// \file fleet_index.hpp
 /// Incrementally-maintained fleet state for the fleet history build:
 /// committed cores, hosted chain lists, and power flags per node, plus an
 /// occupancy-bucketed runqueue (awake nodes keyed by integral committed
-/// cores) and an ordered asleep-id set. Placement policies query it in
-/// O(levels) instead of scanning the roster; index-unaware policies get a
-/// materialized FleetView through the same interface.
+/// cores) and an ordered asleep-id set. Every placement policy reads it
+/// in place: the network-blind ones in O(levels) from the buckets,
+/// topology-aware-bestfit on a fabric by walking the per-node state in id
+/// order. Nothing copies it; the test-side placement oracle
+/// (tests/support/placement_reference.hpp) builds its node views from
+/// these accessors.
 ///
 /// The bucketing is exact, not approximate: every chain commits an
 /// integral core count (one core per NF), so two nodes compare equal on
@@ -30,20 +32,18 @@ class FleetIndex {
 
   // --- engine mutations ----------------------------------------------------
   /// Registers `chain` on `node` (appends to the hosted list). The chain's
-  /// load is remembered for views and consolidation planning.
-  void place_chain(int chain, int node, double cores, double offered_gbps);
+  /// cores are remembered for removal and consolidation planning.
+  void place_chain(int chain, int node, double cores);
   /// Removes `chain` from its current node.
   void remove_chain(int chain);
-  /// Moves `chain` from its current node to `to` (appends to `to`'s
-  /// hosted list — call sort_hosted(to) at the window edge).
-  void move_chain(int chain, int to);
   /// Power transitions (asleep nodes always have zero committed cores).
   void wake(int node);
   void sleep(int node);
   /// Fault transitions. crash() takes the node out of service: it leaves
-  /// both the awake buckets and the asleep set, so no policy query —
-  /// indexed or view-based — can ever pick it. The caller must evict the
-  /// hosted chains first. repair() returns it to service awake and empty.
+  /// both the awake buckets and the asleep set, so no bucket query can
+  /// ever pick it, and a per-node walk skips it on down(). The caller
+  /// must evict the hosted chains first. repair() returns it to service
+  /// awake and empty.
   void crash(int node);
   void repair(int node);
   [[nodiscard]] bool down(int node) const {
@@ -85,9 +85,6 @@ class FleetIndex {
   /// policies' fits() tolerance), or -1 when nothing fits.
   [[nodiscard]] int max_fitting_level(double cores) const;
 
-  /// Full FleetView snapshot for the view-based policy scans.
-  [[nodiscard]] FleetView materialize_view() const;
-
   /// Bytes the bucket/runqueue arena has reserved from the OS — the
   /// flight recorder's fleet.index.arena_bytes gauge.
   [[nodiscard]] std::size_t arena_bytes() const {
@@ -109,10 +106,9 @@ class FleetIndex {
   std::vector<char> asleep_flags_;
   std::vector<char> down_flags_;
   std::vector<std::vector<int>> hosted_;
-  // Per-chain load registry, indexed by chain id (grows on demand).
+  // Per-chain registry, indexed by chain id (grows on demand).
   std::vector<int> chain_node_;
   std::vector<double> chain_cores_;
-  std::vector<double> chain_gbps_;
 };
 
 }  // namespace greennfv::orchestrator

@@ -15,7 +15,7 @@ namespace {
 
 /// Counts one arrival or re-placement query with the candidates it
 /// touched: at most one entry per occupancy level when the buckets
-/// answer, every node when a view is snapshotted.
+/// answer, every node when topology-aware-bestfit scores a fabric.
 void count_query(std::uint64_t candidates) {
   static auto& c_queries =
       telemetry::metrics::counter("fleet.placement.queries");
@@ -29,7 +29,7 @@ void count_query(std::uint64_t candidates) {
 /// bucket whose level still fits has minimal slack; min id breaks ties
 /// (the reference scan's 1e-12-strict improvement keeps the first, i.e.
 /// lowest, index among equal-slack nodes). Falls back to the lowest
-/// asleep id, mirroring energy_bestfit_choose's wake pass.
+/// asleep id, mirroring the scan's wake pass.
 int indexed_bestfit(const FleetIndex& index, double cores) {
   count_query(index.awake_levels().num_levels());
   const int max_level = index.max_fitting_level(cores);
@@ -45,17 +45,9 @@ class FirstFitPolicy final : public FleetPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "first-fit"; }
 
-  [[nodiscard]] int choose(const FleetView& view,
+  [[nodiscard]] int choose(const FleetIndex& index,
                            const ArrivalRequest& request,
                            const topology::PathTable*) const override {
-    for (std::size_t n = 0; n < view.nodes.size(); ++n)
-      if (view.nodes[n].fits(request.cores)) return static_cast<int>(n);
-    return -1;
-  }
-
-  [[nodiscard]] int choose_indexed(
-      const FleetIndex& index, const ArrivalRequest& request,
-      const topology::PathTable*) const override {
     count_query(index.awake_levels().num_levels());
     const int max_level = index.max_fitting_level(request.cores);
     if (max_level < 0) return -1;
@@ -74,25 +66,9 @@ class LeastLoadedPolicy final : public FleetPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "least-loaded"; }
 
-  [[nodiscard]] int choose(const FleetView& view,
+  [[nodiscard]] int choose(const FleetIndex& index,
                            const ArrivalRequest& request,
                            const topology::PathTable*) const override {
-    int chosen = -1;
-    double best_load = 1e300;
-    for (std::size_t n = 0; n < view.nodes.size(); ++n) {
-      const NodeView& node = view.nodes[n];
-      if (!node.fits(request.cores)) continue;
-      if (node.utilization() < best_load - 1e-12) {
-        best_load = node.utilization();
-        chosen = static_cast<int>(n);
-      }
-    }
-    return chosen;
-  }
-
-  [[nodiscard]] int choose_indexed(
-      const FleetIndex& index, const ArrivalRequest& request,
-      const topology::PathTable*) const override {
     count_query(index.awake_levels().num_levels());
     const int max_level = index.max_fitting_level(request.cores);
     if (max_level < 0) return -1;
@@ -113,43 +89,15 @@ class LeastLoadedPolicy final : public FleetPolicy {
   }
 };
 
-/// Tightest fit among *awake* nodes; a sleeping node is woken only when no
-/// awake node has room — the fewest nodes burn more than sleep power.
-int energy_bestfit_choose(const FleetView& view, double cores,
-                          bool allow_wake) {
-  int chosen = -1;
-  double best_slack = 1e300;
-  for (std::size_t n = 0; n < view.nodes.size(); ++n) {
-    const NodeView& node = view.nodes[n];
-    if (node.asleep || !node.fits(cores)) continue;
-    const double slack = node.free_cores() - cores;
-    if (slack < best_slack - 1e-12) {
-      best_slack = slack;
-      chosen = static_cast<int>(n);
-    }
-  }
-  if (chosen >= 0 || !allow_wake) return chosen;
-  for (std::size_t n = 0; n < view.nodes.size(); ++n)
-    if (view.nodes[n].asleep && view.nodes[n].fits(cores))
-      return static_cast<int>(n);
-  return -1;
-}
-
 class EnergyBestFitPolicy final : public FleetPolicy {
  public:
   [[nodiscard]] std::string name() const override {
     return "energy-bestfit";
   }
 
-  [[nodiscard]] int choose(const FleetView& view,
+  [[nodiscard]] int choose(const FleetIndex& index,
                            const ArrivalRequest& request,
                            const topology::PathTable*) const override {
-    return energy_bestfit_choose(view, request.cores, /*allow_wake=*/true);
-  }
-
-  [[nodiscard]] int choose_indexed(
-      const FleetIndex& index, const ArrivalRequest& request,
-      const topology::PathTable*) const override {
     return indexed_bestfit(index, request.cores);
   }
 };
@@ -158,75 +106,13 @@ class ConsolidatePolicy final : public FleetPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "consolidate"; }
 
-  [[nodiscard]] int choose(const FleetView& view,
+  [[nodiscard]] int choose(const FleetIndex& index,
                            const ArrivalRequest& request,
                            const topology::PathTable*) const override {
-    return energy_bestfit_choose(view, request.cores, /*allow_wake=*/true);
-  }
-
-  [[nodiscard]] int choose_indexed(
-      const FleetIndex& index, const ArrivalRequest& request,
-      const topology::PathTable*) const override {
     return indexed_bestfit(index, request.cores);
   }
 
   [[nodiscard]] std::vector<Migration> consolidate(
-      const FleetView& view, double below) const override {
-    // Candidate donors, least-utilized first (the cheapest node to empty).
-    std::vector<std::size_t> donors;
-    for (std::size_t n = 0; n < view.nodes.size(); ++n) {
-      const NodeView& node = view.nodes[n];
-      if (node.occupied() && !node.asleep && node.utilization() < below)
-        donors.push_back(n);
-    }
-    std::sort(donors.begin(), donors.end(),
-              [&view](std::size_t a, std::size_t b) {
-                const double ua = view.nodes[a].utilization();
-                const double ub = view.nodes[b].utilization();
-                if (ua != ub) return ua < ub;
-                return a < b;
-              });
-
-    for (const std::size_t donor : donors) {
-      // Drain-or-nothing: a partial move keeps the donor awake and saves
-      // nothing. Try to best-fit every chain onto the other awake occupied
-      // nodes (never wake a sleeping node to consolidate into).
-      std::vector<double> free(view.nodes.size());
-      for (std::size_t n = 0; n < view.nodes.size(); ++n)
-        free[n] = view.nodes[n].free_cores();
-
-      std::vector<Migration> plan;
-      bool drained = true;
-      for (const ChainLoad& chain : view.nodes[donor].chains) {
-        int target = -1;
-        double best_slack = 1e300;
-        for (std::size_t n = 0; n < view.nodes.size(); ++n) {
-          if (n == donor) continue;
-          const NodeView& node = view.nodes[n];
-          if (node.asleep || !node.occupied()) continue;
-          const double slack = free[n] - chain.cores;
-          if (slack < -1e-9) continue;
-          if (slack < best_slack - 1e-12) {
-            best_slack = slack;
-            target = static_cast<int>(n);
-          }
-        }
-        if (target < 0) {
-          drained = false;
-          break;
-        }
-        free[static_cast<std::size_t>(target)] -= chain.cores;
-        plan.push_back(
-            {chain.id, static_cast<int>(donor), target});
-      }
-      // One drained donor per window keeps churn (and migration downtime)
-      // bounded; the next window picks up the next candidate.
-      if (drained && !plan.empty()) return plan;
-    }
-    return {};
-  }
-
-  [[nodiscard]] std::vector<Migration> consolidate_indexed(
       const FleetIndex& index, double below) const override {
     const BucketQueue& awake = index.awake_levels();
     const double cap = index.capacity_cores();
@@ -247,10 +133,10 @@ class ConsolidatePolicy final : public FleetPolicy {
 
  private:
   /// Drain-or-nothing plan for one donor against the live index, exactly
-  /// mirroring the view-based planner's overlay of tentative receivers:
-  /// non-overlaid candidates come from the snapshot buckets (highest
+  /// mirroring the reference scan's overlay of tentative receivers:
+  /// non-overlaid candidates come from the live buckets (highest
   /// fitting level = tightest fit, min id on ties), overlaid receivers
-  /// compete at their effective (snapshot + taken) level.
+  /// compete at their effective (committed + taken) level.
   [[nodiscard]] static std::vector<Migration> try_drain(
       const FleetIndex& index, int donor) {
     const BucketQueue& awake = index.awake_levels();
@@ -262,7 +148,7 @@ class ConsolidatePolicy final : public FleetPolicy {
       const int max_level = index.max_fitting_level(cores);
       int target = -1;
       double target_eff = -1.0;
-      // Highest fitting snapshot bucket, skipping the donor and already-
+      // Highest fitting bucket, skipping the donor and already-
       // overlaid receivers; level >= 1 keeps only awake occupied nodes.
       for (int level = std::min(max_level,
                                 static_cast<int>(awake.num_levels()) - 1);
@@ -322,68 +208,53 @@ class TopologyAwareBestFitPolicy final : public FleetPolicy {
     return "topology-aware-bestfit";
   }
 
-  /// Without a fabric (topology.enabled=0) both variants are
-  /// energy-bestfit, so the no-topology determinism and golden suites
-  /// exercise this policy too.
-  [[nodiscard]] int choose(const FleetView& view,
+  /// Without a fabric (topology.enabled=0) this is energy-bestfit, so
+  /// the no-topology determinism and golden suites exercise this policy
+  /// too. With one, every node is a candidate: the walk reads the index
+  /// in id order with the reference scan's arithmetic — a down node never
+  /// fits, slack is (capacity - committed) - cores, and only a 1e-12
+  /// strict improvement wins, so equal slack keeps the lower id.
+  [[nodiscard]] int choose(const FleetIndex& index,
                            const ArrivalRequest& request,
                            const topology::PathTable* net) const override {
-    if (net == nullptr)
-      return energy_bestfit_choose(view, request.cores, /*allow_wake=*/true);
+    if (net == nullptr) return indexed_bestfit(index, request.cores);
+    count_query(static_cast<std::uint64_t>(index.num_nodes()));
     const std::vector<topology::PathView> paths =
         net->preview_hosts(request.offered_gbps);
+    const double capacity = index.capacity_cores();
     int chosen = -1;
     bool chosen_asleep = false;
     topology::PathView chosen_path;
     double chosen_slack = 0.0;
-    for (std::size_t n = 0; n < view.nodes.size(); ++n) {
-      const NodeView& node = view.nodes[n];
-      if (!node.fits(request.cores)) continue;
-      const topology::PathView& path = paths[n];
+    for (int n = 0; n < index.num_nodes(); ++n) {
+      if (index.down(n)) continue;
+      const double committed = index.committed_cores(n);
+      if (!(committed + request.cores <= capacity + 1e-9)) continue;
+      const topology::PathView& path = paths[static_cast<std::size_t>(n)];
       if (!path.feasible) continue;
-      const double slack = node.free_cores() - request.cores;
+      const bool asleep = index.asleep(n);
+      const double slack = (capacity - committed) - request.cores;
       const bool wins = [&] {
         if (chosen < 0) return true;
-        if (node.asleep != chosen_asleep) return chosen_asleep;
+        if (asleep != chosen_asleep) return chosen_asleep;
         if (path.hops != chosen_path.hops)
           return path.hops < chosen_path.hops;
         if (path.bottleneck_kbps != chosen_path.bottleneck_kbps)
           return path.bottleneck_kbps > chosen_path.bottleneck_kbps;
-        // Strict improvement only: equal slack keeps the lower id.
         return slack < chosen_slack - 1e-12;
       }();
       if (wins) {
-        chosen = static_cast<int>(n);
-        chosen_asleep = node.asleep;
+        chosen = n;
+        chosen_asleep = asleep;
         chosen_path = path;
         chosen_slack = slack;
       }
     }
     return chosen;
   }
-
-  [[nodiscard]] int choose_indexed(
-      const FleetIndex& index, const ArrivalRequest& request,
-      const topology::PathTable* net) const override {
-    if (net != nullptr) return FleetPolicy::choose_indexed(index, request, net);
-    return indexed_bestfit(index, request.cores);
-  }
 };
 
 }  // namespace
-
-int FleetPolicy::choose_indexed(const FleetIndex& index,
-                                const ArrivalRequest& request,
-                                const topology::PathTable* net) const {
-  // Snapshot the fleet into the classic view and run the linear scan.
-  count_query(static_cast<std::uint64_t>(index.num_nodes()));
-  return choose(index.materialize_view(), request, net);
-}
-
-std::vector<Migration> FleetPolicy::consolidate_indexed(
-    const FleetIndex& index, double below) const {
-  return consolidate(index.materialize_view(), below);
-}
 
 const std::vector<std::string>& fleet_policy_names() {
   return scenario::FleetSpec::policy_names();

@@ -13,6 +13,11 @@
 /// is the joint placement + allocation lever the related work (Tajiki et
 /// al., Sang et al.) identifies as where the energy/QoS trade-off is
 /// decided.
+///
+/// Every policy answers from the engine's `FleetIndex`, read in place.
+/// Each registry policy's rule also exists as a linear scan over a fleet
+/// snapshot in tests/support/placement_reference.hpp: the oracle the
+/// suites pin these answers against.
 
 namespace greennfv::topology {
 class PathTable;
@@ -21,40 +26,6 @@ class PathTable;
 namespace greennfv::orchestrator {
 
 class FleetIndex;
-
-/// One hosted chain from the policy's perspective.
-struct ChainLoad {
-  int id = 0;
-  double cores = 0.0;
-  double offered_gbps = 0.0;
-};
-
-/// Live state of one node as the policies see it.
-struct NodeView {
-  double capacity_cores = 0.0;
-  double committed_cores = 0.0;
-  bool asleep = false;
-  /// Crashed/out-of-service (fault injection). Down nodes are also
-  /// presented at capacity 0, so fits() already masks them for every
-  /// registry policy; the flag is informational for custom policies.
-  bool down = false;
-  std::vector<ChainLoad> chains;
-
-  [[nodiscard]] bool occupied() const { return !chains.empty(); }
-  [[nodiscard]] double free_cores() const {
-    return capacity_cores - committed_cores;
-  }
-  [[nodiscard]] double utilization() const {
-    return capacity_cores > 0.0 ? committed_cores / capacity_cores : 0.0;
-  }
-  [[nodiscard]] bool fits(double cores) const {
-    return committed_cores + cores <= capacity_cores + 1e-9;
-  }
-};
-
-struct FleetView {
-  std::vector<NodeView> nodes;
-};
 
 /// One proposed chain move (consolidation).
 struct Migration {
@@ -82,8 +53,9 @@ class FleetPolicy {
   /// otherwise; only topology-aware policies read it. Whatever node is
   /// returned, the *engine* still admission-checks the path — a policy
   /// cannot oversubscribe a link, only pick badly. Choosing a sleeping
-  /// node wakes it (the caller charges the wake latency/energy).
-  [[nodiscard]] virtual int choose(const FleetView& view,
+  /// node wakes it (the caller charges the wake latency/energy). A down
+  /// node must never be chosen.
+  [[nodiscard]] virtual int choose(const FleetIndex& index,
                                    const ArrivalRequest& request,
                                    const topology::PathTable* net) const = 0;
 
@@ -91,25 +63,11 @@ class FleetPolicy {
   /// sits below `below` when their chains fit on other awake occupied
   /// nodes. Default: none (only the consolidating policy migrates).
   [[nodiscard]] virtual std::vector<Migration> consolidate(
-      const FleetView& view, double below) const {
-    (void)view;
+      const FleetIndex& index, double below) const {
+    (void)index;
     (void)below;
     return {};
   }
-
-  /// Index-backed variants the fleet history build calls on the hot
-  /// path. The registry policies answer straight from the occupancy
-  /// buckets in O(core levels) — provably equal to their linear-scan
-  /// choose()/consolidate() because committed cores are integral (see
-  /// fleet_index.hpp). The defaults materialize a FleetView and defer to
-  /// the scan variants: custom policies use them unchanged, and
-  /// topology-aware-bestfit does while a fabric is live, because its
-  /// joint path-and-node choice scores every candidate's path.
-  [[nodiscard]] virtual int choose_indexed(
-      const FleetIndex& index, const ArrivalRequest& request,
-      const topology::PathTable* net) const;
-  [[nodiscard]] virtual std::vector<Migration> consolidate_indexed(
-      const FleetIndex& index, double below) const;
 };
 
 /// Registry lookup by name ("first-fit", "least-loaded", "energy-bestfit",

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/nf_controller.hpp"
+
 namespace greennfv::core {
 namespace {
 
@@ -16,6 +21,33 @@ EnvConfig small_config() {
   config.sla = Sla::energy_efficiency();
   return config;
 }
+
+void expect_knobs_equal(const std::vector<nfvsim::ChainKnobs>& got,
+                        const std::vector<nfvsim::ChainKnobs>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t c = 0; c < got.size(); ++c) {
+    EXPECT_EQ(got[c].cores, want[c].cores) << c;
+    EXPECT_EQ(got[c].freq_ghz, want[c].freq_ghz) << c;
+    EXPECT_EQ(got[c].llc_fraction, want[c].llc_fraction) << c;
+    EXPECT_EQ(got[c].dma_bytes, want[c].dma_bytes) << c;
+    EXPECT_EQ(got[c].batch, want[c].batch) << c;
+  }
+}
+
+/// Holds whatever knobs it is handed, and records them.
+class HoldScheduler final : public Scheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "hold"; }
+  [[nodiscard]] std::vector<nfvsim::ChainKnobs> decide(
+      const std::vector<ChainObservation>& obs,
+      const std::vector<nfvsim::ChainKnobs>& current) override {
+    (void)obs;
+    handed.push_back(current);
+    return current;
+  }
+
+  std::vector<std::vector<nfvsim::ChainKnobs>> handed;
+};
 
 TEST(Environment, DimensionsFollowChains) {
   NfvEnvironment env(small_config(), 1);
@@ -130,6 +162,38 @@ TEST(Environment, MeanKnobsAverages) {
   knobs[1].cores = 3.0;
   (void)env.run_window(knobs);
   EXPECT_NEAR(env.mean_knobs().cores, 2.0, 1e-9);
+}
+
+TEST(Environment, ResetKeepsTheKnobsTheControllerHolds) {
+  NfvEnvironment env(small_config(), 21);
+  const std::vector<nfvsim::ChainKnobs> built = env.last_knobs();
+  ASSERT_EQ(built.size(), 2u);
+  (void)env.reset(22);
+  expect_knobs_equal(env.last_knobs(), built);
+
+  std::vector<nfvsim::ChainKnobs> knobs(
+      2, nfvsim::baseline_knobs(hwmodel::NodeSpec{}));
+  knobs[0].cores = 1.0;
+  knobs[1].cores = 3.0;
+  knobs[1].batch = 111;
+  (void)env.run_window(knobs);
+  const std::vector<nfvsim::ChainKnobs> held = env.last_knobs();
+  (void)env.reset(23);
+  expect_knobs_equal(env.last_knobs(), held);
+  EXPECT_NEAR(env.mean_knobs().cores, 2.0, 1e-9);
+  // Re-applying the held knobs keeps them too.
+  (void)env.run_window(env.last_knobs());
+  expect_knobs_equal(env.last_knobs(), held);
+
+  // A controller run after a reset decides from the held knobs.
+  (void)env.reset(24);
+  HoldScheduler scheduler;
+  NfController controller(env, scheduler);
+  (void)controller.run(2);
+  ASSERT_EQ(scheduler.handed.size(), 2u);
+  expect_knobs_equal(scheduler.handed[0], held);
+  expect_knobs_equal(scheduler.handed[1], held);
+  expect_knobs_equal(env.last_knobs(), held);
 }
 
 }  // namespace

@@ -57,9 +57,9 @@ TEST(FleetTopology, EventEngineMatchesReferenceAcrossPolicies) {
 }
 
 TEST(FleetTopology, NetworkBlindPoliciesAnswerFromTheBucketsOnAFabric) {
-  // Only topology-aware-bestfit reads the fabric, so only it snapshots
-  // every node per placement query; the others touch at most one bucket
-  // entry per occupancy level, fabric or not.
+  // Only topology-aware-bestfit reads the fabric, so only it walks every
+  // node per placement query; the others touch at most one bucket entry
+  // per occupancy level, fabric or not.
   namespace mc = telemetry::metrics;
   mc::set_enabled(true);
   for (const std::string& policy : fleet_policy_names()) {

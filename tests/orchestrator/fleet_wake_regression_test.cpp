@@ -5,8 +5,10 @@
 #include <vector>
 
 #include "orchestrator/fleet.hpp"
+#include "orchestrator/fleet_index.hpp"
 #include "scenario/presets.hpp"
 #include "tests/support/fleet_reference.hpp"
+#include "tests/support/placement_reference.hpp"
 #include "tests/support/timeline_text.hpp"
 
 /// Regression for the dirty-tracking blind spot: a node that power-gated
@@ -18,8 +20,9 @@
 ///
 /// The registry policies never migrate onto a sleeping node, so the test
 /// injects a custom policy through the orchestrator's policy seam. The
-/// policy is view-based (index-unaware), which additionally pins the
-/// materialize_view compatibility path inside the indexed engine.
+/// policy has two forms of one rule: an index form for the engine and a
+/// view form for the reference engine, so the equivalence case also pins
+/// a custom policy's in-place index reads against a scan.
 
 namespace greennfv::orchestrator {
 namespace {
@@ -28,7 +31,54 @@ namespace {
 /// drains and power-gates; then, on every consolidation pass where some
 /// node sleeps, migrates the busiest node's first chain onto the lowest
 /// sleeping node — the exact move the registry policies refuse to make.
+/// This is the engine's form: it reads the FleetIndex in place.
 class WakeOnMigratePolicy final : public FleetPolicy {
+ public:
+  [[nodiscard]] std::string name() const override {
+    return "wake-on-migrate";
+  }
+
+  [[nodiscard]] int choose(const FleetIndex& index,
+                           const ArrivalRequest& request,
+                           const topology::PathTable*) const override {
+    const auto fits = [&](int n) {
+      return !index.down(n) && index.committed_cores(n) + request.cores <=
+                                   index.capacity_cores() + 1e-9;
+    };
+    for (int n = 0; n < index.num_nodes(); ++n)
+      if (!index.asleep(n) && fits(n)) return n;
+    for (int n = 0; n < index.num_nodes(); ++n)
+      if (index.asleep(n) && fits(n)) return n;
+    return -1;
+  }
+
+  [[nodiscard]] std::vector<Migration> consolidate(
+      const FleetIndex& index, double below) const override {
+    (void)below;
+    int sleeper = -1;
+    for (int n = 0; n < index.num_nodes(); ++n) {
+      if (index.asleep(n)) {
+        sleeper = n;
+        break;
+      }
+    }
+    if (sleeper < 0) return {};
+    int donor = -1;
+    std::size_t most = 1;  // needs >= 2 chains so the donor stays occupied
+    for (int n = 0; n < index.num_nodes(); ++n) {
+      if (index.asleep(n)) continue;
+      if (index.hosted(n).size() > most) {
+        most = index.hosted(n).size();
+        donor = n;
+      }
+    }
+    if (donor < 0) return {};
+    return {{index.hosted(donor).front(), donor, sleeper}};
+  }
+};
+
+/// The same rule as a scan over a FleetView, for the reference engine.
+class WakeOnMigrateScan final : public ReferencePolicy {
  public:
   [[nodiscard]] std::string name() const override {
     return "wake-on-migrate";
@@ -131,7 +181,7 @@ TEST(FleetWakeRegression, MigrationWakeMatchesWindowSynchronousEngine) {
   const scenario::ScenarioSpec spec = wake_spec();
   FleetOrchestrator event_engine(
       spec, std::make_unique<WakeOnMigratePolicy>());
-  const WakeOnMigratePolicy reference_policy;
+  const WakeOnMigrateScan reference_policy;
   const FleetTimeline reference =
       build_reference_timeline(spec, &reference_policy);
   EXPECT_EQ(timeline_to_text(event_engine.timeline(), spec.num_nodes),

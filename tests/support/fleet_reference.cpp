@@ -28,7 +28,7 @@ constexpr std::uint64_t kTimelineSeedSalt = 0xF1EE7C0FFEEull;
 }  // namespace
 
 FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
-                                       const FleetPolicy* policy_override) {
+                                       const ReferencePolicy* policy_override) {
   if (!spec.fleet.enabled) {
     throw std::invalid_argument(
         "orchestrator: reference timeline needs fleet.enabled");
@@ -46,10 +46,10 @@ FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
   const int num_nodes = spec.num_nodes;
   const double window_s = spec.window_s;
   Rng rng(spec.seed ^ kTimelineSeedSalt);
-  const std::unique_ptr<FleetPolicy> owned_policy =
-      policy_override == nullptr ? make_fleet_policy(spec.fleet.policy)
+  const std::unique_ptr<ReferencePolicy> owned_policy =
+      policy_override == nullptr ? make_reference_policy(spec.fleet.policy)
                                  : nullptr;
-  const FleetPolicy* policy =
+  const ReferencePolicy* policy =
       policy_override != nullptr ? policy_override : owned_policy.get();
   const PowerStateConfig ps_config{
       spec.node.p_idle_w, spec.node.p_sleep_w, spec.node.wake_latency_s,
@@ -130,8 +130,8 @@ FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
     for (int n = 0; n < num_nodes; ++n) {
       NodeView node;
       // Down nodes present at capacity 0 and never asleep — exactly what
-      // FleetIndex::materialize_view reports — so every fits() gate masks
-      // them and both engines' policies see the same candidate set.
+      // view_of reports for a FleetIndex — so every fits() gate masks them
+      // and the scans see the candidate set the index policies see.
       node.down = down[static_cast<std::size_t>(n)] != 0;
       node.capacity_cores = node.down ? 0.0 : capacity_cores;
       node.committed_cores = committed[static_cast<std::size_t>(n)];
@@ -140,7 +140,7 @@ FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
       for (const int id : hosted[static_cast<std::size_t>(n)]) {
         const ChainInstance& chain =
             timeline.chains[static_cast<std::size_t>(id)];
-        node.chains.push_back({id, chain.cores, chain.offered_gbps});
+        node.chains.push_back({id, chain.cores});
       }
       view.nodes.push_back(std::move(node));
     }
