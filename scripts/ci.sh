@@ -277,17 +277,18 @@ cmake -B build-asan -S . \
   -DGREENNFV_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j "$JOBS"
 
-# The threaded data path, the fleet index's pooled allocators and the
-# policies that read the index in place are the sanitizer-critical
-# surfaces; run their suites explicitly (pattern match keeps this in sync
-# as suites are added), then the rest of the tree.
+# The threaded data path, the fleet index's pooled allocators, the
+# policies that read the index in place and the reuse state the node
+# model and the replay plan keep in long-lived buffers are the
+# sanitizer-critical surfaces; run their suites explicitly (pattern match
+# keeps this in sync as suites are added), then the rest of the tree.
 export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" -R '^nfvsim\.')
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
-  -R '^common\.(Arena|ArenaAllocator|BucketQueue)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression|FleetPolicy|FleetPlacementOracle)\.|^topology\.|^telemetry\.')
+  -R '^common\.(Arena|ArenaAllocator|BucketQueue)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression|FleetPolicy|FleetPlacementOracle|FleetReplayPlan)\.|^topology\.|^telemetry\.|^hwmodel\.|^core\.(EnvReconfigure|EnvFootprint)\.')
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
-  -E '^nfvsim\.|^common\.(Arena|ArenaAllocator|BucketQueue)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression|FleetPolicy|FleetPlacementOracle)\.|^topology\.|^telemetry\.')
+  -E '^nfvsim\.|^common\.(Arena|ArenaAllocator|BucketQueue)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression|FleetPolicy|FleetPlacementOracle|FleetReplayPlan)\.|^topology\.|^telemetry\.|^hwmodel\.|^core\.(EnvReconfigure|EnvFootprint)\.')
 
 echo
 echo "=== [3/3] ThreadSanitizer gate: TSan build of the concurrent suites ==="
@@ -304,7 +305,7 @@ cmake --build build-tsan -j "$JOBS"
 # a warning at exit.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 (cd build-tsan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
-  -R '^common\.ThreadPool\.|^telemetry\.|^nfvsim\.|^rl\.(PerConcurrent|Apex)|^campaign\.(CampaignRunner|FleetCampaign)\.|^orchestrator\.(FleetDeterminism|FleetFault|FleetGolden|FleetTopology|FleetParallelReplay)\.|^integration\.Determinism\.')
+  -R '^common\.ThreadPool\.|^telemetry\.|^nfvsim\.|^rl\.(PerConcurrent|Apex)|^campaign\.(CampaignRunner|FleetCampaign)\.|^orchestrator\.(FleetDeterminism|FleetFault|FleetGolden|FleetTopology|FleetParallelReplay|FleetReplayPlan)\.|^integration\.Determinism\.')
 ./build-tsan/example_run_scenario scenario=mega-fleet nodes=200 \
   fleet.horizon=30 models=baseline,ee-pstate
 # Both kinds of range in one process: at jobs=2 the campaign's cells hold

@@ -10,7 +10,7 @@
 namespace greennfv::hwmodel {
 
 CacheDemand CostModel::demand_of(const std::vector<NfCostProfile>& nfs,
-                                 const ChainWorkload& load,
+                                 std::uint32_t pkt_bytes,
                                  const ChainResources& res) const {
   CacheDemand demand;
   demand.state_bytes = total_state_bytes(nfs);
@@ -19,8 +19,7 @@ CacheDemand CostModel::demand_of(const std::vector<NfCostProfile>& nfs,
   // batch scales with max(frame, mbuf) — which is why oversized batches
   // thrash the LLC even for small frames (paper Fig. 3b).
   constexpr double kMbufBytes = 2048.0;
-  const double per_pkt =
-      std::max<double>(load.pkt_bytes, kMbufBytes);
+  const double per_pkt = std::max<double>(pkt_bytes, kMbufBytes);
   demand.packet_window_bytes = static_cast<std::uint64_t>(
       static_cast<double>(res.batch) * per_pkt *
       spec_.batch_footprint_factor);
@@ -32,16 +31,22 @@ CacheDemand CostModel::demand_of(const std::vector<NfCostProfile>& nfs,
 ChainEvaluation CostModel::evaluate_chain(
     const std::vector<NfCostProfile>& nfs, const ChainWorkload& load,
     const ChainResources& res) const {
+  return evaluate_load(capacity(nfs, load.pkt_bytes, res), load, res);
+}
+
+ChainCapacity CostModel::capacity(const std::vector<NfCostProfile>& nfs,
+                                  std::uint32_t pkt_bytes,
+                                  const ChainResources& res) const {
   GNFV_REQUIRE(!nfs.empty(), "evaluate_chain: empty chain");
   GNFV_REQUIRE(res.cores > 0.0, "evaluate_chain: zero cores");
   GNFV_REQUIRE(res.freq_ghz > 0.0, "evaluate_chain: zero frequency");
   GNFV_REQUIRE(res.batch >= 1, "evaluate_chain: batch must be >= 1");
-  GNFV_REQUIRE(load.pkt_bytes >= 64, "evaluate_chain: sub-minimum frame");
+  GNFV_REQUIRE(pkt_bytes >= 64, "evaluate_chain: sub-minimum frame");
 
-  ChainEvaluation out;
+  ChainCapacity out;
 
   // --- cache behaviour ------------------------------------------------------
-  const CacheDemand demand = demand_of(nfs, load, res);
+  const CacheDemand demand = demand_of(nfs, pkt_bytes, res);
   const CacheBehaviour cache = cache_.evaluate(demand, res.llc_bytes);
   out.miss_ratio = cache.miss_ratio;
   out.ddio_hit = cache.ddio_hit;
@@ -55,15 +60,14 @@ ChainEvaluation CostModel::evaluate_chain(
   double misses = 0.0;
   for (const auto& nf : nfs) {
     cycles += nf.base_cycles +
-              nf.cycles_per_byte * static_cast<double>(load.pkt_bytes);
+              nf.cycles_per_byte * static_cast<double>(pkt_bytes);
     misses += nf.mem_refs_per_pkt * cache.miss_ratio;
   }
   // First NF reads the packet out of DDIO (or DRAM if the buffer spilled;
   // prefetchers hide most of the sequential read, hence the spill-touch
   // discount).
   const double pkt_lines =
-      std::ceil(static_cast<double>(load.pkt_bytes) /
-                spec_.cache_line_bytes) *
+      std::ceil(static_cast<double>(pkt_bytes) / spec_.cache_line_bytes) *
       spec_.pkt_touch_fraction;
   misses += pkt_lines * (1.0 - cache.ddio_hit) * spec_.ddio_spill_touch;
   cycles += misses * miss_penalty_cycles;
@@ -81,12 +85,24 @@ ChainEvaluation CostModel::evaluate_chain(
   const double cpu_pps =
       res.cores * units::ghz_to_hz(res.freq_ghz) / cycles;
   // The DMA buffer limits how much of the line rate the NIC can push in.
-  const double line_pps =
-      units::gbps_to_pps(spec_.line_rate_gbps, load.pkt_bytes);
-  const double absorption = dma_.absorption(res.dma_bytes, load.pkt_bytes,
+  const double line_pps = units::gbps_to_pps(spec_.line_rate_gbps, pkt_bytes);
+  const double absorption = dma_.absorption(res.dma_bytes, pkt_bytes,
                                             DmaModel::kDefaultPollIntervalS);
   const double input_cap_pps = line_pps * absorption;
   out.service_pps = std::min(cpu_pps, input_cap_pps);
+  return out;
+}
+
+ChainEvaluation CostModel::evaluate_load(const ChainCapacity& cap,
+                                         const ChainWorkload& load,
+                                         const ChainResources& res) const {
+  ChainEvaluation out;
+  out.cycles_per_pkt = cap.cycles_per_pkt;
+  out.misses_per_pkt = cap.misses_per_pkt;
+  out.miss_ratio = cap.miss_ratio;
+  out.ddio_hit = cap.ddio_hit;
+  out.working_set_bytes = cap.working_set_bytes;
+  out.service_pps = cap.service_pps;
 
   // --- goodput / drops -----------------------------------------------------
   const double offered = std::max(load.offered_pps, 0.0);
@@ -121,7 +137,8 @@ ChainEvaluation CostModel::evaluate_chain(
   // --- latency ----------------------------------------------------------------
   if (out.service_pps > 0.0) {
     // Service: one packet's processing time through the chain.
-    const double service_s = cycles / units::ghz_to_hz(res.freq_ghz);
+    const double service_s =
+        out.cycles_per_pkt / units::ghz_to_hz(res.freq_ghz);
     // Batch assembly: on average half a batch accumulates before the poll
     // fires (bounded by the poll interval when traffic is slow).
     const double arrival = std::max(offered, 1.0);

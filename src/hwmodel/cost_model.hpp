@@ -50,6 +50,17 @@ struct ChainResources {
   bool shared_llc = false;
 };
 
+/// What one chain can serve at its knobs and frame size, whatever load is
+/// offered: the load-independent half of CostModel::evaluate_chain.
+struct ChainCapacity {
+  double cycles_per_pkt = 0.0;
+  double misses_per_pkt = 0.0;
+  double miss_ratio = 0.0;
+  double ddio_hit = 1.0;
+  std::uint64_t working_set_bytes = 0;
+  double service_pps = 0.0;  ///< min(CPU rate, DMA-limited input rate)
+};
+
 /// Everything the model can say about one chain at steady state.
 struct ChainEvaluation {
   double cycles_per_pkt = 0.0;
@@ -76,15 +87,31 @@ class CostModel {
   explicit CostModel(const NodeSpec& spec)
       : spec_(spec), cache_(spec), dma_(spec) {}
 
-  /// Steady-state evaluation of one chain.
+  /// Steady-state evaluation of one chain:
+  /// evaluate_load(capacity(nfs, load.pkt_bytes, res), load, res).
   [[nodiscard]] ChainEvaluation evaluate_chain(
       const std::vector<NfCostProfile>& nfs, const ChainWorkload& load,
       const ChainResources& res) const;
 
+  /// The load-independent half: cache behaviour, cycles and misses per
+  /// packet, and the service rate for frames of `pkt_bytes`. Depends on
+  /// every NF cost field, `pkt_bytes` and every field of `res` but
+  /// `poll_mode`.
+  [[nodiscard]] ChainCapacity capacity(const std::vector<NfCostProfile>& nfs,
+                                       std::uint32_t pkt_bytes,
+                                       const ChainResources& res) const;
+
+  /// The load half: goodput (with receive livelock), drops, core occupancy
+  /// and latency of `load` against `cap`, which capacity() computed for
+  /// load.pkt_bytes and the same `res`.
+  [[nodiscard]] ChainEvaluation evaluate_load(const ChainCapacity& cap,
+                                              const ChainWorkload& load,
+                                              const ChainResources& res) const;
+
   /// The cache demand a chain presents (exposed for NodeModel's
   /// contention bookkeeping).
   [[nodiscard]] CacheDemand demand_of(const std::vector<NfCostProfile>& nfs,
-                                      const ChainWorkload& load,
+                                      std::uint32_t pkt_bytes,
                                       const ChainResources& res) const;
 
   [[nodiscard]] const NodeSpec& spec() const { return spec_; }

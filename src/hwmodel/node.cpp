@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <span>
 #include <stdexcept>
@@ -12,8 +14,93 @@
 
 namespace greennfv::hwmodel {
 
+namespace {
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Model ids start at 1: a buffer that holds no terms carries 0.
+std::uint64_t next_model_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// `memo`'s value when it came from `x`'s bit pattern, else f(x), kept.
+/// (A NodeEvaluation::TermMemo, whose name only NodeModel may spell.)
+template <class Memo, class F>
+double reuse(Memo& memo, double x, F f) {
+  if (!memo.valid || memo.input != bits(x)) {
+    memo.value = f(x);
+    memo.input = bits(x);
+    memo.valid = true;
+  }
+  return memo.value;
+}
+
+}  // namespace
+
+void NodeEvaluation::forget_reuse() {
+  for (ChainMemo& memo : memo_) {
+    memo.has_capacity = false;
+    memo.frequency_scale.valid = false;
+    memo.shape.valid = false;
+  }
+  manager_scale_.valid = false;
+  manager_shape_.valid = false;
+  model_ = 0;
+}
+
+bool NodeEvaluation::ChainMemo::holds(
+    const std::vector<NfCostProfile>& chain_nfs, std::uint32_t frame,
+    const ChainResources& res) const {
+  if (!has_capacity || frame != pkt_bytes || res.batch != batch ||
+      bits(res.cores) != cores || bits(res.freq_ghz) != freq_ghz ||
+      res.llc_bytes != llc_bytes || res.dma_bytes != dma_bytes ||
+      res.shared_llc != shared_llc || chain_nfs.size() != nfs.size()) {
+    return false;
+  }
+  for (std::size_t k = 0; k < nfs.size(); ++k) {
+    const NfCostProfile& nf = chain_nfs[k];
+    if (nfs[k] != std::array{bits(nf.base_cycles), bits(nf.cycles_per_byte),
+                             bits(nf.mem_refs_per_pkt), nf.state_bytes}) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void NodeEvaluation::ChainMemo::keep(
+    const std::vector<NfCostProfile>& chain_nfs, std::uint32_t frame,
+    const ChainResources& res) {
+  nfs.resize(chain_nfs.size());
+  for (std::size_t k = 0; k < nfs.size(); ++k) {
+    const NfCostProfile& nf = chain_nfs[k];
+    nfs[k] = {bits(nf.base_cycles), bits(nf.cycles_per_byte),
+              bits(nf.mem_refs_per_pkt), nf.state_bytes};
+  }
+  pkt_bytes = frame;
+  batch = res.batch;
+  cores = bits(res.cores);
+  freq_ghz = bits(res.freq_ghz);
+  llc_bytes = res.llc_bytes;
+  dma_bytes = res.dma_bytes;
+  shared_llc = res.shared_llc;
+  has_capacity = true;
+}
+
 NodeModel::NodeModel(const NodeSpec& spec)
-    : spec_(spec), cost_(spec), power_(spec) {}
+    : spec_(spec), cost_(spec), power_(spec), id_(next_model_id()) {}
+
+double NodeModel::frequency_scale(NodeEvaluation::TermMemo& memo,
+                                  double freq_ghz) const {
+  return reuse(memo, freq_ghz,
+               [&](double f) { return power_.frequency_scale(f); });
+}
+
+double NodeModel::shape(NodeEvaluation::TermMemo& memo, double u) const {
+  return reuse(memo, u, [&](double x) {
+    return 2.0 * x - std::pow(x, spec_.fan_h);
+  });
+}
 
 NodeEvaluation NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
                                    bool use_cat) const {
@@ -25,9 +112,16 @@ NodeEvaluation NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
 void NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
                          bool use_cat, NodeEvaluation& out) const {
   GNFV_REQUIRE(!chains.empty(), "NodeModel::evaluate: no chains");
+  // Terms another model kept came from another spec.
+  if (out.model_ != id_) {
+    out.forget_reuse();
+    out.model_ = id_;
+  }
   // Every per-chain field is written below before it is read; the totals
   // accumulate from zero.
   out.chains.resize(chains.size());
+  out.memo_.resize(chains.size());
+  out.capacity_evals = 0;
   out.utilization = 0.0;
   out.allocated_cores = 0.0;
   out.power_w = 0.0;
@@ -62,8 +156,8 @@ void NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
       ChainResources res;
       res.batch = chains[i].batch;
       res.dma_bytes = chains[i].dma_bytes;
-      const CacheDemand d =
-          cost_.demand_of(chains[i].nfs, chains[i].workload, res);
+      const CacheDemand d = cost_.demand_of(
+          chains[i].nfs, chains[i].workload.pkt_bytes, res);
       out.chains[i].llc_bytes = d.state_bytes + d.packet_window_bytes;
       total_demand += static_cast<double>(out.chains[i].llc_bytes);
     }
@@ -92,7 +186,14 @@ void NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
     res.shared_llc = !use_cat;
 
     ChainReport& report = out.chains[i];
-    report.eval = cost_.evaluate_chain(chain.nfs, chain.workload, res);
+    NodeEvaluation::ChainMemo& memo = out.memo_[i];
+    if (!memo.holds(chain.nfs, chain.workload.pkt_bytes, res)) {
+      memo.capacity =
+          cost_.capacity(chain.nfs, chain.workload.pkt_bytes, res);
+      memo.keep(chain.nfs, chain.workload.pkt_bytes, res);
+      ++out.capacity_evals;
+    }
+    report.eval = cost_.evaluate_load(memo.capacity, chain.workload, res);
 
     out.allocated_cores += chain.cores;
     busy_total += report.eval.busy_cores;
@@ -110,13 +211,11 @@ void NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
                                      report.eval.busy_cores / chain.cores,
                                      0.0, 1.0)
                                : 0.0;
-    const double shape =
-        2.0 * group_u - std::pow(group_u, spec_.fan_h);
     const double weight =
         math_util::clamp(chain.cores / spec_.total_cores, 0.0, 1.0);
-    const double group_dyn = delta_p *
-                             power_.frequency_scale(chain.freq_ghz) * shape *
-                             weight;
+    const double group_dyn =
+        delta_p * frequency_scale(memo.frequency_scale, chain.freq_ghz) *
+        shape(memo.shape, group_u) * weight;
     report.power_w = group_dyn;  // idle share added below
     dynamic_w += group_dyn;
   }
@@ -167,8 +266,8 @@ void NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
   out.allocated_cores += spec_.controller_cores;
   {
     const double mgr_u = math_util::clamp(mgr_duty, 0.0, 1.0);
-    const double mgr_shape = 2.0 * mgr_u - std::pow(mgr_u, spec_.fan_h);
-    dynamic_w += delta_p * power_.frequency_scale(mgr_freq) * mgr_shape *
+    dynamic_w += delta_p * frequency_scale(out.manager_scale_, mgr_freq) *
+                 shape(out.manager_shape_, mgr_u) *
                  math_util::clamp(
                      spec_.controller_cores / spec_.total_cores, 0.0, 1.0);
   }

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "hwmodel/cat.hpp"
@@ -36,7 +38,12 @@ struct ChainReport {
   std::uint64_t llc_bytes = 0; ///< resolved CAT allocation
 };
 
-/// Whole-node results for one steady-state window.
+/// Whole-node results for one steady-state window. A buffer handed back to
+/// NodeModel::evaluate also keeps the terms that repeat from window to
+/// window (each chain's capacity, frequency scale and power shape, and the
+/// manager's frequency scale and power shape) with the exact inputs they
+/// came from, and the next evaluation reuses a term whose inputs are
+/// bit-equal.
 struct NodeEvaluation {
   std::vector<ChainReport> chains;
   double utilization = 0.0;     ///< busy cores / total cores
@@ -46,11 +53,60 @@ struct NodeEvaluation {
   double total_offered_gbps = 0.0;
   double total_goodput_pps = 0.0;
   double total_drop_pps = 0.0;
+  /// Chain capacities the last evaluation computed; the rest were reused.
+  int capacity_evals = 0;
 
   /// Energy for a window of `seconds` at this steady state.
   [[nodiscard]] double energy_j(double seconds) const {
     return power_w * seconds;
   }
+
+  /// Drops every kept term, so the next evaluation computes them all. The
+  /// buffers stay allocated.
+  void forget_reuse();
+
+ private:
+  friend class NodeModel;
+
+  /// A term of one input, with that input's bit pattern.
+  struct TermMemo {
+    bool valid = false;
+    std::uint64_t input = 0;
+    double value = 0.0;
+  };
+
+  /// One chain's capacity, frequency scale and power shape, each with the
+  /// bit patterns of its inputs.
+  struct ChainMemo {
+    bool has_capacity = false;
+    /// base_cycles, cycles_per_byte, mem_refs_per_pkt and state_bytes of
+    /// each NF.
+    std::vector<std::array<std::uint64_t, 4>> nfs;
+    std::uint32_t pkt_bytes = 0;
+    std::uint32_t batch = 0;
+    std::uint64_t cores = 0;
+    std::uint64_t freq_ghz = 0;
+    std::uint64_t llc_bytes = 0;
+    std::uint64_t dma_bytes = 0;
+    bool shared_llc = false;
+    ChainCapacity capacity;
+    TermMemo frequency_scale;
+    TermMemo shape;
+
+    /// True when `capacity` came from exactly these inputs.
+    [[nodiscard]] bool holds(const std::vector<NfCostProfile>& chain_nfs,
+                             std::uint32_t frame,
+                             const ChainResources& res) const;
+    /// Records the inputs `capacity` now comes from.
+    void keep(const std::vector<NfCostProfile>& chain_nfs,
+              std::uint32_t frame, const ChainResources& res);
+  };
+
+  std::vector<ChainMemo> memo_;
+  TermMemo manager_scale_;
+  TermMemo manager_shape_;
+  /// NodeModel::id_ of the model whose terms these are (0 = none).
+  std::uint64_t model_ = 0;
 };
 
 class NodeModel {
@@ -67,7 +123,9 @@ class NodeModel {
       const std::vector<ChainDeployment>& chains, bool use_cat = true) const;
 
   /// The same evaluation written into `out`, whose per-chain buffer is
-  /// reused: no heap allocation once it has held this many chains.
+  /// reused: no heap allocation once it has held these chains. Terms `out`
+  /// kept from this model at bit-equal inputs are reused, so the result
+  /// equals a fresh evaluation bit for bit.
   void evaluate(const std::vector<ChainDeployment>& chains, bool use_cat,
                 NodeEvaluation& out) const;
 
@@ -76,9 +134,18 @@ class NodeModel {
   [[nodiscard]] const PowerModel& power_model() const { return power_; }
 
  private:
+  /// PowerModel::frequency_scale(freq_ghz), from `memo` when it holds it.
+  [[nodiscard]] double frequency_scale(NodeEvaluation::TermMemo& memo,
+                                       double freq_ghz) const;
+  /// Eq. 4's utilization shape 2u - u^h, from `memo` when it holds it.
+  [[nodiscard]] double shape(NodeEvaluation::TermMemo& memo, double u) const;
+
   NodeSpec spec_;
   CostModel cost_;
   PowerModel power_;
+  /// Distinct for every constructed model (copies share it), so a buffer
+  /// never reuses terms another spec computed.
+  std::uint64_t id_;
 };
 
 }  // namespace greennfv::hwmodel

@@ -1,6 +1,8 @@
 #include "nfvsim/controller.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "common/assert.hpp"
 
@@ -16,6 +18,16 @@ hwmodel::DvfsController userspace_dvfs(const hwmodel::NodeSpec& spec) {
   hwmodel::DvfsController dvfs(spec);
   dvfs.set_governor(hwmodel::Governor::kUserspace);
   return dvfs;
+}
+
+/// Equal bit patterns, so -0.0 and +0.0 differ and a NaN matches only
+/// itself.
+bool bit_equal(const ChainKnobs& a, const ChainKnobs& b) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  return bits(a.cores) == bits(b.cores) &&
+         bits(a.freq_ghz) == bits(b.freq_ghz) &&
+         bits(a.llc_fraction) == bits(b.llc_fraction) &&
+         a.dma_bytes == b.dma_bytes && a.batch == b.batch;
 }
 
 }  // namespace
@@ -41,6 +53,7 @@ void OnvmController::redeploy(
   spares_.swap(chains_);
   chains_.reserve(nf_lists.size());
   knobs_.clear();
+  requests_.clear();
   for (std::size_t i = 0; i < nf_lists.size(); ++i) {
     std::string name = "chain" + std::to_string(i);
     const auto spare = std::find_if(
@@ -70,14 +83,18 @@ void OnvmController::deploy(std::unique_ptr<ServiceChain> chain) {
     profiles.push_back(chain->nf(k).profile());
   chains_.push_back(std::move(chain));
   knobs_.push_back(baseline_knobs(spec_));
+  requests_.emplace_back();
 }
 
 ChainKnobs OnvmController::apply_knobs(std::size_t chain_index,
                                        const ChainKnobs& knobs) {
   GNFV_REQUIRE(chain_index < chains_.size(), "apply_knobs: bad chain index");
+  std::optional<ChainKnobs>& request = requests_[chain_index];
+  if (request && bit_equal(*request, knobs)) return knobs_[chain_index];
   ChainKnobs applied = knobs.clamped(spec_);
   applied.freq_ghz = dvfs_.snap(applied.freq_ghz);
   knobs_[chain_index] = applied;
+  request = knobs;
   return applied;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,7 +54,9 @@ class OnvmController {
   }
 
   /// Applies a knob configuration to one chain: clamps to hardware limits
-  /// and snaps the frequency to the DVFS ladder. Returns what was applied.
+  /// and snaps the frequency to the DVFS ladder. Returns what was applied;
+  /// a request bit-equal to the chain's previous one returns the knobs
+  /// the chain holds without clamping again.
   ChainKnobs apply_knobs(std::size_t chain_index, const ChainKnobs& knobs);
 
   [[nodiscard]] const ChainKnobs& knobs(std::size_t chain_index) const {
@@ -86,6 +89,8 @@ class OnvmController {
   bool use_cat_ = true;
   std::vector<std::unique_ptr<ServiceChain>> chains_;
   std::vector<ChainKnobs> knobs_;
+  /// Each chain's last apply_knobs request, whose result knobs_ holds.
+  std::vector<std::optional<ChainKnobs>> requests_;
   std::vector<hwmodel::ChainDeployment> deployments_;
   /// During a redeploy: the chains held before it, until claimed.
   std::vector<std::unique_ptr<ServiceChain>> spares_;

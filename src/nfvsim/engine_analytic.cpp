@@ -4,6 +4,7 @@
 
 #include "common/assert.hpp"
 #include "common/units.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace greennfv::nfvsim {
 
@@ -49,6 +50,9 @@ void AnalyticEngine::fold_workloads() {
 
 const WindowMetrics& AnalyticEngine::step(double dt) {
   GNFV_REQUIRE(dt > 0.0, "AnalyticEngine::step: dt must be positive");
+  static auto& node_evals = telemetry::metrics::counter("nfvsim.node_evals");
+  static auto& capacity_evals =
+      telemetry::metrics::counter("nfvsim.capacity_evals");
 
   generator_.next_window(dt, load_);
   fold_workloads();
@@ -58,6 +62,8 @@ const WindowMetrics& AnalyticEngine::step(double dt) {
   metrics.offered_pps = load_.total_pps;
   node_model_.evaluate(controller_.deployments(workloads_),
                        controller_.use_cat(), metrics.node);
+  node_evals.add();
+  capacity_evals.add(static_cast<std::uint64_t>(metrics.node.capacity_evals));
   metrics.energy_j = metrics.node.power_w * dt;
   meter_.accumulate(metrics.node.power_w, dt);
   time_s_ += dt;
@@ -134,6 +140,7 @@ const AnalyticEngine::RunSummary& AnalyticEngine::run(int windows,
 
 void AnalyticEngine::reset(std::uint64_t seed) {
   generator_.reset(seed);
+  metrics_.node.forget_reuse();
   meter_ = hwmodel::EnergyMeter{};
   time_s_ = 0.0;
 }
@@ -143,6 +150,7 @@ void AnalyticEngine::reconfigure(const std::vector<traffic::FlowSpec>& flows,
   generator_.reset(flows, seed);
   if (!(node_model_.spec() == controller_.spec()))
     node_model_ = hwmodel::NodeModel(controller_.spec());
+  metrics_.node.forget_reuse();
   meter_ = hwmodel::EnergyMeter{};
   time_s_ = 0.0;
   check_flows();

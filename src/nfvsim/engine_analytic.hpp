@@ -15,6 +15,8 @@
 /// episodes) while exercising the exact same controller/knob code path as
 /// the threaded engine. Steps and runs work in buffers the engine owns, so
 /// once they have held the node's chains and flows they allocate nothing.
+/// Every step counts `nfvsim.node_evals`, and `nfvsim.capacity_evals` the
+/// chain capacities it could not reuse from the step before.
 
 namespace greennfv::nfvsim {
 
@@ -70,13 +72,15 @@ class AnalyticEngine {
   [[nodiscard]] OnvmController& controller() { return controller_; }
   [[nodiscard]] traffic::TrafficGenerator& generator() { return generator_; }
 
-  /// Resets virtual time, the meter, and the traffic state.
+  /// Resets virtual time, the meter, and the traffic state, and drops the
+  /// node model terms the window buffer kept for reuse.
   void reset(std::uint64_t seed);
 
   /// Becomes AnalyticEngine(controller, TrafficGenerator(flows, seed)) on
   /// the controller's current chains: a fresh generator, zero clock and
   /// meter, and the node model rebuilt only if the controller's spec
-  /// changed. The buffers are kept.
+  /// changed. The buffers are kept; the terms they kept for reuse are
+  /// dropped.
   void reconfigure(const std::vector<traffic::FlowSpec>& flows,
                    std::uint64_t seed);
 

@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -53,7 +54,9 @@ constexpr int kBlockWindows = 16;
 /// waking workers, and a one-node run never starts a thread.
 constexpr int kParallelMinNodes = 8;
 
-/// One node's window outcome, as much of it as the reduction reads.
+/// One node's window outcome, as much of it as the reduction reads. A
+/// node's task writes one for every window it walks; an unoccupied node's
+/// says only that.
 struct NodeOutcome {
   double throughput_gbps = 0.0;
   double energy_j = 0.0;
@@ -61,12 +64,15 @@ struct NodeOutcome {
   double drop_fraction = 0.0;
   double efficiency = 0.0;
   bool sla_satisfied = false;
+  bool occupied = false;
 };
 
 /// A node's hosted chain set from `window` on: `count` chain ids at
-/// `offset` in the replay's member pool (count 0 = drained).
+/// `offset` in the plan's member pool (count 0 = drained), and the index
+/// of its (node, chain count) key in the plan's first uses (-1 = drained).
 struct MembershipChange {
   int window = 0;
+  int key = -1;
   std::size_t offset = 0;
   std::size_t count = 0;
 };
@@ -98,8 +104,59 @@ std::string placement_policy_name(scenario::PlacementPolicy placement) {
 
 }  // namespace
 
+/// Everything a model's replay reads that no model changes. The chains'
+/// compositions and flows stay in the timeline; the plan only indexes
+/// them.
+struct FleetOrchestrator::ReplayPlan {
+  /// Every node's membership changes, node by node in window order: each
+  /// window at which its hosted chain set differs from before (a dirty
+  /// node whose members came out unchanged keeps its runtime). Node n's
+  /// are [node_begin[n], node_begin[n + 1]).
+  std::vector<MembershipChange> changes;
+  std::vector<std::size_t> node_begin;
+  /// The chain ids of every change, one slice per change.
+  std::vector<int> member_pool;
+  /// Each (node, chain count) key's first use, in (window, node) order:
+  /// the order the [train] lines, training seeds and make calls have
+  /// always had.
+  struct FirstUse {
+    int node = 0;
+    MembershipChange change;
+  };
+  std::vector<FirstUse> first_uses;
+  /// Each chain's flows as ascending positions in the fleet flow pool:
+  /// chain c's are [flow_begin[c], flow_begin[c + 1]) of flow_positions.
+  std::vector<std::size_t> flow_begin;
+  std::vector<std::size_t> flow_positions;
+  /// Each window's start time.
+  std::vector<double> times;
+  /// A frozen one-node deployment, which runs exactly
+  /// core::evaluate_scheduler.
+  bool degenerate = false;
+
+  [[nodiscard]] std::span<const MembershipChange> changes_of(int n) const {
+    const auto i = static_cast<std::size_t>(n);
+    return std::span(changes).subspan(node_begin[i],
+                                      node_begin[i + 1] - node_begin[i]);
+  }
+  [[nodiscard]] std::span<const int> members_of(
+      const MembershipChange& change) const {
+    return std::span(member_pool).subspan(change.offset, change.count);
+  }
+  [[nodiscard]] std::span<const std::size_t> flows_of(int chain) const {
+    const auto c = static_cast<std::size_t>(chain);
+    return std::span(flow_positions)
+        .subspan(flow_begin[c], flow_begin[c + 1] - flow_begin[c]);
+  }
+};
+
 FleetOrchestrator::FleetOrchestrator(scenario::ScenarioSpec spec)
     : FleetOrchestrator(std::move(spec), nullptr) {}
+
+FleetOrchestrator::FleetOrchestrator(FleetOrchestrator&&) noexcept = default;
+FleetOrchestrator& FleetOrchestrator::operator=(FleetOrchestrator&&) noexcept =
+    default;
+FleetOrchestrator::~FleetOrchestrator() = default;
 
 FleetOrchestrator::FleetOrchestrator(scenario::ScenarioSpec spec,
                                      std::unique_ptr<FleetPolicy> policy)
@@ -647,6 +704,95 @@ void FleetOrchestrator::build_timeline() {
   }
 }
 
+const FleetOrchestrator::ReplayPlan& FleetOrchestrator::replay_plan() {
+  if (plan_ != nullptr) return *plan_;
+  const telemetry::trace::Span plan_span(
+      "fleet/replay_plan",
+      &telemetry::metrics::counter("fleet.phase.measure_ns"));
+  auto plan = std::make_unique<ReplayPlan>();
+  const int num_nodes = spec_.num_nodes;
+
+  // Each chain's flows as positions in the fleet flow pool, so a rebuild
+  // hands its node only its members' flows instead of the whole pool. The
+  // initial chains' flows are interleaved in the pool.
+  const std::size_t num_chains = timeline_.chains.size();
+  plan->flow_begin.assign(num_chains + 1, 0);
+  for (const traffic::FlowSpec& flow : timeline_.flows)
+    ++plan->flow_begin.at(static_cast<std::size_t>(flow.chain_index) + 1);
+  for (std::size_t c = 0; c < num_chains; ++c)
+    plan->flow_begin[c + 1] += plan->flow_begin[c];
+  plan->flow_positions.resize(timeline_.flows.size());
+  {
+    std::vector<std::size_t> next(plan->flow_begin.begin(),
+                                  plan->flow_begin.end() - 1);
+    for (std::size_t i = 0; i < timeline_.flows.size(); ++i) {
+      const auto c = static_cast<std::size_t>(timeline_.flows[i].chain_index);
+      plan->flow_positions[next[c]++] = i;
+    }
+  }
+
+  // A frozen one-node deployment runs exactly core::evaluate_scheduler:
+  // the whole-deployment EnvConfig (flows resolved inside the environment
+  // at the node evaluation seed), warmup, profile alignment, then one
+  // NfController window per fleet window — same seeds, same loop, same
+  // numbers, bit for bit.
+  plan->degenerate = num_nodes == 1 && static_fleet_ && !spec_.fault.enabled &&
+                     timeline_.windows.front().rejected == 0;
+
+  // Window start times. A one-node static deployment stamps its windows as
+  // core::evaluate_scheduler does, with a running sum of window lengths;
+  // w * window_s can differ from that sum in the last bit.
+  const bool summed_clock = static_deployment_ && num_nodes == 1;
+  plan->times.resize(static_cast<std::size_t>(horizon_));
+  double elapsed_s = 0.0;
+  for (int w = 0; w < horizon_; ++w, elapsed_s += spec_.window_s) {
+    plan->times[static_cast<std::size_t>(w)] =
+        summed_clock ? elapsed_s : w * spec_.window_s;
+  }
+
+  // One membership replay records each node's changes and numbers the
+  // (node, chain count) keys in order of first use.
+  std::vector<std::pair<int, MembershipChange>> walk;  // (window, node) order
+  std::vector<int> last(static_cast<std::size_t>(num_nodes), -1);
+  std::map<std::pair<int, std::size_t>, int> keys;
+  MembershipReplay replay(timeline_, num_nodes);
+  for (int w = 0; w < horizon_; ++w) {
+    for (const int n : replay.advance()) {
+      const std::vector<int>& members = replay.members(n);
+      int& node_last = last[static_cast<std::size_t>(n)];
+      const auto held = plan->members_of(
+          node_last < 0 ? MembershipChange{}
+                        : walk[static_cast<std::size_t>(node_last)].second);
+      if (std::ranges::equal(members, held)) continue;
+      MembershipChange change{w, -1, plan->member_pool.size(),
+                              members.size()};
+      plan->member_pool.insert(plan->member_pool.end(), members.begin(),
+                               members.end());
+      if (!members.empty()) {
+        const auto [key, first_use] = keys.try_emplace(
+            {n, members.size()}, static_cast<int>(plan->first_uses.size()));
+        change.key = key->second;
+        if (first_use) plan->first_uses.push_back({n, change});
+      }
+      node_last = static_cast<int>(walk.size());
+      walk.emplace_back(n, change);
+    }
+  }
+  // Node-major, each node's changes in window order.
+  plan->node_begin.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
+  for (const auto& [n, change] : walk)
+    ++plan->node_begin[static_cast<std::size_t>(n) + 1];
+  for (std::size_t n = 0; n < static_cast<std::size_t>(num_nodes); ++n)
+    plan->node_begin[n + 1] += plan->node_begin[n];
+  plan->changes.resize(walk.size());
+  std::vector<std::size_t> next(plan->node_begin.begin(),
+                                plan->node_begin.end() - 1);
+  for (const auto& [n, change] : walk)
+    plan->changes[next[static_cast<std::size_t>(n)]++] = change;
+  plan_ = std::move(plan);
+  return *plan_;
+}
+
 scenario::ModelReport FleetOrchestrator::run_model(
     const scenario::SchedulerFactory& entry,
     telemetry::Recorder* recorder) {
@@ -684,113 +830,66 @@ scenario::ModelReport FleetOrchestrator::run_model(
         report.prefix + format("node%d_energy_j", n));
   }
 
-  std::vector<std::vector<std::string>> comps;
-  comps.reserve(timeline_.chains.size());
-  for (const ChainInstance& chain : timeline_.chains)
-    comps.push_back(chain.nfs);
-
-  // Each chain's flows as positions in the fleet flow pool, so a rebuild
-  // hands partition_node_env only its members' flows instead of the whole
-  // pool. Members' flows are merged back into ascending pool position —
-  // the order a full scan visits them; the initial chains' flows are
-  // interleaved, and per-flow traffic draws follow that order.
-  std::vector<std::vector<std::size_t>> chain_flows(timeline_.chains.size());
-  for (std::size_t i = 0; i < timeline_.flows.size(); ++i) {
-    const auto c = static_cast<std::size_t>(timeline_.flows[i].chain_index);
-    chain_flows.at(c).push_back(i);
-  }
-  const auto flows_of = [&](const std::vector<int>& members) {
+  const ReplayPlan& plan = replay_plan();
+  // The environment of node `n` hosting `members`: their compositions, and
+  // their flows in ascending pool position, the order a full scan visits
+  // them (per-flow traffic draws follow it), with node-local chain
+  // indices.
+  const auto env_config_of = [&](std::span<const int> members, int n) {
+    if (plan.degenerate) return spec_.env_config();
     std::vector<std::size_t> positions;
     std::vector<std::size_t> merged;
+    std::vector<std::vector<std::string>> chain_nfs;
+    chain_nfs.reserve(members.size());
     for (const int c : members) {
-      const auto& own = chain_flows[static_cast<std::size_t>(c)];
+      const auto own = plan.flows_of(c);
       merged.clear();
       std::merge(positions.begin(), positions.end(), own.begin(), own.end(),
                  std::back_inserter(merged));
       positions.swap(merged);
+      chain_nfs.push_back(timeline_.chains[static_cast<std::size_t>(c)].nfs);
     }
     std::vector<traffic::FlowSpec> flows;
     flows.reserve(positions.size());
-    for (const std::size_t i : positions) flows.push_back(timeline_.flows[i]);
-    return flows;
+    for (const std::size_t i : positions) {
+      traffic::FlowSpec& flow = flows.emplace_back(timeline_.flows[i]);
+      flow.chain_index = static_cast<int>(
+          std::ranges::find(members, flow.chain_index) - members.begin());
+    }
+    return scenario::node_env(spec_, std::move(chain_nfs), std::move(flows),
+                              n);
   };
-
-  // A frozen one-node deployment runs exactly core::evaluate_scheduler:
-  // the whole-deployment EnvConfig (flows resolved inside the environment
-  // at the node evaluation seed), warmup, profile alignment, then one
-  // NfController window per fleet window — same seeds, same loop, same
-  // numbers, bit for bit.
-  const bool degenerate =
-      num_nodes == 1 && static_fleet_ && !spec_.fault.enabled &&
-      timeline_.windows.front().rejected == 0;
-  const auto env_config_of = [&](const std::vector<int>& members, int n) {
-    return degenerate ? spec_.env_config()
-                      : scenario::partition_node_env(
-                            spec_, comps, flows_of(members), members, n);
-  };
-
-  // Window start times. A one-node static deployment stamps its windows as
-  // core::evaluate_scheduler does, with a running sum of window lengths;
-  // w * window_s can differ from that sum in the last bit.
-  const bool summed_clock = static_deployment_ && num_nodes == 1;
-  std::vector<double> times(static_cast<std::size_t>(horizon_));
-  double elapsed_s = 0.0;
-  for (int w = 0; w < horizon_; ++w, elapsed_s += window_s) {
-    times[static_cast<std::size_t>(w)] =
-        summed_clock ? elapsed_s : w * window_s;
-  }
 
   // Trained policies are tied to the chain count (state/action dims), so
   // each node reuses its scheduler across epochs with the same shape:
-  // one policy per (node, chain count), "train once, run many". The chain
-  // count is the member count, which is what partition_node_env and a
-  // degenerate deployment (every chain on its one node) both configure.
-  std::map<std::pair<int, int>, std::unique_ptr<core::Scheduler>>
-      schedulers;
+  // one policy per (node, chain count), "train once, run many", indexed
+  // like the plan's first uses. The chain count is the member count,
+  // which is what node_env and a degenerate deployment (every chain on
+  // its one node) both configure.
+  std::vector<std::unique_ptr<core::Scheduler>> schedulers(
+      plan.first_uses.size());
 
   // --- pre-pass (serial) ---------------------------------------------------
-  // One membership replay records each node's changes: every window at
-  // which its hosted chain set differs from before (a dirty node whose
-  // members came out unchanged keeps its runtime). It also makes every
-  // (node, chain count) scheduler at its first use, in (window, node)
-  // order on this thread: the order the [train] lines, training seeds and
-  // make calls have always had. From here on the scheduler map is
-  // read-only.
-  std::vector<std::vector<MembershipChange>> changes(
-      static_cast<std::size_t>(num_nodes));
-  std::vector<int> member_pool;
-  const auto members_of = [&](const MembershipChange& change) {
-    const auto first =
-        member_pool.begin() + static_cast<std::ptrdiff_t>(change.offset);
-    return std::pair{first, first + static_cast<std::ptrdiff_t>(change.count)};
-  };
+  // Every scheduler is made at its key's first use, in (window, node)
+  // order on this thread. From here on the scheduler list is read-only
+  // but for each node task freeing its own.
   {
-    // The membership walk is replay work; each make closes its span, so
+    // Partitioning is replay work; each make closes its span, so
     // fleet.phase.measure_ns and fleet.phase.train_ns stay disjoint parts
     // of run_model_ns.
     std::optional<telemetry::trace::Span> prepass_span;
     prepass_span.emplace("fleet/measure_prepass", &c_phase_measure);
-    MembershipReplay replay(timeline_, num_nodes);
-    for (int w = 0; w < horizon_; ++w) {
-      for (const int n : replay.advance()) {
-        const std::vector<int>& members = replay.members(n);
-        auto& node_changes = changes[static_cast<std::size_t>(n)];
-        const auto [first, last] = members_of(
-            node_changes.empty() ? MembershipChange{} : node_changes.back());
-        if (std::equal(members.begin(), members.end(), first, last)) continue;
-        node_changes.push_back({w, member_pool.size(), members.size()});
-        member_pool.insert(member_pool.end(), members.begin(), members.end());
-        const std::pair<int, int> key{n, static_cast<int>(members.size())};
-        if (members.empty() || schedulers.count(key) != 0) continue;
-        const core::EnvConfig env_config = env_config_of(members, n);
-        prepass_span.reset();
-        {
-          const telemetry::trace::Span train_span(train_span_name,
-                                                  &c_phase_train);
-          schedulers.emplace(key, entry.make(env_config, spec_.seed));
-        }
-        prepass_span.emplace("fleet/measure_prepass", &c_phase_measure);
+    for (std::size_t k = 0; k < plan.first_uses.size(); ++k) {
+      const ReplayPlan::FirstUse& use = plan.first_uses[k];
+      const core::EnvConfig env_config =
+          env_config_of(plan.members_of(use.change), use.node);
+      prepass_span.reset();
+      {
+        const telemetry::trace::Span train_span(train_span_name,
+                                                &c_phase_train);
+        schedulers[k] = entry.make(env_config, spec_.seed);
       }
+      prepass_span.emplace("fleet/measure_prepass", &c_phase_measure);
     }
   }
 
@@ -831,8 +930,8 @@ scenario::ModelReport FleetOrchestrator::run_model(
   const auto rebuild = [&](NodeRuntime& rt, int n, int w,
                            const MembershipChange& change) {
     rt.controller.reset();
-    const auto [first, last] = members_of(change);
-    rt.chains.assign(first, last);
+    const auto members = plan.members_of(change);
+    rt.chains.assign(members.begin(), members.end());
     if (rt.chains.empty()) {
       rt.env.reset();
       return;
@@ -844,7 +943,7 @@ scenario::ModelReport FleetOrchestrator::run_model(
         kEpochSeedStride * static_cast<std::uint64_t>(rt.epochs);
     ++rt.epochs;
     core::Scheduler& scheduler =
-        *schedulers.at({n, static_cast<int>(rt.chains.size())});
+        *schedulers[static_cast<std::size_t>(change.key)];
     scheduler.reset();
     if (rt.env == nullptr) {
       rt.env = std::make_unique<core::NfvEnvironment>(std::move(env_config),
@@ -866,15 +965,17 @@ scenario::ModelReport FleetOrchestrator::run_model(
       // reads 0 — re-phase its rate-profile onto fleet time so the
       // whole fleet keeps tracking one absolute load shape (the same
       // clock the arrival envelope runs on).
-      rt.env->align_rate_profile(times[static_cast<std::size_t>(w)]);
+      rt.env->align_rate_profile(plan.times[static_cast<std::size_t>(w)]);
     }
   };
 
   // Walks node `n` through windows [b0, b1): rebuild on a membership
   // change, then advance one window if occupied. Stops at its failure.
+  // After the horizon's last window the node frees its runtime and its
+  // schedulers here, on the pool, instead of after the join.
   const auto replay_node = [&](int n, int b0, int b1) {
     NodeRuntime& rt = nodes[static_cast<std::size_t>(n)];
-    const auto& node_changes = changes[static_cast<std::size_t>(n)];
+    const auto node_changes = plan.changes_of(n);
     for (int w = b0; w < b1; ++w) {
       if (rt.next_change < node_changes.size() &&
           node_changes[rt.next_change].window == w) {
@@ -885,7 +986,10 @@ scenario::ModelReport FleetOrchestrator::run_model(
           return;
         }
       }
-      if (rt.env == nullptr) continue;
+      if (rt.env == nullptr) {
+        slot(n, w, b0).occupied = false;
+        continue;
+      }
       try {
         (void)rt.controller->run(1);
       } catch (...) {
@@ -895,7 +999,16 @@ scenario::ModelReport FleetOrchestrator::run_model(
       const auto& outcome = rt.env->last_outcome();
       slot(n, w, b0) = {outcome.throughput_gbps, outcome.energy_j,
                         outcome.offered_pps,     outcome.drop_fraction,
-                        outcome.efficiency,      outcome.sla_satisfied};
+                        outcome.efficiency,      outcome.sla_satisfied,
+                        true};
+    }
+    if (b1 == horizon_) {
+      rt.controller.reset();
+      rt.env.reset();
+      for (const MembershipChange& change : node_changes) {
+        if (change.key >= 0)
+          schedulers[static_cast<std::size_t>(change.key)].reset();
+      }
     }
   };
 
@@ -907,8 +1020,6 @@ scenario::ModelReport FleetOrchestrator::run_model(
   // campaign cell's range the call runs inline: the cells hold the cores.
   const int jobs =
       num_nodes >= kParallelMinNodes ? ThreadPool::hardware_threads() : 1;
-  // The reduction's own replay: each window's occupied nodes, ascending.
-  MembershipReplay replay(timeline_, num_nodes);
   for (int b0 = 0; b0 < horizon_; b0 += kBlockWindows) {
     const int b1 = std::min(b0 + kBlockWindows, horizon_);
     const telemetry::trace::Span block_span(
@@ -922,22 +1033,21 @@ scenario::ModelReport FleetOrchestrator::run_model(
     // them by the time the failure surfaced.
     const int end = failure ? failure->window : b1;
     for (int w = b0; w < end; ++w) {
-      (void)replay.advance();
       const FleetTimeline::Window& win =
           timeline_.windows[static_cast<std::size_t>(w)];
-      const double t = times[static_cast<std::size_t>(w)];
+      const double t = plan.times[static_cast<std::size_t>(w)];
 
-      // Sum the occupied nodes in ascending node order (the replay's
-      // occupied list is sorted — the accumulation order below is
-      // bit-identity-relevant).
+      // Sum the occupied nodes in ascending node order (the accumulation
+      // order below is bit-identity-relevant).
       double gbps = 0.0;
       double energy = win.standby_energy_j + win.link_energy_j;
       double offered_pps = 0.0;
       double drop_weighted = 0.0;
       int active = 0;
       const NodeOutcome* solo = nullptr;
-      for (const int n : replay.occupied()) {
+      for (int n = 0; n < num_nodes; ++n) {
         const NodeOutcome& outcome = slot(n, w, b0);
+        if (!outcome.occupied) continue;
         ++active;
         solo = &outcome;
         gbps += outcome.throughput_gbps;

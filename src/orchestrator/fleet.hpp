@@ -217,6 +217,10 @@ class FleetOrchestrator {
   FleetOrchestrator(scenario::ScenarioSpec spec,
                     std::unique_ptr<FleetPolicy> policy);
 
+  FleetOrchestrator(FleetOrchestrator&&) noexcept;
+  FleetOrchestrator& operator=(FleetOrchestrator&&) noexcept;
+  ~FleetOrchestrator();
+
   [[nodiscard]] const scenario::ScenarioSpec& spec() const { return spec_; }
   [[nodiscard]] const FleetTimeline& timeline() const { return timeline_; }
   /// Measured windows (fleet.horizon, or the scenario's eval_windows).
@@ -234,12 +238,15 @@ class FleetOrchestrator {
   /// asleep_nodes, live_chains, arrivals, departures, migrations,
   /// rejected) are fleet-only.
   ///
-  /// Every scheduler is made first, on the calling thread, in first-use
+  /// The first call plans the replay once for every model: each node's
+  /// membership changes and the (node, chain count) keys in first-use
+  /// order. Every scheduler is then made, on the calling thread, in that
   /// order; a make that throws fails the call before any replay. Fleets
   /// of 8 or more nodes then replay their nodes with
   /// ThreadPool::parallel_for on every hardware thread, which runs them
   /// inline when the caller is itself inside a range (a campaign cell at
-  /// jobs > 1). Either way the report is bit-identical, and a scheduler
+  /// jobs > 1), and each node's task frees its runtime after the last
+  /// window. Either way the report is bit-identical, and a scheduler
   /// that throws mid-replay surfaces the failure a window-by-window loop
   /// would meet first.
   scenario::ModelReport run_model(const scenario::SchedulerFactory& entry,
@@ -259,8 +266,13 @@ class FleetOrchestrator {
   bool static_fleet_ = true;
   double capacity_cores_ = 0.0;
   FleetTimeline timeline_;
+  /// The replay inputs no model changes (fleet.cpp). The first run_model
+  /// builds it, so fleets that never replay never pay for it.
+  struct ReplayPlan;
+  std::unique_ptr<const ReplayPlan> plan_;
 
   void build_timeline();
+  const ReplayPlan& replay_plan();
 };
 
 }  // namespace greennfv::orchestrator

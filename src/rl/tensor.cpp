@@ -242,6 +242,31 @@ void gemm_core(const double* ap, std::size_t si, std::size_t st,
   }
 }
 
+/// C(m×1) = seed + A(m×kk)·b: one output column, each row's sum seeded
+/// with `seed` and accumulating kk in increasing order, as the tile would.
+/// Eight rows run at once so their add chains overlap; the tile would
+/// spend 15 of its 16 columns on zeros.
+void gemm_column(const double* ap, const double* bp, double* cp,
+                 std::size_t m, std::size_t kk, double seed) {
+  constexpr std::size_t kRows = 8;
+  std::size_t i0 = 0;
+  for (; i0 + kRows <= m; i0 += kRows) {
+    double acc[kRows];
+    for (std::size_t r = 0; r < kRows; ++r) acc[r] = seed;
+    for (std::size_t t = 0; t < kk; ++t) {
+      const double b = bp[t];
+      for (std::size_t r = 0; r < kRows; ++r)
+        acc[r] += ap[(i0 + r) * kk + t] * b;
+    }
+    for (std::size_t r = 0; r < kRows; ++r) cp[i0 + r] = acc[r];
+  }
+  for (; i0 < m; ++i0) {
+    double acc = seed;
+    for (std::size_t t = 0; t < kk; ++t) acc += ap[i0 * kk + t] * bp[t];
+    cp[i0] = acc;
+  }
+}
+
 }  // namespace
 
 void gemm(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
@@ -285,6 +310,10 @@ void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c,
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   const double* bd = b.data();
   double* cd = c.data();
+  if (n == 1) {
+    gemm_column(a.data(), bd, cd, m, k, bias.empty() ? 0.0 : bias[0]);
+    return;
+  }
   // Dot-product form would serialize each output element on a k-long add
   // chain (add-latency bound, no legal SIMD over the reduction). Instead
   // pack Bᵀ once — O(k·n) against O(m·k·n) math — and run the tiled core;

@@ -95,22 +95,32 @@ core::EnvConfig partition_node_env(
     const std::vector<std::vector<std::string>>& comps,
     const std::vector<traffic::FlowSpec>& flows,
     const std::vector<int>& local_chains, int node) {
-  core::EnvConfig env = spec.env_config();
-  env.num_chains = static_cast<int>(local_chains.size());
-  env.chain_nfs.clear();
+  std::vector<std::vector<std::string>> chain_nfs;
+  chain_nfs.reserve(local_chains.size());
   for (const int c : local_chains)
-    env.chain_nfs.push_back(comps.at(static_cast<std::size_t>(c)));
-  env.flows.clear();
-  env.total_offered_gbps = 0.0;
+    chain_nfs.push_back(comps.at(static_cast<std::size_t>(c)));
+  std::vector<traffic::FlowSpec> local_flows;
   for (const auto& flow : flows) {
     for (std::size_t local = 0; local < local_chains.size(); ++local) {
       if (flow.chain_index != local_chains[local]) continue;
-      traffic::FlowSpec remapped = flow;
-      remapped.id = static_cast<int>(env.flows.size());
-      remapped.chain_index = static_cast<int>(local);
-      env.total_offered_gbps += remapped.mean_rate_gbps();
-      env.flows.push_back(std::move(remapped));
+      local_flows.push_back(flow);
+      local_flows.back().chain_index = static_cast<int>(local);
     }
+  }
+  return node_env(spec, std::move(chain_nfs), std::move(local_flows), node);
+}
+
+core::EnvConfig node_env(const ScenarioSpec& spec,
+                         std::vector<std::vector<std::string>> chain_nfs,
+                         std::vector<traffic::FlowSpec> flows, int node) {
+  core::EnvConfig env = spec.env_config();
+  env.num_chains = static_cast<int>(chain_nfs.size());
+  env.chain_nfs = std::move(chain_nfs);
+  env.flows = std::move(flows);
+  env.total_offered_gbps = 0.0;
+  for (std::size_t i = 0; i < env.flows.size(); ++i) {
+    env.flows[i].id = static_cast<int>(i);
+    env.total_offered_gbps += env.flows[i].mean_rate_gbps();
   }
   if (env.flows.empty()) {
     throw std::invalid_argument(format(

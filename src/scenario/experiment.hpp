@@ -85,6 +85,13 @@ struct SchedulerFactory {
     const std::vector<traffic::FlowSpec>& flows,
     const std::vector<int>& local_chains, int node);
 
+/// partition_node_env once its inputs are node-local: `chain_nfs[i]` is
+/// local chain i's composition and every flow's chain_index is already a
+/// local index. Flow ids are renumbered in list order.
+[[nodiscard]] core::EnvConfig node_env(
+    const ScenarioSpec& spec, std::vector<std::vector<std::string>> chain_nfs,
+    std::vector<traffic::FlowSpec> flows, int node);
+
 struct ModelReport {
   core::EvalResult result;
   /// This model's series live at `<series_prefix>throughput_gbps`,

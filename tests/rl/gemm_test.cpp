@@ -255,6 +255,31 @@ TEST(GemmNt, ZeroRowsOverNegativeZeroBiasMatchNaive) {
   expect_equal(c, naive_gemm_nt(a, b, bias));
 }
 
+TEST(GemmNt, WidthOneOutputMatchesNaive) {
+  // One output column (the critic head) takes its own path: rows below,
+  // at and past its eight-row blocks, exact zeros in A, and a -0.0 seed
+  // under an all-zero row.
+  Rng rng(36);
+  for (const std::size_t m : {1, 7, 8, 9, 17, 64}) {
+    for (const std::size_t k : {1, 5, 64}) {
+      SCOPED_TRACE(testing::Message() << m << "x" << k);
+      Matrix a = random_matrix(m, k, rng);
+      sprinkle_zeros(a);
+      for (std::size_t t = 0; t < k; ++t) a(m / 2, t) = 0.0;
+      const Matrix b = random_matrix(1, k, rng);
+      for (const double seed : {rng.uniform(-1.0, 1.0), -0.0}) {
+        const std::vector<double> bias = {seed};
+        Matrix c(m, 1);
+        gemm_nt(a, b, c, bias);
+        expect_equal(c, naive_gemm_nt(a, b, bias));
+      }
+      Matrix c(m, 1);
+      gemm_nt(a, b, c);
+      expect_equal(c, naive_gemm_nt(a, b, {}));
+    }
+  }
+}
+
 TEST(GemmNt, BiasSeedsEveryOutputElement) {
   Rng rng(32);
   const Matrix a = random_matrix(6, 10, rng);
