@@ -70,8 +70,7 @@ void BM_MempoolAllocFree(benchmark::State& state) {
 BENCHMARK(BM_MempoolAllocFree);
 
 void BM_ChainInline(benchmark::State& state) {
-  ServiceChain chain("bench", standard_chain_nfs(
-                                  static_cast<int>(state.range(0))));
+  ServiceChain chain(standard_chain_nfs(static_cast<int>(state.range(0))));
   Packet pkt;
   pkt.frame_bytes = 512;
   pkt.src_ip = 0xC0A80001;

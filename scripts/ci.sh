@@ -282,13 +282,16 @@ cmake --build build-asan -j "$JOBS"
 # model and the replay plan keep in long-lived buffers are the
 # sanitizer-critical surfaces; run their suites explicitly (pattern match
 # keeps this in sync as suites are added), then the rest of the tree.
+# SANITIZER_FIRST is named once, so the last step runs exactly its
+# complement.
 export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
+SANITIZER_FIRST='^common\.(Arena|ArenaAllocator|BucketQueue)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression|FleetPolicy|FleetPlacementOracle|FleetReplayPlan)\.|^topology\.|^telemetry\.|^hwmodel\.|^core\.(EnvReconfigure|EnvFootprint)\.'
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" -R '^nfvsim\.')
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
-  -R '^common\.(Arena|ArenaAllocator|BucketQueue)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression|FleetPolicy|FleetPlacementOracle|FleetReplayPlan)\.|^topology\.|^telemetry\.|^hwmodel\.|^core\.(EnvReconfigure|EnvFootprint)\.')
+  -R "$SANITIZER_FIRST")
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
-  -E '^nfvsim\.|^common\.(Arena|ArenaAllocator|BucketQueue)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression|FleetPolicy|FleetPlacementOracle|FleetReplayPlan)\.|^topology\.|^telemetry\.|^hwmodel\.|^core\.(EnvReconfigure|EnvFootprint)\.')
+  -E "^nfvsim\\.|$SANITIZER_FIRST")
 
 echo
 echo "=== [3/3] ThreadSanitizer gate: TSan build of the concurrent suites ==="

@@ -1,6 +1,7 @@
 #include "core/environment.hpp"
 
 #include "common/assert.hpp"
+#include "nfvsim/chain.hpp"
 #include "traffic/generator.hpp"
 
 namespace greennfv::core {
@@ -8,7 +9,7 @@ namespace greennfv::core {
 namespace {
 
 /// Deploys the evaluation chains onto `controller`: chain_nfs, or the
-/// standard rotation when it is empty, named chain0.. (hybrid, CAT on).
+/// standard rotation when it is empty (hybrid, CAT on).
 void deploy_eval_chains(
     nfvsim::OnvmController& controller, const hwmodel::NodeSpec& spec,
     int num_chains, const std::vector<std::vector<std::string>>& chain_nfs) {

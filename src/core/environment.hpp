@@ -47,14 +47,13 @@ class NfvEnvironment final : public rl::Environment {
  public:
   NfvEnvironment(EnvConfig config, std::uint64_t seed);
 
-  /// Becomes NfvEnvironment(config, seed) in place: chains named chain0..
-  /// at baseline knobs, CAT on and hybrid scheduling, a fresh traffic
-  /// generator, zero clock and meter, no observations and a step count of
-  /// 0. It keeps the controller and the engine with their buffers,
-  /// rebuilds the DVFS ladder and the node model only when the spec
-  /// changes, and reuses every chain whose NF list matches an incoming
-  /// one, so only the other chains build NFs. The constructor is this
-  /// call on an empty environment. An NfController made before it must be
+  /// Becomes NfvEnvironment(config, seed) in place: the chains' cost
+  /// profiles at baseline knobs, CAT on and hybrid scheduling, a fresh
+  /// traffic generator, zero clock and meter, no observations and a step
+  /// count of 0. It keeps the controller and the engine with their
+  /// buffers, and rebuilds the DVFS ladder and the node model only when
+  /// the spec changes; it builds no NF. The constructor is this call on
+  /// an empty environment. An NfController made before it must be
   /// made again, since its scheduler's CAT and scheduling choices are
   /// undone. It throws what the constructor throws; the environment is
   /// then unusable until a reconfigure succeeds.

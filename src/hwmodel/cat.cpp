@@ -9,21 +9,6 @@
 
 namespace greennfv::hwmodel {
 
-CatAllocator::CatAllocator(const NodeSpec& spec)
-    : allocatable_ways_(spec.llc_ways - spec.ddio_ways),
-      ddio_ways_(spec.ddio_ways),
-      bytes_per_way_(spec.bytes_per_way()) {
-  GNFV_REQUIRE(allocatable_ways_ > 0, "CAT: no allocatable ways");
-}
-
-void CatAllocator::set_clos(ClosId clos, int first_way, int way_count) {
-  if (way_count <= 0)
-    throw std::invalid_argument("CAT: CBM must contain at least one way");
-  if (first_way < 0 || first_way + way_count > allocatable_ways_)
-    throw std::invalid_argument("CAT: CBM exceeds allocatable ways");
-  clos_[clos] = Mask{first_way, way_count};
-}
-
 void apportion_ways(std::span<const double> fractions, int ways,
                     std::span<int> out) {
   GNFV_REQUIRE(ways > 0 && ways <= kMaxLlcWays,
@@ -61,44 +46,6 @@ void apportion_ways(std::span<const double> fractions, int ways,
     remainders[idx] -= 1.0;
     --remaining;
   }
-}
-
-std::vector<int> CatAllocator::partition(const std::vector<double>& fractions) {
-  std::vector<int> ways(fractions.size());
-  apportion_ways(fractions, allocatable_ways_, ways);
-  clos_.clear();
-  int cursor = 0;
-  for (std::size_t i = 0; i < ways.size(); ++i) {
-    set_clos(static_cast<ClosId>(i), cursor, ways[i]);
-    cursor += ways[i];
-  }
-  return ways;
-}
-
-void CatAllocator::reset() { clos_.clear(); }
-
-bool CatAllocator::has_clos(ClosId clos) const {
-  return clos_.count(clos) != 0;
-}
-
-int CatAllocator::way_count(ClosId clos) const {
-  const auto it = clos_.find(clos);
-  GNFV_REQUIRE(it != clos_.end(), "CAT: unknown CLOS");
-  return it->second.way_count;
-}
-
-std::uint64_t CatAllocator::bytes(ClosId clos) const {
-  return static_cast<std::uint64_t>(way_count(clos)) * bytes_per_way_;
-}
-
-std::uint64_t CatAllocator::cbm(ClosId clos) const {
-  const auto it = clos_.find(clos);
-  GNFV_REQUIRE(it != clos_.end(), "CAT: unknown CLOS");
-  std::uint64_t mask = 0;
-  for (int w = 0; w < it->second.way_count; ++w) {
-    mask |= 1ull << (ddio_ways_ + it->second.first_way + w);
-  }
-  return mask;
 }
 
 }  // namespace greennfv::hwmodel

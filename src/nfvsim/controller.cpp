@@ -1,8 +1,8 @@
 #include "nfvsim/controller.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -30,15 +30,27 @@ bool bit_equal(const ChainKnobs& a, const ChainKnobs& b) {
          a.dma_bytes == b.dma_bytes && a.batch == b.batch;
 }
 
+/// `nfs` becomes the catalog profiles of `nf_names`, in order.
+void fill_profiles(const std::vector<std::string>& nf_names,
+                   std::vector<hwmodel::NfCostProfile>& nfs) {
+  GNFV_REQUIRE(!nf_names.empty(), "controller: empty NF list");
+  nfs.clear();
+  for (const std::string& name : nf_names)
+    nfs.push_back(hwmodel::nf_catalog::by_name(name));
+}
+
 }  // namespace
 
 OnvmController::OnvmController(hwmodel::NodeSpec spec, SchedMode mode)
     : spec_(spec), dvfs_(userspace_dvfs(spec)), sched_mode_(mode) {}
 
-int OnvmController::add_chain(const std::string& name,
-                              const std::vector<std::string>& nf_names) {
-  deploy(std::make_unique<ServiceChain>(name, nf_names));
-  return static_cast<int>(chains_.size()) - 1;
+int OnvmController::add_chain(const std::vector<std::string>& nf_names) {
+  hwmodel::ChainDeployment deployment;
+  fill_profiles(nf_names, deployment.nfs);
+  deployments_.push_back(std::move(deployment));
+  knobs_.push_back(baseline_knobs(spec_));
+  requests_.emplace_back();
+  return static_cast<int>(deployments_.size()) - 1;
 }
 
 void OnvmController::redeploy(
@@ -50,45 +62,17 @@ void OnvmController::redeploy(
   }
   sched_mode_ = mode;
   use_cat_ = true;
-  spares_.swap(chains_);
-  chains_.reserve(nf_lists.size());
-  knobs_.clear();
-  requests_.clear();
-  for (std::size_t i = 0; i < nf_lists.size(); ++i) {
-    std::string name = "chain" + std::to_string(i);
-    const auto spare = std::find_if(
-        spares_.begin(), spares_.end(),
-        [&](const std::unique_ptr<ServiceChain>& chain) {
-          return chain != nullptr && chain->runs(nf_lists[i]);
-        });
-    if (spare == spares_.end()) {
-      deploy(std::make_unique<ServiceChain>(std::move(name), nf_lists[i]));
-    } else {
-      (*spare)->reuse_as(std::move(name));
-      deploy(std::move(*spare));
-    }
-  }
-  spares_.clear();
-  deployments_.resize(chains_.size());
-}
-
-void OnvmController::deploy(std::unique_ptr<ServiceChain> chain) {
-  // A redeploy refills the deployment entries it already holds, keeping
-  // their profile buffers.
-  const std::size_t i = chains_.size();
-  if (i == deployments_.size()) deployments_.emplace_back();
-  std::vector<hwmodel::NfCostProfile>& profiles = deployments_[i].nfs;
-  profiles.clear();
-  for (std::size_t k = 0; k < chain->num_nfs(); ++k)
-    profiles.push_back(chain->nf(k).profile());
-  chains_.push_back(std::move(chain));
-  knobs_.push_back(baseline_knobs(spec_));
-  requests_.emplace_back();
+  // The entries already held keep their profile buffers.
+  deployments_.resize(nf_lists.size());
+  knobs_.assign(nf_lists.size(), baseline_knobs(spec_));
+  requests_.assign(nf_lists.size(), std::nullopt);
+  for (std::size_t i = 0; i < nf_lists.size(); ++i)
+    fill_profiles(nf_lists[i], deployments_[i].nfs);
 }
 
 ChainKnobs OnvmController::apply_knobs(std::size_t chain_index,
                                        const ChainKnobs& knobs) {
-  GNFV_REQUIRE(chain_index < chains_.size(), "apply_knobs: bad chain index");
+  GNFV_REQUIRE(chain_index < knobs_.size(), "apply_knobs: bad chain index");
   std::optional<ChainKnobs>& request = requests_[chain_index];
   if (request && bit_equal(*request, knobs)) return knobs_[chain_index];
   ChainKnobs applied = knobs.clamped(spec_);
@@ -100,9 +84,9 @@ ChainKnobs OnvmController::apply_knobs(std::size_t chain_index,
 
 const std::vector<hwmodel::ChainDeployment>& OnvmController::deployments(
     const std::vector<hwmodel::ChainWorkload>& workloads) {
-  GNFV_REQUIRE(workloads.size() == chains_.size(),
+  GNFV_REQUIRE(workloads.size() == deployments_.size(),
                "deployments: workload count != chain count");
-  for (std::size_t i = 0; i < chains_.size(); ++i) {
+  for (std::size_t i = 0; i < deployments_.size(); ++i) {
     hwmodel::ChainDeployment& dep = deployments_[i];
     dep.workload = workloads[i];
     dep.cores = knobs_[i].cores;

@@ -1,22 +1,23 @@
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "hwmodel/dvfs.hpp"
 #include "hwmodel/node.hpp"
-#include "nfvsim/chain.hpp"
+#include "hwmodel/nf_cost.hpp"
 #include "nfvsim/knobs.hpp"
 
 /// \file controller.hpp
-/// The ONVM-style manager. Owns the node's chains, holds each chain's knob
-/// configuration, snaps DVFS requests to the ladder, drives CAT
-/// partitioning, and translates its state into hwmodel deployments for the
-/// analytic engine. GreenNFV's NF controller (core/nf_controller) issues
-/// `apply_knobs` calls against this class — the same interface the paper
-/// added to the ONVM controller.
+/// The ONVM-style manager. Holds what the node model reads of each chain:
+/// its NFs' cost profiles, its knob configuration and its last knob
+/// request. It snaps DVFS requests to the ladder, drives CAT partitioning,
+/// and translates its state into hwmodel deployments for the analytic
+/// engine. It holds no NF objects: the threaded engine builds the packet
+/// path from the profiles' names for each run. GreenNFV's NF controller
+/// (core/nf_controller) issues `apply_knobs` calls against this class —
+/// the same interface the paper added to the ONVM controller.
 
 namespace greennfv::nfvsim {
 
@@ -33,24 +34,25 @@ class OnvmController {
   explicit OnvmController(hwmodel::NodeSpec spec = hwmodel::NodeSpec{},
                           SchedMode mode = SchedMode::kHybrid);
 
-  /// Deploys a chain built from NF catalog names; returns its index.
-  int add_chain(const std::string& name,
-                const std::vector<std::string>& nf_names);
+  /// Deploys a chain of NF catalog names, e.g. {"firewall","router","ids"},
+  /// with baseline knobs; returns its index. Throws std::invalid_argument
+  /// for an unknown name and leaves the controller as it was.
+  int add_chain(const std::vector<std::string>& nf_names);
 
-  /// Becomes OnvmController(spec, mode) followed by
-  /// add_chain("chain<i>", nf_lists[i]) for each i: CAT on, baseline
-  /// knobs. A held chain whose NF list matches an incoming one is reused
-  /// (ServiceChain::reuse_as) instead of built again, the DVFS ladder is
-  /// rebuilt only when the spec changed, and held chains that nothing
-  /// claims are freed. If it throws (an unknown NF name), the controller
-  /// is unusable until a redeploy succeeds.
+  /// Becomes OnvmController(spec, mode) followed by add_chain(nf_lists[i])
+  /// for each i: CAT on, baseline knobs. It refills the deployment entries
+  /// it holds, and rebuilds the DVFS ladder only when the spec changed. If
+  /// it throws (an unknown NF name), the controller is unusable until a
+  /// redeploy succeeds.
   void redeploy(const hwmodel::NodeSpec& spec, SchedMode mode,
                 const std::vector<std::vector<std::string>>& nf_lists);
 
-  [[nodiscard]] std::size_t num_chains() const { return chains_.size(); }
-  [[nodiscard]] ServiceChain& chain(std::size_t i) { return *chains_.at(i); }
-  [[nodiscard]] const ServiceChain& chain(std::size_t i) const {
-    return *chains_.at(i);
+  [[nodiscard]] std::size_t num_chains() const { return deployments_.size(); }
+
+  /// Cost profiles of a chain's NFs, in chain order.
+  [[nodiscard]] const std::vector<hwmodel::NfCostProfile>& profiles(
+      std::size_t i) const {
+    return deployments_.at(i).nfs;
   }
 
   /// Applies a knob configuration to one chain: clamps to hardware limits
@@ -75,25 +77,21 @@ class OnvmController {
 
   /// hwmodel deployments for the current knob state and the given
   /// per-chain workloads (one entry per chain). The controller owns the
-  /// buffer, whose entries cache their chain's cost profiles from when
-  /// the chain was deployed: valid until the next call or redeploy.
+  /// buffer, whose entries hold their chain's cost profiles: valid until
+  /// the next call or redeploy.
   [[nodiscard]] const std::vector<hwmodel::ChainDeployment>& deployments(
       const std::vector<hwmodel::ChainWorkload>& workloads);
 
  private:
-  void deploy(std::unique_ptr<ServiceChain> chain);
-
   hwmodel::NodeSpec spec_;
   hwmodel::DvfsController dvfs_;
   SchedMode sched_mode_;
   bool use_cat_ = true;
-  std::vector<std::unique_ptr<ServiceChain>> chains_;
   std::vector<ChainKnobs> knobs_;
   /// Each chain's last apply_knobs request, whose result knobs_ holds.
   std::vector<std::optional<ChainKnobs>> requests_;
+  /// One entry per chain; its `nfs` are the chain's cost profiles.
   std::vector<hwmodel::ChainDeployment> deployments_;
-  /// During a redeploy: the chains held before it, until claimed.
-  std::vector<std::unique_ptr<ServiceChain>> spares_;
 };
 
 }  // namespace greennfv::nfvsim

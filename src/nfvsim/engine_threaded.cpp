@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "nfvsim/chain.hpp"
 #include "nfvsim/ring.hpp"
 
 namespace greennfv::nfvsim {
@@ -35,6 +37,17 @@ ThreadedRunReport ThreadedEngine::run(
   }
 
   const std::size_t n_chains = controller_.num_chains();
+  // The packet path: one chain of NFs per controller chain, built from
+  // its cost profiles' names and owned by this run.
+  std::vector<ServiceChain> chains;
+  chains.reserve(n_chains);
+  std::vector<std::string> nf_names;
+  for (std::size_t c = 0; c < n_chains; ++c) {
+    nf_names.clear();
+    for (const hwmodel::NfCostProfile& nf : controller_.profiles(c))
+      nf_names.push_back(nf.name);
+    chains.emplace_back(nf_names);
+  }
   Mempool pool(options_.pool_capacity);
   // One RX ring per chain, owned here so chains carry no packet buffers;
   // declared before the threads, so every ring outlives every join.
@@ -62,7 +75,7 @@ ThreadedRunReport ThreadedEngine::run(
   workers.reserve(n_chains);
   for (std::size_t c = 0; c < n_chains; ++c) {
     workers.emplace_back([&, c] {
-      ServiceChain& chain = controller_.chain(c);
+      ServiceChain& chain = chains[c];
       SpscRing<Packet*>& rx = *rx_rings[c];
       const std::uint32_t batch = controller_.knobs(c).batch;
       std::vector<Packet*> burst(batch);
@@ -163,7 +176,6 @@ ThreadedRunReport ThreadedEngine::run(
   }
   // Pool-exhausted packets never entered a ring; fold them into generated
   // accounting as RX drops for the conservation check.
-  report.nf_drops += 0;
   report.rx_ring_drops += report.pool_exhausted;
   report.wall_seconds =
       std::chrono::duration<double>(t1 - t0).count();

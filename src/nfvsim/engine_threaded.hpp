@@ -11,10 +11,12 @@
 /// \file engine_threaded.hpp
 /// The real multi-threaded data path: a generator/RX thread allocates
 /// packets from the shared mempool and bursts them into each chain's RX
-/// ring (the engine owns the rings for the length of a run); one worker
-/// thread per chain polls its ring in batches (the batch knob), runs the
-/// packets through the chain's NFs inline, counts deliveries, and returns
-/// packets to the pool. In hybrid mode workers back off (yield/sleep) on
+/// ring; one worker thread per chain polls its ring in batches (the batch
+/// knob), runs the packets through the chain's NFs inline, counts
+/// deliveries, and returns packets to the pool. For the length of a run
+/// the engine owns the rings and one ServiceChain per controller chain,
+/// built from the chain's cost-profile names, so every run starts from
+/// newly built NFs. In hybrid mode workers back off (yield/sleep) on
 /// empty polls — the paper's callback+polling mix; in poll mode they spin.
 ///
 /// This engine is about *correctness of the plumbing* (conservation,

@@ -88,24 +88,26 @@ void NatNf::process(Packet& pkt) {
   pkt.flags |= Packet::kFlagNatRewritten;
 }
 
-void NatNf::reset() {
-  NetworkFunction::reset();
-  table_.clear();
-  next_port_ = kFirstPort;
-}
-
 // --- Router --------------------------------------------------------------------
 
-RouterNf::RouterNf()
-    : NetworkFunction(hwmodel::nf_catalog::router()) {
-  static const std::shared_ptr<const Trie> default_fib =
-      build_trie(default_routes());
-  trie_ = default_fib;
-}
-
 RouterNf::RouterNf(const std::vector<Route>& routes)
-    : NetworkFunction(hwmodel::nf_catalog::router()),
-      trie_(build_trie(routes)) {}
+    : NetworkFunction(hwmodel::nf_catalog::router()), trie_(1) {  // root
+  for (const Route& route : routes) {
+    GNFV_REQUIRE(route.prefix_len >= 0 && route.prefix_len <= 32,
+                 "router: bad prefix length");
+    int node = 0;
+    for (int depth = 0; depth < route.prefix_len; ++depth) {
+      const int bit = (route.prefix >> (31 - depth)) & 1;
+      if (trie_[static_cast<std::size_t>(node)].children[bit] < 0) {
+        trie_[static_cast<std::size_t>(node)].children[bit] =
+            static_cast<int>(trie_.size());
+        trie_.emplace_back();
+      }
+      node = trie_[static_cast<std::size_t>(node)].children[bit];
+    }
+    trie_[static_cast<std::size_t>(node)].next_hop = route.next_hop;
+  }
+}
 
 std::vector<RouterNf::Route> RouterNf::default_routes() {
   // A small FIB with nested prefixes so LPM order actually matters.
@@ -119,37 +121,15 @@ std::vector<RouterNf::Route> RouterNf::default_routes() {
   };
 }
 
-std::shared_ptr<const RouterNf::Trie> RouterNf::build_trie(
-    const std::vector<Route>& routes) {
-  Trie trie(1);  // root
-  for (const Route& route : routes) {
-    GNFV_REQUIRE(route.prefix_len >= 0 && route.prefix_len <= 32,
-                 "router: bad prefix length");
-    int node = 0;
-    for (int depth = 0; depth < route.prefix_len; ++depth) {
-      const int bit = (route.prefix >> (31 - depth)) & 1;
-      if (trie[static_cast<std::size_t>(node)].children[bit] < 0) {
-        trie[static_cast<std::size_t>(node)].children[bit] =
-            static_cast<int>(trie.size());
-        trie.emplace_back();
-      }
-      node = trie[static_cast<std::size_t>(node)].children[bit];
-    }
-    trie[static_cast<std::size_t>(node)].next_hop = route.next_hop;
-  }
-  return std::make_shared<const Trie>(std::move(trie));
-}
-
 int RouterNf::lookup(std::uint32_t dst_ip) const {
-  const Trie& trie = *trie_;
   int node = 0;
-  int best = trie[0].next_hop;
+  int best = trie_[0].next_hop;
   for (int depth = 0; depth < 32; ++depth) {
     const int bit = (dst_ip >> (31 - depth)) & 1;
-    node = trie[static_cast<std::size_t>(node)].children[bit];
+    node = trie_[static_cast<std::size_t>(node)].children[bit];
     if (node < 0) break;
-    if (trie[static_cast<std::size_t>(node)].next_hop >= 0)
-      best = trie[static_cast<std::size_t>(node)].next_hop;
+    if (trie_[static_cast<std::size_t>(node)].next_hop >= 0)
+      best = trie_[static_cast<std::size_t>(node)].next_hop;
   }
   return best;
 }
@@ -186,11 +166,6 @@ void IdsNf::process(Packet& pkt) {
     pkt.flags |= Packet::kFlagAlerted;
     ++alerts_;
   }
-}
-
-void IdsNf::reset() {
-  NetworkFunction::reset();
-  alerts_ = 0;
 }
 
 // --- Tunnel gateway ----------------------------------------------------------------
@@ -232,11 +207,6 @@ void EpcNf::process(Packet& pkt) {
   pkt.payload_digest = digest;
 }
 
-void EpcNf::reset() {
-  NetworkFunction::reset();
-  bearers_.clear();
-}
-
 // --- Flow monitor ---------------------------------------------------------------
 
 FlowMonitorNf::FlowMonitorNf()
@@ -246,11 +216,6 @@ void FlowMonitorNf::process(Packet& pkt) {
   Counter& counter = counters_[pkt.flow_id];
   counter.packets += 1;
   counter.bytes += pkt.frame_bytes;
-}
-
-void FlowMonitorNf::reset() {
-  NetworkFunction::reset();
-  counters_.clear();
 }
 
 // --- Factory --------------------------------------------------------------------

@@ -48,10 +48,6 @@ class NetworkFunction {
     dropped_ = 0;
   }
 
-  /// Returns the NF to its just-built state: the counters plus whatever
-  /// per-flow state it learned from packets.
-  virtual void reset() { reset_stats(); }
-
  protected:
   void count_drop() { ++dropped_; }
 
@@ -89,7 +85,6 @@ class NatNf final : public NetworkFunction {
  public:
   NatNf();
   void process(Packet& pkt) override;
-  void reset() override;
 
   [[nodiscard]] std::size_t table_size() const { return table_.size(); }
 
@@ -102,8 +97,6 @@ class NatNf final : public NetworkFunction {
 };
 
 /// IPv4 router: longest-prefix match over a binary trie, TTL handling.
-/// The trie is immutable once built, so every router on the default FIB
-/// shares one.
 class RouterNf final : public NetworkFunction {
  public:
   struct Route {
@@ -112,9 +105,7 @@ class RouterNf final : public NetworkFunction {
     int next_hop = 0;
   };
 
-  /// A router on default_routes().
-  RouterNf();
-  explicit RouterNf(const std::vector<Route>& routes);
+  explicit RouterNf(const std::vector<Route>& routes = default_routes());
   void process(Packet& pkt) override;
 
   /// LPM lookup; returns next hop or -1 when no route matches.
@@ -127,11 +118,7 @@ class RouterNf final : public NetworkFunction {
     int children[2] = {-1, -1};
     int next_hop = -1;
   };
-  using Trie = std::vector<TrieNode>;
-  std::shared_ptr<const Trie> trie_;
-
-  [[nodiscard]] static std::shared_ptr<const Trie> build_trie(
-      const std::vector<Route>& routes);
+  std::vector<TrieNode> trie_;
 };
 
 /// Signature IDS: payload-proportional scanning work; raises an alert flag
@@ -140,7 +127,6 @@ class IdsNf final : public NetworkFunction {
  public:
   IdsNf();
   void process(Packet& pkt) override;
-  void reset() override;
 
   [[nodiscard]] std::uint64_t alerts() const { return alerts_; }
 
@@ -164,7 +150,6 @@ class EpcNf final : public NetworkFunction {
  public:
   EpcNf();
   void process(Packet& pkt) override;
-  void reset() override;
 
  private:
   struct Bearer {
@@ -180,7 +165,6 @@ class FlowMonitorNf final : public NetworkFunction {
  public:
   FlowMonitorNf();
   void process(Packet& pkt) override;
-  void reset() override;
 
   [[nodiscard]] std::size_t flows_seen() const { return counters_.size(); }
 

@@ -925,8 +925,8 @@ scenario::ModelReport FleetOrchestrator::run_model(
 
   // Rebuilds node `n`'s runtime onto `change` at window `w`: the node's
   // environment is reconfigured in place, as a fresh one would be built,
-  // so chains that stay keep their NF objects. A node that empties frees
-  // it, so memory follows the occupied nodes.
+  // keeping its buffers. A node that empties frees it, so memory follows
+  // the occupied nodes.
   const auto rebuild = [&](NodeRuntime& rt, int n, int w,
                            const MembershipChange& change) {
     rt.controller.reset();

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "nfvsim/chain.hpp"
+#include "nfvsim/engine_threaded.hpp"
 #include "telemetry/metrics.hpp"
 #include "traffic/generator.hpp"
 
@@ -18,10 +19,12 @@
 /// NfvEnvironment per occupied node and reconfigures it on every node
 /// rebuild, so whatever one construction allocates sets the replay's peak
 /// RSS, and whatever a reconfigure or a window allocates is paid thousands
-/// of times per run. A packet ring or a hash-table reserve() in a chain's
-/// NFs (the default chains include NAT, EPC and a flow monitor) would
-/// bring back about a megabyte per node; this binary pins the budgets by
-/// counting the bytes global operator new hands out.
+/// of times per run. An analytic node holds its chains' cost profiles and
+/// builds no NF: a packet ring or the NFs' tables (the default chains
+/// include NAT, EPC and a flow monitor) would bring back up to a megabyte
+/// per node. This binary pins the budgets by counting the bytes global
+/// operator new hands out, and the NF chains built by the
+/// `nfvsim.chains_built` counter.
 
 // --- allocation counting -----------------------------------------------------
 
@@ -121,12 +124,13 @@ TEST(EnvFootprint, DefaultEnvironmentConstructsUnder64KiB) {
       << g_alloc_bytes.load() << " bytes in " << g_alloc_count.load()
       << " allocations";
 
-  // The budget covers the stateful NFs: NAT, EPC and the flow monitor.
+  // The default chains name the stateful NFs: NAT, EPC and the flow
+  // monitor.
   std::vector<std::string> nfs;
-  auto& controller = env.controller();
+  const auto& controller = env.controller();
   for (std::size_t c = 0; c < controller.num_chains(); ++c) {
-    for (std::size_t i = 0; i < controller.chain(c).num_nfs(); ++i)
-      nfs.push_back(controller.chain(c).nf(i).name());
+    for (const hwmodel::NfCostProfile& nf : controller.profiles(c))
+      nfs.push_back(nf.name);
   }
   for (const char* stateful : {"nat", "epc", "flow_monitor"}) {
     EXPECT_NE(std::find(nfs.begin(), nfs.end(), stateful), nfs.end())
@@ -150,11 +154,8 @@ TEST(EnvFootprint, WindowsAfterTheFirstAllocateNothing) {
 TEST(EnvFootprint, ReconfigureOntoHeldCompositionsBuildsNoNf) {
   NfvEnvironment env(fleet_node(4), 3);
   (void)env.run_window(env.last_knobs());
-  std::vector<const nfvsim::NetworkFunction*> held;
-  for (std::size_t c = 0; c < 4; ++c)
-    held.push_back(&env.controller().chain(c).nf(0));
 
-  // Chains 0 and 3 share a composition: a departure keeps the others.
+  // Chain 3 departs; chains 0-2 keep their compositions.
   EnvConfig config = fleet_node(3);
   const std::uint64_t built_before =
       telemetry::metrics::counter("nfvsim.chains_built").value();
@@ -164,11 +165,43 @@ TEST(EnvFootprint, ReconfigureOntoHeldCompositionsBuildsNoNf) {
   telemetry::metrics::set_enabled(false);
   EXPECT_EQ(telemetry::metrics::counter("nfvsim.chains_built").value(),
             built_before);
-  for (std::size_t c = 0; c < 3; ++c)
-    EXPECT_EQ(&env.controller().chain(c).nf(0), held[c]) << c;
   EXPECT_LT(bytes, kReconfigureBudgetBytes)
       << "reconfiguring onto held compositions allocated " << bytes
       << " bytes in " << count << " allocations";
+}
+
+TEST(EnvFootprint, OnlyThePacketPathBuildsChains) {
+  auto& built = telemetry::metrics::counter("nfvsim.chains_built");
+  telemetry::metrics::set_enabled(true);
+  const std::uint64_t before = built.value();
+
+  NfvEnvironment env(fleet_node(3), 7);
+  (void)env.run_window(env.last_knobs());
+  // Compositions this node never held, longer and shorter than before.
+  EnvConfig config = fleet_node(4);
+  config.chain_nfs = {{"nat", "epc"},
+                      {"ids"},
+                      {"tunnel_gw", "router", "flow_monitor", "epc"},
+                      {"firewall", "nat", "nat"}};
+  env.reconfigure(std::move(config), 8);
+  (void)env.reset(9);
+  (void)env.run_window(env.last_knobs());
+  EXPECT_EQ(built.value(), before) << "an analytic node built NF chains";
+
+  // The threaded engine builds one packet-path chain per controller chain
+  // for each run.
+  nfvsim::ThreadedEngine::Options options;
+  options.total_packets = 2000;
+  nfvsim::ThreadedEngine threaded(env.controller(), options);
+  std::vector<traffic::FlowSpec> flows(env.controller().num_chains());
+  for (std::size_t c = 0; c < flows.size(); ++c) {
+    flows[c].id = static_cast<int>(c);
+    flows[c].pkt_bytes = 256;
+    flows[c].chain_index = static_cast<int>(c);
+  }
+  EXPECT_TRUE(threaded.run(flows, 10).conserved());
+  EXPECT_EQ(built.value(), before + env.controller().num_chains());
+  telemetry::metrics::set_enabled(false);
 }
 
 }  // namespace

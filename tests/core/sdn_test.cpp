@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "nfvsim/chain.hpp"
+
 namespace greennfv::core {
 namespace {
 
@@ -87,8 +89,8 @@ TEST(Sdn, NeverEmptiesAChain) {
 TEST(Sdn, SteeringChangesEngineWorkloads) {
   // End-to-end: steering a flow shifts the load the analytic engine sees.
   nfvsim::OnvmController controller;
-  controller.add_chain("c0", nfvsim::standard_chain_nfs(0));
-  controller.add_chain("c1", nfvsim::standard_chain_nfs(1));
+  controller.add_chain(nfvsim::standard_chain_nfs(0));
+  controller.add_chain(nfvsim::standard_chain_nfs(1));
   std::vector<traffic::FlowSpec> flows;
   for (int i = 0; i < 2; ++i) {
     traffic::FlowSpec flow;

@@ -3,36 +3,28 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <vector>
+
+#include "hwmodel/node_spec.hpp"
 
 namespace greennfv::hwmodel {
 namespace {
 
-NodeSpec spec() { return NodeSpec{}; }
+/// The default node's allocatable ways: 20 LLC ways less 2 for DDIO.
+constexpr int kWays = 18;
 
-TEST(Cat, AllocatableExcludesDdio) {
-  const CatAllocator cat(spec());
-  EXPECT_EQ(cat.allocatable_ways(), 18);  // 20 ways - 2 DDIO
-}
-
-TEST(Cat, SetClosAndQuery) {
-  CatAllocator cat(spec());
-  cat.set_clos(0, 0, 4);
-  EXPECT_TRUE(cat.has_clos(0));
-  EXPECT_EQ(cat.way_count(0), 4);
-  EXPECT_EQ(cat.bytes(0), 4ull * spec().bytes_per_way());
-}
-
-TEST(Cat, RejectsMalformedMasks) {
-  CatAllocator cat(spec());
-  EXPECT_THROW(cat.set_clos(0, 0, 0), std::invalid_argument);
-  EXPECT_THROW(cat.set_clos(0, -1, 2), std::invalid_argument);
-  EXPECT_THROW(cat.set_clos(0, 17, 2), std::invalid_argument);  // overflow
+std::vector<int> partition(const std::vector<double>& fractions) {
+  std::vector<int> ways(fractions.size());
+  apportion_ways(fractions, kWays, ways);
+  return ways;
 }
 
 TEST(Cat, PartitionUsesAllWays) {
-  CatAllocator cat(spec());
-  const auto ways = cat.partition({0.9, 0.1});
-  EXPECT_EQ(std::accumulate(ways.begin(), ways.end(), 0), 18);
+  const NodeSpec spec;
+  ASSERT_EQ(spec.llc_ways - spec.ddio_ways, kWays);
+  const auto ways = partition({0.9, 0.1});
+  EXPECT_EQ(std::accumulate(ways.begin(), ways.end(), 0), kWays);
   EXPECT_GT(ways[0], ways[1]);
   EXPECT_GE(ways[1], 1);  // floor of one way
 }
@@ -41,10 +33,8 @@ class CatPartitions
     : public ::testing::TestWithParam<std::vector<double>> {};
 
 TEST_P(CatPartitions, SumsToAllocatableAndRespectsFloor) {
-  CatAllocator cat(spec());
-  const auto ways = cat.partition(GetParam());
-  EXPECT_EQ(std::accumulate(ways.begin(), ways.end(), 0),
-            cat.allocatable_ways());
+  const auto ways = partition(GetParam());
+  EXPECT_EQ(std::accumulate(ways.begin(), ways.end(), 0), kWays);
   for (const int w : ways) EXPECT_GE(w, 1);
 }
 
@@ -58,48 +48,18 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<double>{0.5, 0.25, 0.125, 0.125}));
 
 TEST(Cat, PartitionProportionality) {
-  CatAllocator cat(spec());
-  const auto ways = cat.partition({0.9, 0.1});
+  const auto ways = partition({0.9, 0.1});
   // 90/10 of 18 ways ~ 16/2.
   EXPECT_NEAR(ways[0], 16, 1);
   EXPECT_NEAR(ways[1], 2, 1);
 }
 
 TEST(Cat, PartitionErrors) {
-  CatAllocator cat(spec());
-  EXPECT_THROW(cat.partition({}), std::invalid_argument);
-  EXPECT_THROW(cat.partition({-1.0, 2.0}), std::invalid_argument);
-  EXPECT_THROW(cat.partition({0.0, 0.0}), std::invalid_argument);
-  EXPECT_THROW(cat.partition(std::vector<double>(19, 1.0)),
+  EXPECT_THROW(partition({}), std::invalid_argument);
+  EXPECT_THROW(partition({-1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW(partition({0.0, 0.0}), std::invalid_argument);
+  EXPECT_THROW(partition(std::vector<double>(19, 1.0)),
                std::invalid_argument);
-}
-
-TEST(Cat, CbmIsContiguousAndSkipsDdio) {
-  CatAllocator cat(spec());
-  cat.partition({0.5, 0.5});
-  const std::uint64_t mask0 = cat.cbm(0);
-  const std::uint64_t mask1 = cat.cbm(1);
-  // Disjoint.
-  EXPECT_EQ(mask0 & mask1, 0u);
-  // DDIO ways (bits 0-1) untouched.
-  EXPECT_EQ((mask0 | mask1) & 0x3u, 0u);
-  // Contiguity: bits form one run (x | x>>1 trick: run count check).
-  const auto is_contiguous = [](std::uint64_t m) {
-    while (m != 0 && (m & 1) == 0) m >>= 1;
-    while (m & 1) m >>= 1;
-    return m == 0;
-  };
-  EXPECT_TRUE(is_contiguous(mask0));
-  EXPECT_TRUE(is_contiguous(mask1));
-}
-
-TEST(Cat, ResetClears) {
-  CatAllocator cat(spec());
-  cat.partition({1.0});
-  EXPECT_FALSE(cat.unpartitioned());
-  cat.reset();
-  EXPECT_TRUE(cat.unpartitioned());
-  EXPECT_FALSE(cat.has_clos(0));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "nfvsim/chain.hpp"
 #include "nfvsim/engine_analytic.hpp"
 #include "nfvsim/engine_threaded.hpp"
 #include "traffic/generator.hpp"
@@ -12,8 +13,8 @@ namespace {
 
 TEST(Engines, SameControllerDrivesBoth) {
   OnvmController controller;
-  controller.add_chain("c0", standard_chain_nfs(0));
-  controller.add_chain("c1", standard_chain_nfs(1));
+  controller.add_chain(standard_chain_nfs(0));
+  controller.add_chain(standard_chain_nfs(1));
   ChainKnobs knobs = baseline_knobs(controller.spec());
   knobs.batch = 32;
   controller.apply_knobs(0, knobs);
@@ -27,9 +28,7 @@ TEST(Engines, SameControllerDrivesBoth) {
   const auto summary = analytic.run(4, 0.5);
   EXPECT_GT(summary.mean_gbps, 0.0);
 
-  // Threaded pass over the same chains (stats reset between engines).
-  controller.chain(0).reset_stats();
-  controller.chain(1).reset_stats();
+  // Threaded pass over the same chains.
   std::vector<traffic::FlowSpec> flows;
   for (int c = 0; c < 2; ++c) {
     traffic::FlowSpec f;
@@ -52,7 +51,7 @@ TEST(Engines, BatchKnobAffectsBothEngines) {
   // minimum keep functioning identically across the sweep (its wall-clock
   // advantage is hardware-dependent and not asserted).
   OnvmController controller;
-  controller.add_chain("c0", {"firewall", "router"});
+  controller.add_chain({"firewall", "router"});
 
   double gbps_small = 0.0;
   double gbps_large = 0.0;

@@ -20,7 +20,7 @@ using namespace greennfv::nfvsim;
 TEST(QuickstartSmoke, DeployKnobsAndBothEngines) {
   OnvmController controller;
   const int chain_id =
-      controller.add_chain("edge-chain", {"firewall", "router", "ids"});
+      controller.add_chain({"firewall", "router", "ids"});
   ASSERT_GE(chain_id, 0);
 
   ChainKnobs knobs;

@@ -39,8 +39,8 @@ TEST_P(ConservationUnderPressure, EveryPacketAccounted) {
   const auto [pool_capacity, gen_burst, batch] = GetParam();
 
   OnvmController controller;
-  controller.add_chain("c0", {"firewall", "router", "ids"});
-  controller.add_chain("c1", {"firewall", "router"});
+  controller.add_chain({"firewall", "router", "ids"});
+  controller.add_chain({"firewall", "router"});
   for (std::size_t c = 0; c < 2; ++c) {
     ChainKnobs knobs = baseline_knobs(controller.spec());
     knobs.batch = batch;
@@ -82,7 +82,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ConservationUnderPressure, TinyPoolActuallyExhausts) {
   OnvmController controller;
-  controller.add_chain("c0", {"firewall", "router", "ids"});
+  controller.add_chain({"firewall", "router", "ids"});
   ThreadedEngine::Options options;
   options.total_packets = 50000;
   options.pool_capacity = 32;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/units.hpp"
 
 namespace greennfv::nfvsim {
@@ -9,7 +11,7 @@ namespace {
 
 TEST(Controller, AddChainAndDefaults) {
   OnvmController controller;
-  const int idx = controller.add_chain("c0", {"firewall", "router", "ids"});
+  const int idx = controller.add_chain({"firewall", "router", "ids"});
   EXPECT_EQ(idx, 0);
   EXPECT_EQ(controller.num_chains(), 1u);
   // Defaults are the baseline knobs.
@@ -17,9 +19,21 @@ TEST(Controller, AddChainAndDefaults) {
   EXPECT_NEAR(controller.knobs(0).freq_ghz, 2.1, 1e-9);
 }
 
+TEST(Controller, UnknownNfLeavesTheControllerAsItWas) {
+  OnvmController controller;
+  controller.add_chain({"firewall"});
+  EXPECT_THROW(controller.add_chain({"router", "nope"}),
+               std::invalid_argument);
+  ASSERT_EQ(controller.num_chains(), 1u);
+  ASSERT_EQ(controller.profiles(0).size(), 1u);
+  EXPECT_EQ(controller.profiles(0)[0].name, "firewall");
+  EXPECT_EQ(controller.add_chain({"router"}), 1);
+  EXPECT_EQ(controller.knobs(1).batch, 2u);
+}
+
 TEST(Controller, ApplyKnobsClampsAndSnaps) {
   OnvmController controller;
-  controller.add_chain("c0", {"firewall"});
+  controller.add_chain({"firewall"});
   ChainKnobs wild;
   wild.cores = 99.0;
   wild.freq_ghz = 1.77;         // not on the ladder
@@ -37,8 +51,8 @@ TEST(Controller, ApplyKnobsClampsAndSnaps) {
 
 TEST(Controller, DeploymentsMirrorKnobs) {
   OnvmController controller;
-  controller.add_chain("c0", {"firewall", "nat"});
-  controller.add_chain("c1", {"router"});
+  controller.add_chain({"firewall", "nat"});
+  controller.add_chain({"router"});
   ChainKnobs knobs;
   knobs.cores = 2.5;
   knobs.freq_ghz = 1.5;
@@ -53,8 +67,17 @@ TEST(Controller, DeploymentsMirrorKnobs) {
   loads[1].pkt_bytes = 128;
   const auto deployments = controller.deployments(loads);
   ASSERT_EQ(deployments.size(), 2u);
-  EXPECT_EQ(deployments[0].nfs.size(), 2u);
-  EXPECT_EQ(deployments[1].nfs.size(), 1u);
+  // Each chain's cost profiles, in chain order.
+  ASSERT_EQ(controller.profiles(0).size(), 2u);
+  EXPECT_EQ(controller.profiles(0)[0].name, "firewall");
+  EXPECT_EQ(controller.profiles(0)[1].name, "nat");
+  ASSERT_EQ(controller.profiles(1).size(), 1u);
+  EXPECT_EQ(controller.profiles(1)[0].name, "router");
+  ASSERT_EQ(deployments[0].nfs.size(), 2u);
+  EXPECT_EQ(deployments[0].nfs[0].name, "firewall");
+  EXPECT_EQ(deployments[0].nfs[1].name, "nat");
+  ASSERT_EQ(deployments[1].nfs.size(), 1u);
+  EXPECT_EQ(deployments[1].nfs[0].name, "router");
   EXPECT_NEAR(deployments[1].cores, 2.5, 1e-9);
   EXPECT_NEAR(deployments[1].freq_ghz, 1.5, 1e-9);
   EXPECT_EQ(deployments[1].batch, 16u);
@@ -65,7 +88,7 @@ TEST(Controller, DeploymentsMirrorKnobs) {
 
 TEST(Controller, PollModePropagates) {
   OnvmController controller(hwmodel::NodeSpec{}, SchedMode::kPoll);
-  controller.add_chain("c0", {"firewall"});
+  controller.add_chain({"firewall"});
   std::vector<hwmodel::ChainWorkload> loads(1);
   loads[0].offered_pps = 1e5;
   EXPECT_TRUE(controller.deployments(loads)[0].poll_mode);
@@ -82,7 +105,7 @@ TEST(Controller, CatToggle) {
 
 TEST(Controller, DeploymentsRejectWrongWorkloadCount) {
   OnvmController controller;
-  controller.add_chain("c0", {"firewall"});
+  controller.add_chain({"firewall"});
   EXPECT_DEATH((void)controller.deployments({}), "workload count");
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nfvsim/chain.hpp"
 #include "traffic/generator.hpp"
 
 namespace greennfv::nfvsim {
@@ -9,13 +10,8 @@ namespace {
 
 OnvmController make_controller(int chains = 2) {
   OnvmController controller;
-  for (int c = 0; c < chains; ++c) {
-    // Built with += (not "c" + to_string) to dodge GCC 12's -Wrestrict
-    // false positive on const char* + std::string&& (GCC PR 105329).
-    std::string name = "c";
-    name += std::to_string(c);
-    controller.add_chain(name, standard_chain_nfs(c));
-  }
+  for (int c = 0; c < chains; ++c)
+    controller.add_chain(standard_chain_nfs(c));
   return controller;
 }
 

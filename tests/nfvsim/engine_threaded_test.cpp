@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nfvsim/chain.hpp"
 #include "traffic/generator.hpp"
 
 namespace greennfv::nfvsim {
@@ -23,7 +24,7 @@ std::vector<traffic::FlowSpec> clean_flows(int chains) {
 
 TEST(ThreadedEngine, ConservationSingleChain) {
   OnvmController controller;
-  controller.add_chain("c0", {"firewall", "router"});
+  controller.add_chain({"firewall", "router"});
   ThreadedEngine::Options options;
   options.total_packets = 20000;
   ThreadedEngine engine(controller, options);
@@ -39,8 +40,8 @@ TEST(ThreadedEngine, ConservationSingleChain) {
 
 TEST(ThreadedEngine, ConservationTwoChains) {
   OnvmController controller;
-  controller.add_chain("c0", standard_chain_nfs(0));
-  controller.add_chain("c1", standard_chain_nfs(1));
+  controller.add_chain(standard_chain_nfs(0));
+  controller.add_chain(standard_chain_nfs(1));
   ThreadedEngine::Options options;
   options.total_packets = 30000;
   ThreadedEngine engine(controller, options);
@@ -55,7 +56,7 @@ class BatchKnob : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(BatchKnob, RunsAndConservesAtEveryBatchSize) {
   OnvmController controller;
-  controller.add_chain("c0", {"firewall", "router"});
+  controller.add_chain({"firewall", "router"});
   ChainKnobs knobs = baseline_knobs(controller.spec());
   knobs.batch = GetParam();
   controller.apply_knobs(0, knobs);
@@ -72,7 +73,7 @@ INSTANTIATE_TEST_SUITE_P(Batches, BatchKnob,
 
 TEST(ThreadedEngine, PollModeAlsoCompletes) {
   OnvmController controller(hwmodel::NodeSpec{}, SchedMode::kPoll);
-  controller.add_chain("c0", {"firewall"});
+  controller.add_chain({"firewall"});
   ThreadedEngine::Options options;
   options.total_packets = 10000;
   ThreadedEngine engine(controller, options);
@@ -82,7 +83,7 @@ TEST(ThreadedEngine, PollModeAlsoCompletes) {
 
 TEST(ThreadedEngine, TinyPoolCreatesBackpressureDrops) {
   OnvmController controller;
-  controller.add_chain("c0", {"firewall", "router", "ids"});
+  controller.add_chain({"firewall", "router", "ids"});
   ThreadedEngine::Options options;
   options.total_packets = 50000;
   options.pool_capacity = 64;  // tiny: generator outruns the worker
@@ -97,7 +98,7 @@ TEST(ThreadedEngine, TinyPoolCreatesBackpressureDrops) {
 
 TEST(ThreadedEngine, FirewallDropsShowAsNfDrops) {
   OnvmController controller;
-  controller.add_chain("c0", {"firewall"});
+  controller.add_chain({"firewall"});
   // All packets to the denied port range.
   ThreadedEngine::Options options;
   options.total_packets = 5000;
@@ -106,6 +107,26 @@ TEST(ThreadedEngine, FirewallDropsShowAsNfDrops) {
   const auto report = engine.run(clean_flows(1), 19);
   EXPECT_TRUE(report.conserved());
   EXPECT_GT(report.nf_drops, 0u);
+}
+
+TEST(ThreadedEngine, RedeployBetweenRunsChangesThePacketPath) {
+  OnvmController controller;
+  controller.add_chain({"firewall"});
+  ThreadedEngine::Options options;
+  options.total_packets = 5000;
+  ThreadedEngine engine(controller, options);
+  const auto denied = engine.run(clean_flows(1), 19);
+  EXPECT_TRUE(denied.conserved());
+  EXPECT_GT(denied.nf_drops, 0u);
+
+  // The engine borrows the controller, so its next run builds the chain
+  // the controller holds then: a router on the default FIB drops nothing.
+  controller.redeploy(controller.spec(), controller.sched_mode(),
+                      {{"router"}});
+  const auto routed = engine.run(clean_flows(1), 19);
+  EXPECT_TRUE(routed.conserved());
+  EXPECT_EQ(routed.nf_drops, 0u);
+  EXPECT_GT(routed.delivered, 0u);
 }
 
 }  // namespace
