@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "hwmodel/nf_cost.hpp"
+
 namespace greennfv::nfvsim {
 namespace {
 
@@ -13,6 +15,15 @@ TEST(Chain, BuildsFromCatalogNames) {
   EXPECT_EQ(chain.num_nfs(), 3u);
   EXPECT_EQ(chain.nf(0).name(), "firewall");
   EXPECT_EQ(chain.nf(2).name(), "ids");
+}
+
+TEST(Chain, CostProfilesMatchOrder) {
+  ServiceChain chain({"nat", "epc"});
+  ASSERT_EQ(chain.num_nfs(), 2u);
+  EXPECT_EQ(chain.nf(0).profile().name, "nat");
+  EXPECT_EQ(chain.nf(1).profile().name, "epc");
+  EXPECT_EQ(chain.nf(1).profile().base_cycles,
+            hwmodel::nf_catalog::epc().base_cycles);
 }
 
 TEST(Chain, InlineProcessingDelivers) {
