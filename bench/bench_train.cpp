@@ -1,9 +1,10 @@
 /// RL training microbenchmark: DDPG train_step throughput (batched GEMM
-/// engine vs the per-sample reference path) and actor inference rate at
-/// the geometry the scheduler roster trains — 3 chains (state 12 / action
-/// 15), two 64-unit hidden layers, batch 64. Writes out/BENCH_train.json
-/// with train_steps/sec, reference_steps/sec, speedup, and actions/sec so
-/// the perf trajectory has an RL data point PR over PR.
+/// engine vs the per-sample oracle, DdpgReference in tests/support) and
+/// actor inference rate at the geometry the scheduler roster trains — 3
+/// chains (state 12 / action 15), two 64-unit hidden layers, batch 64.
+/// Writes out/BENCH_train.json with train_steps/sec, reference_steps/sec,
+/// speedup, and actions/sec so the perf trajectory has an RL data point
+/// PR over PR.
 ///
 /// Keys:
 ///   chains=3 hidden=64 batch=64     network geometry (chains=6 hidden=300
@@ -34,6 +35,7 @@
 #include "rl/ddpg.hpp"
 #include "rl/replay.hpp"
 #include "telemetry/metrics.hpp"
+#include "tests/support/ddpg_reference.hpp"
 
 using namespace greennfv;
 using namespace greennfv::rl;
@@ -109,19 +111,19 @@ int main(int argc, char** argv) {
                0.0);
   }
 
-  // --- per-sample reference path (the pre-batching implementation) ----------
-  DdpgAgent reference_agent(ddpg, seed);
+  // --- per-sample oracle (the pre-batching implementation) ------------------
+  DdpgAgent agent(ddpg, seed);
+  DdpgReference reference(agent);
   Rng ref_rng(seed ^ 0x5A5Aull);
   for (int i = 0; i < 2; ++i)  // warm up caches
-    (void)reference_agent.train_step_reference(replay, ref_rng);
+    (void)reference.train_step(replay, ref_rng);
   const auto ref_start = std::chrono::steady_clock::now();
   for (int i = 0; i < ref_steps; ++i)
-    (void)reference_agent.train_step_reference(replay, ref_rng);
+    (void)reference.train_step(replay, ref_rng);
   const double ref_s = seconds_since(ref_start);
   const double ref_rate = ref_steps / ref_s;
 
   // --- batched engine -------------------------------------------------------
-  DdpgAgent agent(ddpg, seed);
   Rng train_rng(seed ^ 0x5A5Aull);
   for (int i = 0; i < 2; ++i) (void)agent.train_step(replay, train_rng);
   // Counters reset after warm-up so the phase breakdown covers exactly

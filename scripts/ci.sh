@@ -30,8 +30,9 @@ cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
 echo "=== [1/3] tier-1 verify: Release build + full ctest ==="
-# The reference oracles live in tests/support, which only the suites and
-# bench_fleet link; the shipped libraries may not reach back into them.
+# The reference oracles live in tests/support, which only the suites,
+# bench_fleet and bench_train link; the shipped libraries may not reach
+# back into them.
 if grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*[<"]tests/' src; then
   echo "ci.sh: a file under src/ includes a tests/ header" >&2
   exit 1

@@ -43,11 +43,6 @@ class NetworkFunction {
   [[nodiscard]] std::uint64_t processed() const { return processed_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
 
-  void reset_stats() {
-    processed_ = 0;
-    dropped_ = 0;
-  }
-
  protected:
   void count_drop() { ++dropped_; }
 

@@ -91,15 +91,6 @@ void DdpgAgent::act_noisy_into(std::span<const double> state,
   }
 }
 
-std::vector<double> DdpgAgent::critic_input(
-    std::span<const double> state, std::span<const double> action) const {
-  std::vector<double> input;
-  input.reserve(state.size() + action.size());
-  input.insert(input.end(), state.begin(), state.end());
-  input.insert(input.end(), action.begin(), action.end());
-  return input;
-}
-
 void DdpgAgent::ensure_train_scratch(std::size_t n) {
   const std::size_t s = config_.state_dim;
   const std::size_t a = config_.action_dim;
@@ -157,8 +148,8 @@ const TrainStats& DdpgAgent::train_step(ReplayInterface& replay, Rng& rng) {
   }
 
   // --- passes 1+2: targets give y = r + γ·Q'(x', μ'(x')) --------------------
-  // (Algorithm 2 line 5; done rows keep y = r, exactly the reference's
-  // zero bootstrap at terminal.)
+  // (Algorithm 2 line 5; done rows keep y = r: no bootstrap past a
+  // terminal state.)
   {
     const telemetry::trace::Span targets_span("rl/targets", &t_targets);
     const Matrix& next_actions =
@@ -230,82 +221,6 @@ const TrainStats& DdpgAgent::train_step(ReplayInterface& replay, Rng& rng) {
 
   ++train_steps_;
   return stats_;
-}
-
-TrainStats DdpgAgent::train_step_reference(ReplayInterface& replay,
-                                           Rng& rng) {
-  GNFV_REQUIRE(replay.size() >= config_.batch_size,
-               "DDPG::train_step: replay underfilled");
-  const Minibatch batch = replay.sample(config_.batch_size, rng);
-  const auto n = batch.size();
-  const double inv_n = 1.0 / static_cast<double>(n);
-
-  TrainStats stats;
-  stats.td_errors.reserve(n);
-  stats.indices = batch.indices;
-
-  // --- critic update (Algorithm 2 lines 4-6) -------------------------------
-  Mlp::Gradients critic_grads = critic_.make_gradients();
-  critic_grads.zero();
-  Mlp::Workspace ws;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Transition& t = batch.transitions[i];
-    // y_i = r_i + γ·Q'(x_{i+1}, μ'(x_{i+1}))  (zero bootstrap at terminal)
-    double y = t.reward;
-    if (!t.done) {
-      const std::vector<double> next_action =
-          target_actor_.forward(t.next_state);
-      const double next_q =
-          target_critic_.forward(critic_input(t.next_state, next_action))[0];
-      y += config_.gamma * next_q;
-    }
-    const std::vector<double> input = critic_input(t.state, t.action);
-    const double q = critic_.forward(input, ws)[0];
-    double td = q - y;
-    stats.critic_loss += td * td;
-    td = math_util::clamp(td, -config_.td_error_clip, config_.td_error_clip);
-    stats.td_errors.push_back(std::fabs(td));
-    // dL/dq for 0.5·w·td² (importance weight from PER).
-    const double dq = td * batch.weights[i] * inv_n;
-    const double grad[1] = {dq};
-    (void)critic_.backward(std::span<const double>(grad, 1), ws,
-                           critic_grads);
-  }
-  stats.critic_loss *= inv_n;
-  critic_opt_.step(critic_, critic_grads);
-
-  // --- actor update (Algorithm 2 lines 7-8, Eq. 6) --------------------------
-  Mlp::Gradients actor_grads = actor_.make_gradients();
-  actor_grads.zero();
-  Mlp::Workspace actor_ws;
-  Mlp::Workspace critic_ws;
-  Mlp::Gradients critic_scratch = critic_.make_gradients();  // discarded
-  for (std::size_t i = 0; i < n; ++i) {
-    const Transition& t = batch.transitions[i];
-    const std::vector<double> action = actor_.forward(t.state, actor_ws);
-    const std::vector<double> input = critic_input(t.state, action);
-    const double q = critic_.forward(input, critic_ws)[0];
-    stats.actor_objective += q;
-    // ∇_a Q: backprop 1.0 through the critic, slice the action block.
-    critic_scratch.zero();
-    const double one[1] = {1.0};
-    const std::vector<double> input_grad = critic_.backward(
-        std::span<const double>(one, 1), critic_ws, critic_scratch);
-    // Gradient *ascent* on Q -> descend on -Q.
-    std::vector<double> dq_da(config_.action_dim);
-    for (std::size_t d = 0; d < config_.action_dim; ++d)
-      dq_da[d] = -input_grad[config_.state_dim + d] * inv_n;
-    (void)actor_.backward(dq_da, actor_ws, actor_grads);
-  }
-  stats.actor_objective *= inv_n;
-  actor_opt_.step(actor_, actor_grads);
-
-  // --- target soft updates (Algorithm 2 lines 9-10) -------------------------
-  target_critic_.soft_update_from(critic_, config_.tau);
-  target_actor_.soft_update_from(actor_, config_.tau);
-
-  ++train_steps_;
-  return stats;
 }
 
 std::vector<double> DdpgAgent::actor_parameters() const {

@@ -14,7 +14,9 @@
 /// [-1,1]^d (tanh head); critic Q_θ scores (state, action) pairs. Target
 /// copies of both are soft-updated with rate τ. The critic minimizes the
 /// TD error against y = r + γ·Q'(x', μ'(x')); the actor ascends
-/// ∇_a Q(x, a)|a=μ(x) chained through its own Jacobian (Eq. 6).
+/// ∇_a Q(x, a)|a=μ(x) chained through its own Jacobian (Eq. 6). Every
+/// update is train_step's batched passes; the per-sample oracle they are
+/// checked against is test code (tests/support/ddpg_reference).
 
 namespace greennfv::rl {
 
@@ -83,12 +85,6 @@ class DdpgAgent {
   /// replay.
   const TrainStats& train_step(ReplayInterface& replay, Rng& rng);
 
-  /// The original per-sample implementation (6·N matvec passes per
-  /// minibatch). Numerically equivalent to train_step — kept as the
-  /// reference the batched-equivalence suite and bench_train compare
-  /// against; not a hot path.
-  TrainStats train_step_reference(ReplayInterface& replay, Rng& rng);
-
   [[nodiscard]] const DdpgConfig& config() const { return config_; }
   [[nodiscard]] const Mlp& actor() const { return actor_; }
   [[nodiscard]] const Mlp& critic() const { return critic_; }
@@ -134,8 +130,6 @@ class DdpgAgent {
 
   [[nodiscard]] static Mlp build_actor(const DdpgConfig& config, Rng& rng);
   [[nodiscard]] static Mlp build_critic(const DdpgConfig& config, Rng& rng);
-  [[nodiscard]] std::vector<double> critic_input(
-      std::span<const double> state, std::span<const double> action) const;
   void ensure_train_scratch(std::size_t n);
 };
 

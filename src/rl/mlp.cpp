@@ -14,26 +14,6 @@ std::string to_string(Activation act) {
   return "?";
 }
 
-void Mlp::Gradients::zero() {
-  for (auto& m : dw) m.fill(0.0);
-  for (auto& b : db) b.assign(b.size(), 0.0);
-}
-
-void Mlp::Gradients::add(const Gradients& other) {
-  GNFV_REQUIRE(dw.size() == other.dw.size(), "Gradients::add shape mismatch");
-  for (std::size_t l = 0; l < dw.size(); ++l) {
-    axpy(1.0, other.dw[l].flat(), dw[l].flat());
-    axpy(1.0, other.db[l], db[l]);
-  }
-}
-
-void Mlp::Gradients::scale(double s) {
-  for (auto& m : dw)
-    for (double& x : m.flat()) x *= s;
-  for (auto& b : db)
-    for (double& x : b) x *= s;
-}
-
 Mlp::Mlp(std::size_t input_dim, const std::vector<LayerSpec>& layers,
          Rng& rng)
     : input_dim_(input_dim) {
@@ -105,36 +85,23 @@ void Mlp::scale_by_activation_grad(Activation act, std::span<double> d,
 
 std::vector<double> Mlp::forward(std::span<const double> input) const {
   Workspace ws;
-  return forward(input, ws);
-}
-
-void Mlp::run_forward(std::span<const double> input, Workspace& ws,
-                      bool fast) const {
-  GNFV_REQUIRE(input.size() == input_dim_, "Mlp::forward: input dim");
-  ws.input.assign(input.begin(), input.end());
-  ws.pre.resize(weights_.size());
-  ws.post.resize(weights_.size());
-
-  std::span<const double> x = ws.input;
-  for (std::size_t l = 0; l < weights_.size(); ++l) {
-    ws.pre[l].assign(weights_[l].rows(), 0.0);
-    (fast ? matvec4 : matvec)(weights_[l], x, biases_[l], ws.pre[l]);
-    ws.post[l] = ws.pre[l];
-    apply_activation(activations_[l], ws.post[l]);
-    x = ws.post[l];
-  }
-}
-
-std::vector<double> Mlp::forward(std::span<const double> input,
-                                 Workspace& ws) const {
-  run_forward(input, ws, /*fast=*/false);
-  return ws.post.back();
+  std::vector<double> out(output_dim());
+  forward_into(input, ws, out);
+  return out;
 }
 
 void Mlp::forward_into(std::span<const double> input, Workspace& ws,
                        std::span<double> out) const {
+  GNFV_REQUIRE(input.size() == input_dim_, "Mlp::forward: input dim");
   GNFV_REQUIRE(out.size() == output_dim(), "Mlp::forward_into: output dim");
-  run_forward(input, ws, /*fast=*/true);
+  ws.post.resize(weights_.size());
+  std::span<const double> x = input;
+  for (std::size_t l = 0; l < weights_.size(); ++l) {
+    ws.post[l].resize(weights_[l].rows());
+    matvec4(weights_[l], x, biases_[l], ws.post[l]);
+    apply_activation(activations_[l], ws.post[l]);
+    x = ws.post[l];
+  }
   const std::vector<double>& y = ws.post.back();
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = y[i];
 }
@@ -161,33 +128,6 @@ const Matrix& Mlp::forward_batch(BatchWorkspace& ws) const {
 const Matrix& Mlp::forward_batch(const Matrix& x, BatchWorkspace& ws) const {
   ws.input = x;
   return forward_batch(ws);
-}
-
-std::vector<double> Mlp::backward(std::span<const double> output_grad,
-                                  const Workspace& ws,
-                                  Gradients& grads) const {
-  GNFV_REQUIRE(output_grad.size() == output_dim(), "Mlp::backward: dim");
-  GNFV_REQUIRE(ws.pre.size() == weights_.size(),
-               "Mlp::backward: stale workspace");
-  GNFV_REQUIRE(grads.dw.size() == weights_.size(),
-               "Mlp::backward: gradient shape");
-
-  std::vector<double> delta(output_grad.begin(), output_grad.end());
-  for (std::size_t li = weights_.size(); li-- > 0;) {
-    // delta currently holds dL/d(post[li]); convert to dL/d(pre[li]).
-    scale_by_activation_grad(activations_[li], delta, ws.pre[li],
-                             ws.post[li]);
-    const std::span<const double> layer_input =
-        li == 0 ? std::span<const double>(ws.input)
-                : std::span<const double>(ws.post[li - 1]);
-    accumulate_outer(grads.dw[li], delta, layer_input);
-    axpy(1.0, delta, grads.db[li]);
-
-    std::vector<double> prev_grad(layer_input.size(), 0.0);
-    matvec_transpose(weights_[li], delta, prev_grad);
-    delta = std::move(prev_grad);
-  }
-  return delta;  // dL/d(input)
 }
 
 void Mlp::backward_batch(const Matrix& output_grad, BatchWorkspace& ws,

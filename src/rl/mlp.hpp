@@ -16,8 +16,9 @@
 ///   * Forward passes for *inference* are const and allocation-free given a
 ///     caller-provided Workspace, so Ape-X actors can act concurrently on
 ///     shared parameter snapshots.
-///   * Gradients are accumulated into an external Gradients struct, so a
-///     minibatch is N backward passes + one optimizer step.
+///   * Training runs whole minibatches: one batched forward, one batched
+///     backward into an external Gradients struct, one optimizer step.
+///     The per-sample oracle is test code (tests/support/ddpg_reference).
 
 namespace greennfv::rl {
 
@@ -36,18 +37,11 @@ class Mlp {
   struct Gradients {
     std::vector<Matrix> dw;
     std::vector<std::vector<double>> db;
-    void zero();
-    /// grads += other (used to merge per-sample gradients).
-    void add(const Gradients& other);
-    /// grads *= s (minibatch averaging).
-    void scale(double s);
   };
 
-  /// Per-layer activations captured during a forward pass for backprop.
+  /// Per-layer outputs a = f(Wx + b) of one inference forward pass.
   struct Workspace {
-    std::vector<std::vector<double>> pre;   ///< pre-activation z = Wx+b
-    std::vector<std::vector<double>> post;  ///< post-activation a = f(z)
-    std::vector<double> input;
+    std::vector<std::vector<double>> post;
   };
 
   /// Minibatch-granularity workspace: one row per sample. `input` doubles
@@ -77,10 +71,6 @@ class Mlp {
   [[nodiscard]] std::vector<double> forward(
       std::span<const double> input) const;
 
-  /// Training forward pass; fills `ws` for use by backward().
-  std::vector<double> forward(std::span<const double> input,
-                              Workspace& ws) const;
-
   /// Allocation-free inference: runs the forward pass through `ws` and
   /// writes the output into `out` (size output_dim()). After the first
   /// call with a given workspace no memory is touched — this is the
@@ -97,30 +87,23 @@ class Mlp {
   /// Convenience overload: copies `x` into ws.input first.
   const Matrix& forward_batch(const Matrix& x, BatchWorkspace& ws) const;
 
-  /// Backpropagates dL/d(output) through the pass recorded in `ws`,
-  /// accumulating parameter gradients into `grads` and returning
-  /// dL/d(input) — needed by DDPG's actor update, which chains the critic's
-  /// input gradient into the actor.
-  std::vector<double> backward(std::span<const double> output_grad,
-                               const Workspace& ws, Gradients& grads) const;
-
   /// Batched backprop of dY (batch × output_dim) through the pass recorded
   /// in `ws`, overwriting `grads` with the minibatch-summed parameter
   /// gradients (no pre-zeroing needed — each element's sum starts at 0 and
-  /// accumulates the batch in order, exactly as zeroed-then-accumulated
-  /// per-sample backward() calls would). Computes no dL/dX: that is
-  /// input_grad_batch. Gradient buffers and workspace scratch persist
-  /// across steps: zero steady-state allocations.
+  /// accumulates the batch in order, as a per-sample loop would). Computes
+  /// no dL/dX: that is input_grad_batch. Gradient buffers and workspace
+  /// scratch persist across steps: zero steady-state allocations.
   void backward_batch(const Matrix& output_grad, BatchWorkspace& ws,
                       Gradients& grads) const;
 
   /// Batched dL/dX (batch × input_dim) for dY through the pass recorded in
   /// `ws`, and no parameter gradients — what DDPG's actor update needs
-  /// from the critic. Each row equals per-sample backward()'s return value
-  /// bit for bit. Returns a reference to ws.dx.
+  /// from the critic. Each row equals a per-sample backward pass's input
+  /// gradient bit for bit. Returns a reference to ws.dx.
   const Matrix& input_grad_batch(const Matrix& output_grad,
                                  BatchWorkspace& ws) const;
 
+  /// Zeroed gradients shaped like this network.
   [[nodiscard]] Gradients make_gradients() const;
 
   /// Flat parameter vector (weights then biases, layer by layer).
@@ -149,12 +132,6 @@ class Mlp {
   static void scale_by_activation_grad(Activation act, std::span<double> d,
                                        std::span<const double> pre,
                                        std::span<const double> post);
-  /// Runs the forward pass into `ws` without materializing a return value.
-  /// `fast` selects the ILP-friendly matvec4 kernel (bit-identical output);
-  /// the reference training path keeps the plain kernel it is benchmarked
-  /// against.
-  void run_forward(std::span<const double> input, Workspace& ws,
-                   bool fast) const;
   /// The batched backward sweep, top layer down. With `grads` it fills
   /// the parameter gradients and stops propagating at layer 0; without, it
   /// computes only the deltas that lead to ws.dx.

@@ -29,28 +29,6 @@ void Matrix::uniform_init(Rng& rng, double bound) {
   for (double& w : data_) w = rng.uniform(-bound, bound);
 }
 
-void matvec(const Matrix& w, std::span<const double> x,
-            std::span<const double> b, std::span<double> y) {
-  GNFV_ASSERT(x.size() == w.cols(), "matvec: x dimension mismatch");
-  GNFV_ASSERT(y.size() == w.rows(), "matvec: y dimension mismatch");
-  GNFV_ASSERT(b.size() == w.rows(), "matvec: b dimension mismatch");
-  const double* wd = w.data();
-  const std::size_t cols = w.cols();
-  for (std::size_t r = 0; r < w.rows(); ++r) {
-    const double* row = wd + r * cols;
-    double acc = b[r];
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c];
-    y[r] = acc;
-  }
-}
-
-double dot(std::span<const double> a, std::span<const double> b) {
-  GNFV_ASSERT(a.size() == b.size(), "dot: dimension mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
-}
-
 void matvec4(const Matrix& w, std::span<const double> x,
              std::span<const double> b, std::span<double> y) {
   GNFV_ASSERT(x.size() == w.cols(), "matvec4: x dimension mismatch");
@@ -83,35 +61,6 @@ void matvec4(const Matrix& w, std::span<const double> x,
     double acc = b[r];
     for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c];
     y[r] = acc;
-  }
-}
-
-void matvec_transpose(const Matrix& w, std::span<const double> y_grad,
-                      std::span<double> x_grad) {
-  GNFV_ASSERT(y_grad.size() == w.rows(), "matvec_T: y dimension mismatch");
-  GNFV_ASSERT(x_grad.size() == w.cols(), "matvec_T: x dimension mismatch");
-  for (double& g : x_grad) g = 0.0;
-  const double* wd = w.data();
-  const std::size_t cols = w.cols();
-  for (std::size_t r = 0; r < w.rows(); ++r) {
-    const double g = y_grad[r];
-    if (g == 0.0) continue;
-    const double* row = wd + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) x_grad[c] += g * row[c];
-  }
-}
-
-void accumulate_outer(Matrix& dw, std::span<const double> y_grad,
-                      std::span<const double> x) {
-  GNFV_ASSERT(y_grad.size() == dw.rows(), "outer: y dimension mismatch");
-  GNFV_ASSERT(x.size() == dw.cols(), "outer: x dimension mismatch");
-  double* dwd = dw.data();
-  const std::size_t cols = dw.cols();
-  for (std::size_t r = 0; r < dw.rows(); ++r) {
-    const double g = y_grad[r];
-    if (g == 0.0) continue;
-    double* row = dwd + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) row[c] += g * x[c];
   }
 }
 
@@ -245,20 +194,28 @@ void gemm_core(const double* ap, std::size_t si, std::size_t st,
 /// C(m×1) = seed + A(m×kk)·b: one output column, each row's sum seeded
 /// with `seed` and accumulating kk in increasing order, as the tile would.
 /// Eight rows run at once so their add chains overlap; the tile would
-/// spend 15 of its 16 columns on zeros.
+/// spend 15 of its 16 columns on zeros. The rows are spelled out as four
+/// two-lane vectors of row pairs: left to itself, GCC 12 under
+/// -march=native packs all eight rows' strided elements into one wide
+/// vector with shuffles, which ran at half the portable build's speed.
 void gemm_column(const double* ap, const double* bp, double* cp,
                  std::size_t m, std::size_t kk, double seed) {
-  constexpr std::size_t kRows = 8;
+  using Pair = double __attribute__((vector_size(2 * sizeof(double))));
+  constexpr std::size_t kPairs = 4;
   std::size_t i0 = 0;
-  for (; i0 + kRows <= m; i0 += kRows) {
-    double acc[kRows];
-    for (std::size_t r = 0; r < kRows; ++r) acc[r] = seed;
+  for (; i0 + 2 * kPairs <= m; i0 += 2 * kPairs) {
+    const double* a = ap + i0 * kk;
+    Pair acc[kPairs];
+    for (Pair& v : acc) v = Pair{seed, seed};
     for (std::size_t t = 0; t < kk; ++t) {
       const double b = bp[t];
-      for (std::size_t r = 0; r < kRows; ++r)
-        acc[r] += ap[(i0 + r) * kk + t] * b;
+      for (std::size_t q = 0; q < kPairs; ++q)
+        acc[q] += Pair{a[2 * q * kk + t], a[(2 * q + 1) * kk + t]} * b;
     }
-    for (std::size_t r = 0; r < kRows; ++r) cp[i0 + r] = acc[r];
+    for (std::size_t q = 0; q < kPairs; ++q) {
+      cp[i0 + 2 * q] = acc[q][0];
+      cp[i0 + 2 * q + 1] = acc[q][1];
+    }
   }
   for (; i0 < m; ++i0) {
     double acc = seed;
@@ -295,7 +252,8 @@ void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
   }
   // Aᵀ: element (ii, t) lives at ad[t·m + ii] — si=1, st=m. The batch
   // index t advances in increasing order for every output element, so the
-  // rank-1 updates land exactly as per-sample accumulate_outer would.
+  // rank-1 updates land exactly as a per-sample outer-product loop adds
+  // them.
   gemm_core(a.data(), /*si=*/1, /*st=*/m, b.data(), cd, m, n, kk);
 }
 
@@ -318,7 +276,7 @@ void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c,
   // chain (add-latency bound, no legal SIMD over the reduction). Instead
   // pack Bᵀ once — O(k·n) against O(m·k·n) math — and run the tiled core;
   // each element still accumulates k in increasing order, seeded with its
-  // bias exactly like matvec seeds its accumulator.
+  // bias exactly like matvec4 seeds its accumulator.
   static thread_local std::vector<double> packed;
   packed.resize(k * n);
   for (std::size_t j = 0; j < n; ++j) {
@@ -344,15 +302,6 @@ void add_col_sums(const Matrix& a, std::span<double> y) {
     const double* row = ad + i * n;
     for (std::size_t j = 0; j < n; ++j) y[j] += row[j];
   }
-}
-
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  GNFV_ASSERT(x.size() == y.size(), "axpy: dimension mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-double norm2(std::span<const double> x) {
-  return std::sqrt(dot(x, x));
 }
 
 }  // namespace greennfv::rl

@@ -8,21 +8,21 @@
 #include "common/rng.hpp"
 
 /// \file tensor.hpp
-/// Dense row-major matrix, the handful of BLAS-1/2 kernels the per-sample
-/// reference path needs, and the blocked BLAS-3 (GEMM) kernels behind the
-/// batched training engine. Kept deliberately small: the networks in
-/// GreenNFV are a few hundred units wide, where cache blocking pays but a
-/// full BLAS dependency would not.
+/// Dense row-major matrix, the matrix-vector kernel behind inference, and
+/// the blocked BLAS-3 (GEMM) kernels behind training. Kept deliberately
+/// small: the networks in GreenNFV are a few hundred units wide, where
+/// cache blocking pays but a full BLAS dependency would not.
 ///
-/// Determinism contract: every GEMM accumulates each output element over
-/// the reduction index k in strictly increasing order — blocking only ever
-/// tiles the non-reduced dimensions — and adds every product, exact zeros
-/// included, exactly as a naive triple loop does. A given seed therefore
-/// produces bit-identical results run to run, and the batched path
-/// reproduces the per-sample reference path's floating-point sums. The
-/// micro-kernel's vector width follows the compile target, but a lane
-/// only ever holds a different output element, so native and portable
-/// builds produce the same bits.
+/// Determinism contract: every kernel accumulates each output element
+/// over the reduction index k in strictly increasing order — blocking only
+/// ever tiles the non-reduced dimensions — and adds every product, exact
+/// zeros included, exactly as a naive loop does. A given seed therefore
+/// produces bit-identical results run to run, and a batched pass
+/// reproduces a per-sample loop's floating-point sums (the test oracle in
+/// tests/support/ddpg_reference is that loop). The micro-kernel's vector
+/// width follows the compile target, but a lane only ever holds a
+/// different output element, so native and portable builds produce the
+/// same bits.
 
 namespace greennfv::rl {
 
@@ -81,24 +81,12 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// y = W x + b. Requires y.size()==W.rows(), x.size()==W.cols().
-void matvec(const Matrix& w, std::span<const double> x,
-            std::span<const double> b, std::span<double> y);
-
-/// Bit-identical to matvec (same per-row accumulation order) but computes
-/// four output rows at a time so the add chains overlap — the inference
-/// hot path (Mlp::forward_into). matvec stays as the reference kernel the
-/// per-sample training path is benchmarked against.
+/// y = W x + b. Requires y.size()==W.rows(), x.size()==W.cols(). Each
+/// row's sum starts at its bias and adds x in increasing column order;
+/// four rows run at a time so their add chains overlap. The inference hot
+/// path (Mlp::forward_into).
 void matvec4(const Matrix& w, std::span<const double> x,
              std::span<const double> b, std::span<double> y);
-
-/// x_grad = W^T y_grad (backprop through the linear map).
-void matvec_transpose(const Matrix& w, std::span<const double> y_grad,
-                      std::span<double> x_grad);
-
-/// dW += y_grad x^T (outer-product gradient accumulation).
-void accumulate_outer(Matrix& dw, std::span<const double> y_grad,
-                      std::span<const double> x);
 
 // --- batched (BLAS-3) kernels ----------------------------------------------
 //
@@ -114,28 +102,19 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c,
 
 /// C = Aᵀ·B (or C += Aᵀ·B). A: k×m, B: k×n, C: m×n. The minibatch weight
 /// gradient dW += dYᵀ·X, where k is the batch dimension: the rank-1 updates
-/// land in batch order, matching per-sample accumulate_outer bit for bit.
+/// land in batch order, as a per-sample loop of outer products adds them.
 void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c,
              bool accumulate = false);
 
 /// C = A·Bᵀ (+ per-column bias). A: m×k, B: n×k, C: m×n. The batched
 /// forward Y = X·Wᵀ + b: each output element's accumulator is seeded with
 /// bias[j] (when given) and then accumulates k in increasing order — the
-/// same sum matvec computes per sample.
+/// same sum matvec4 computes per sample.
 void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c,
              std::span<const double> bias = {});
 
 /// y[j] += Σ_i a(i, j) — minibatch bias gradient, accumulated over rows in
-/// increasing order (matches the per-sample axpy sequence).
+/// increasing order (the order a per-sample loop adds them).
 void add_col_sums(const Matrix& a, std::span<double> y);
-
-/// Dot product.
-[[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
-
-/// y += alpha * x.
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
-
-/// L2 norm.
-[[nodiscard]] double norm2(std::span<const double> x);
 
 }  // namespace greennfv::rl

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 
-#include "common/arena.hpp"
 #include "common/fs_util.hpp"
 
 namespace greennfv::telemetry::trace {
@@ -21,26 +20,22 @@ std::atomic<std::size_t> g_capacity{65536};
 /// span-granular — the lock is uncontended in steady state and far
 /// cheaper than the two clock reads bracketing it).
 struct ThreadBuffer {
-  explicit ThreadBuffer(int tid_in, std::size_t capacity_in)
-      : tid(tid_in), capacity(capacity_in) {
-    ring = static_cast<TraceEvent*>(
-        arena.allocate(sizeof(TraceEvent) * capacity, alignof(TraceEvent)));
-    for (std::size_t i = 0; i < capacity; ++i) new (ring + i) TraceEvent();
-  }
+  explicit ThreadBuffer(int tid_in, std::size_t capacity)
+      : tid(tid_in), ring(capacity) {}
 
   void append(const TraceEvent& event) {
     std::lock_guard<std::mutex> lock(mutex);
-    ring[head % capacity] = event;
+    ring[head % ring.size()] = event;
     ++head;
   }
 
   /// Kept events, oldest first, from absolute position `since` on.
   std::vector<TraceEvent> extract(std::uint64_t since) {
     std::lock_guard<std::mutex> lock(mutex);
-    const std::uint64_t oldest = head > capacity ? head - capacity : 0;
+    const std::uint64_t oldest = head > ring.size() ? head - ring.size() : 0;
     std::vector<TraceEvent> out;
     for (std::uint64_t i = std::max(since, oldest); i < head; ++i)
-      out.push_back(ring[i % capacity]);
+      out.push_back(ring[i % ring.size()]);
     return out;
   }
 
@@ -51,19 +46,17 @@ struct ThreadBuffer {
 
   [[nodiscard]] std::uint64_t dropped_count() {
     std::lock_guard<std::mutex> lock(mutex);
-    return head > capacity ? head - capacity : 0;
+    return head > ring.size() ? head - ring.size() : 0;
   }
 
   [[nodiscard]] std::size_t kept() {
     std::lock_guard<std::mutex> lock(mutex);
-    return static_cast<std::size_t>(std::min<std::uint64_t>(head, capacity));
+    return head < ring.size() ? static_cast<std::size_t>(head) : ring.size();
   }
 
   std::mutex mutex;
   int tid;
-  std::size_t capacity;
-  Arena arena;            ///< owns the ring storage (one chunk, allocated once)
-  TraceEvent* ring;
+  std::vector<TraceEvent> ring;  ///< fixed size, allocated once
   std::uint64_t head = 0;  ///< absolute appended-event count
 };
 

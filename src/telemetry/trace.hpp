@@ -9,8 +9,8 @@
 
 /// \file trace.hpp
 /// Scoped-span flight recorder. Each thread owns a fixed-capacity ring of
-/// `TraceEvent`s (storage carved from a `common/arena` chunk once, at
-/// first use — steady-state recording allocates nothing; overflow wraps,
+/// `TraceEvent`s (one vector, allocated at the thread's first span —
+/// steady-state recording allocates nothing; overflow wraps,
 /// overwriting the oldest spans and counting the loss). A `Span` records
 /// one wall-clock interval around a scope; when tracing is disabled the
 /// constructor is a relaxed flag load and a branch.

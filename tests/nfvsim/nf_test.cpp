@@ -195,16 +195,5 @@ TEST(NfBase, BatchSkipsDroppedPackets) {
   EXPECT_EQ(fw.processed(), 1u);  // dropped packet not processed
 }
 
-TEST(NfBase, StatsReset) {
-  FirewallNf fw;
-  Packet pkt = make_packet(0x0A000001, 22);
-  Packet* batch[] = {&pkt};
-  fw.process_batch(std::span<Packet* const>(batch, 1));
-  EXPECT_EQ(fw.processed(), 1u);
-  fw.reset_stats();
-  EXPECT_EQ(fw.processed(), 0u);
-  EXPECT_EQ(fw.dropped(), 0u);
-}
-
 }  // namespace
 }  // namespace greennfv::nfvsim

@@ -10,8 +10,10 @@
 
 #include "rl/per.hpp"
 #include "telemetry/metrics.hpp"
+#include "tests/support/ddpg_reference.hpp"
 
-/// The batched GEMM training engine versus the per-sample reference path:
+/// The batched GEMM training engine versus the per-sample oracle
+/// (DdpgReference, in tests/support):
 ///   * numerical equivalence (per-step stats and post-step parameters
 ///     within 1e-9 over >100 steps, uniform and prioritized replay),
 ///   * same-seed bit-identical batched training,
@@ -77,7 +79,8 @@ void fill_replay(ReplayInterface& replay, std::uint64_t seed,
   }
 }
 
-void expect_params_near(const DdpgAgent& a, const DdpgAgent& b, double tol) {
+void expect_params_near(const DdpgAgent& a, const DdpgReference& b,
+                        double tol) {
   const std::vector<double> actor_a = a.actor().parameters();
   const std::vector<double> actor_b = b.actor().parameters();
   ASSERT_EQ(actor_a.size(), actor_b.size());
@@ -95,7 +98,7 @@ void expect_params_near(const DdpgAgent& a, const DdpgAgent& b, double tol) {
 TEST(DdpgBatchEquivalence, MatchesReferenceOverUniformReplay) {
   const DdpgConfig config = small_config();
   DdpgAgent batched(config, 42);
-  DdpgAgent reference(config, 42);
+  DdpgReference reference(batched);
   UniformReplay replay_batched(512);
   UniformReplay replay_reference(512);
   fill_replay(replay_batched, 7, config, 200);
@@ -105,8 +108,7 @@ TEST(DdpgBatchEquivalence, MatchesReferenceOverUniformReplay) {
 
   for (int step = 0; step < 120; ++step) {
     const TrainStats& sb = batched.train_step(replay_batched, rng_batched);
-    const TrainStats sr =
-        reference.train_step_reference(replay_reference, rng_reference);
+    const TrainStats sr = reference.train_step(replay_reference, rng_reference);
     ASSERT_EQ(sb.indices, sr.indices) << "step " << step;
     ASSERT_NEAR(sb.critic_loss, sr.critic_loss, 1e-9) << "step " << step;
     ASSERT_NEAR(sb.actor_objective, sr.actor_objective, 1e-9)
@@ -124,7 +126,7 @@ TEST(DdpgBatchEquivalence, MatchesReferenceOverUniformReplay) {
     std::vector<double> state(config.state_dim);
     for (double& v : state) v = probe_rng.uniform(-1.0, 1.0);
     const std::vector<double> act_b = batched.act(state);
-    const std::vector<double> act_r = reference.act(state);
+    const std::vector<double> act_r = reference.actor().forward(state);
     for (std::size_t d = 0; d < act_b.size(); ++d)
       ASSERT_NEAR(act_b[d], act_r[d], 1e-9);
   }
@@ -133,7 +135,7 @@ TEST(DdpgBatchEquivalence, MatchesReferenceOverUniformReplay) {
 TEST(DdpgBatchEquivalence, MatchesReferenceOverPrioritizedReplay) {
   const DdpgConfig config = small_config();
   DdpgAgent batched(config, 4242);
-  DdpgAgent reference(config, 4242);
+  DdpgReference reference(batched);
   PerConfig per;
   per.capacity = 512;
   PrioritizedReplay replay_batched(per);
@@ -146,8 +148,7 @@ TEST(DdpgBatchEquivalence, MatchesReferenceOverPrioritizedReplay) {
   for (int step = 0; step < 110; ++step) {
     const TrainStats& sb = batched.train_step(replay_batched, rng_batched);
     replay_batched.update_priorities(sb.indices, sb.td_errors);
-    const TrainStats sr =
-        reference.train_step_reference(replay_reference, rng_reference);
+    const TrainStats sr = reference.train_step(replay_reference, rng_reference);
     replay_reference.update_priorities(sr.indices, sr.td_errors);
     ASSERT_EQ(sb.indices, sr.indices) << "step " << step;
     for (std::size_t i = 0; i < sb.td_errors.size(); ++i)

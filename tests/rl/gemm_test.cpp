@@ -189,8 +189,8 @@ TEST(GemmTn, RosterShapesMatchNaive) {
 
 TEST(GemmTn, AccumulateMatchesPerSampleOuterProducts) {
   // The contract behind batched-equals-reference: gemm_tn in accumulate
-  // mode produces exactly the same floating-point sums as sample-by-sample
-  // accumulate_outer calls.
+  // mode produces exactly the same floating-point sums as adding each
+  // sample's outer product dyᵀ·x in turn.
   Rng rng(22);
   const std::size_t batch = 19, out = 11, in = 13;
   const Matrix dy = random_matrix(batch, out, rng);
@@ -201,7 +201,9 @@ TEST(GemmTn, AccumulateMatchesPerSampleOuterProducts) {
 
   Matrix dw_reference(out, in);
   for (std::size_t s = 0; s < batch; ++s)
-    accumulate_outer(dw_reference, dy.row(s), x.row(s));
+    for (std::size_t r = 0; r < out; ++r)
+      for (std::size_t c = 0; c < in; ++c)
+        dw_reference(r, c) += dy(s, r) * x(s, c);
 
   expect_equal(dw_batched, dw_reference);
 }
@@ -292,8 +294,8 @@ TEST(GemmNt, BiasSeedsEveryOutputElement) {
 }
 
 TEST(GemmNt, MatchesMatvecBitForBit) {
-  // The batched forward must reproduce the per-sample forward's sums
-  // exactly: same accumulator seed (the bias), same k order.
+  // The batched forward must reproduce the per-sample inference forward's
+  // sums exactly: same accumulator seed (the bias), same k order.
   Rng rng(33);
   const std::size_t batch = 5, in = 23, out = 17;
   const Matrix x = random_matrix(batch, in, rng);
@@ -306,7 +308,7 @@ TEST(GemmNt, MatchesMatvecBitForBit) {
 
   std::vector<double> y_row(out);
   for (std::size_t s = 0; s < batch; ++s) {
-    matvec(w, x.row(s), bias, y_row);
+    matvec4(w, x.row(s), bias, y_row);
     for (std::size_t j = 0; j < out; ++j)
       EXPECT_EQ(bits(y(s, j)), bits(y_row[j])) << "at (" << s << "," << j
                                                << ")";
@@ -320,7 +322,8 @@ TEST(ColSums, AccumulatesRowsInOrder) {
   add_col_sums(a, got);
 
   std::vector<double> want(6, 0.5);
-  for (std::size_t i = 0; i < a.rows(); ++i) axpy(1.0, a.row(i), want);
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < 6; ++j) want[j] += a(i, j);
   for (std::size_t j = 0; j < 6; ++j) EXPECT_EQ(bits(got[j]), bits(want[j]));
 }
 

@@ -7,12 +7,14 @@
 #include <cstdint>
 #include <vector>
 
-/// Batched Mlp entry points versus the per-sample reference: forward_batch
-/// must reproduce row-wise forward() exactly, backward_batch must
-/// accumulate the same minibatch gradients, and input_grad_batch the same
-/// input gradients, as N per-sample backward() calls in batch order.
-/// "Exactly" means equal IEEE-754 bit patterns, not EXPECT_DOUBLE_EQ's
-/// four-ULP window.
+#include "tests/support/ddpg_reference.hpp"
+
+/// Batched Mlp entry points versus the per-sample oracle (SampleNet, in
+/// tests/support): forward_batch and forward_into must reproduce its
+/// row-wise forward exactly, backward_batch must accumulate the same
+/// minibatch gradients, and input_grad_batch the same input gradients, as
+/// its backward over the samples in batch order. "Exactly" means equal
+/// IEEE-754 bit patterns, not EXPECT_DOUBLE_EQ's four-ULP window.
 
 namespace greennfv::rl {
 namespace {
@@ -25,6 +27,16 @@ std::vector<LayerSpec> tanh_net() {
           {3, Activation::kLinear}};
 }
 
+/// Every weight and bias from [-1, 1]: zero biases hide the bias seed.
+Mlp random_net(std::size_t input_dim, const std::vector<LayerSpec>& layers,
+               Rng& rng) {
+  Mlp net(input_dim, layers, rng);
+  std::vector<double> params = net.parameters();
+  for (double& p : params) p = rng.uniform(-1.0, 1.0);
+  net.set_parameters(params);
+  return net;
+}
+
 Matrix random_batch(std::size_t n, std::size_t dim, Rng& rng) {
   Matrix x(n, dim);
   for (double& v : x.flat()) v = rng.uniform(-1.0, 1.0);
@@ -33,7 +45,7 @@ Matrix random_batch(std::size_t n, std::size_t dim, Rng& rng) {
 
 TEST(MlpBatch, ForwardMatchesPerSampleRows) {
   Rng rng(1);
-  const Mlp net(5, tanh_net(), rng);
+  const Mlp net = random_net(5, tanh_net(), rng);
   const Matrix x = random_batch(9, 5, rng);
 
   Mlp::BatchWorkspace ws;
@@ -41,8 +53,9 @@ TEST(MlpBatch, ForwardMatchesPerSampleRows) {
   ASSERT_EQ(y.rows(), 9u);
   ASSERT_EQ(y.cols(), 3u);
 
+  SampleNet sample(net, tanh_net());
   for (std::size_t i = 0; i < x.rows(); ++i) {
-    const std::vector<double> yi = net.forward(x.row(i));
+    const std::vector<double> yi = sample.forward(x.row(i));
     for (std::size_t j = 0; j < yi.size(); ++j)
       EXPECT_EQ(bits(y(i, j)), bits(yi[j]));
   }
@@ -50,19 +63,19 @@ TEST(MlpBatch, ForwardMatchesPerSampleRows) {
 
 TEST(MlpBatch, ForwardIntoMatchesForward) {
   Rng rng(2);
-  const Mlp net(4, {{8, Activation::kRelu}, {2, Activation::kTanh}}, rng);
+  const Mlp net = random_net(4, tanh_net(), rng);
   const std::vector<double> x = {0.1, -0.7, 0.4, 0.9};
   Mlp::Workspace ws;
-  std::vector<double> out(2);
+  std::vector<double> out(3);
   net.forward_into(x, ws, out);
-  const std::vector<double> want = net.forward(x);
-  EXPECT_EQ(bits(out[0]), bits(want[0]));
-  EXPECT_EQ(bits(out[1]), bits(want[1]));
+  const std::vector<double> want = SampleNet(net, tanh_net()).forward(x);
+  for (std::size_t j = 0; j < out.size(); ++j)
+    EXPECT_EQ(bits(out[j]), bits(want[j]));
 }
 
 TEST(MlpBatch, BackwardMatchesPerSampleAccumulation) {
   Rng rng(3);
-  const Mlp net(6, tanh_net(), rng);
+  const Mlp net = random_net(6, tanh_net(), rng);
   const std::size_t n = 11;
   const Matrix x = random_batch(n, 6, rng);
   const Matrix dy = random_batch(n, 3, rng);
@@ -71,18 +84,16 @@ TEST(MlpBatch, BackwardMatchesPerSampleAccumulation) {
   Mlp::BatchWorkspace bws;
   (void)net.forward_batch(x, bws);
   Mlp::Gradients batched = net.make_gradients();
-  batched.zero();
   net.backward_batch(dy, bws, batched);
   const Matrix& dx = net.input_grad_batch(dy, bws);
 
   // Per-sample reference in the same batch order.
-  Mlp::Workspace ws;
+  SampleNet sample(net, tanh_net());
   Mlp::Gradients reference = net.make_gradients();
-  reference.zero();
   Matrix dx_reference(n, 6);
   for (std::size_t i = 0; i < n; ++i) {
-    (void)net.forward(x.row(i), ws);
-    const std::vector<double> dxi = net.backward(dy.row(i), ws, reference);
+    (void)sample.forward(x.row(i));
+    const std::vector<double> dxi = sample.backward(dy.row(i), &reference);
     for (std::size_t d = 0; d < dxi.size(); ++d) dx_reference(i, d) = dxi[d];
   }
 
@@ -103,25 +114,24 @@ TEST(MlpBatch, BackwardMatchesPerSampleAccumulation) {
 
 TEST(MlpBatch, SingleLayerNetwork) {
   Rng rng(4);
-  const Mlp net(3, {{2, Activation::kLinear}}, rng);
+  const std::vector<LayerSpec> layers = {{2, Activation::kLinear}};
+  const Mlp net = random_net(3, layers, rng);
   const Matrix x = random_batch(5, 3, rng);
   const Matrix dy = random_batch(5, 2, rng);
 
   Mlp::BatchWorkspace ws;
   (void)net.forward_batch(x, ws);
   Mlp::Gradients grads = net.make_gradients();
-  grads.zero();
   net.backward_batch(dy, ws, grads);
   const Matrix& dx = net.input_grad_batch(dy, ws);
   ASSERT_EQ(dx.rows(), 5u);
   ASSERT_EQ(dx.cols(), 3u);
 
-  Mlp::Workspace sws;
+  SampleNet sample(net, layers);
   Mlp::Gradients ref = net.make_gradients();
-  ref.zero();
   for (std::size_t i = 0; i < 5u; ++i) {
-    (void)net.forward(x.row(i), sws);
-    const std::vector<double> dxi = net.backward(dy.row(i), sws, ref);
+    (void)sample.forward(x.row(i));
+    const std::vector<double> dxi = sample.backward(dy.row(i), &ref);
     for (std::size_t d = 0; d < dxi.size(); ++d)
       EXPECT_EQ(bits(dx(i, d)), bits(dxi[d]));
   }
@@ -133,15 +143,16 @@ TEST(MlpBatch, WorkspaceReusableAcrossBatchSizes) {
   // A workspace sized for a large batch must produce correct results when
   // reused for a smaller one (resize never leaves stale geometry behind).
   Rng rng(5);
-  const Mlp net(4, {{6, Activation::kRelu}, {2, Activation::kTanh}}, rng);
+  const Mlp net = random_net(4, tanh_net(), rng);
   Mlp::BatchWorkspace ws;
   (void)net.forward_batch(random_batch(16, 4, rng), ws);
 
   const Matrix x = random_batch(3, 4, rng);
   const Matrix& y = net.forward_batch(x, ws);
   ASSERT_EQ(y.rows(), 3u);
+  SampleNet sample(net, tanh_net());
   for (std::size_t i = 0; i < 3u; ++i) {
-    const std::vector<double> yi = net.forward(x.row(i));
+    const std::vector<double> yi = sample.forward(x.row(i));
     for (std::size_t j = 0; j < yi.size(); ++j)
       EXPECT_EQ(bits(y(i, j)), bits(yi[j]));
   }

@@ -40,17 +40,23 @@ TEST(Mlp, ParameterRoundTrip) {
 class GradientCheck : public ::testing::TestWithParam<Activation> {};
 
 TEST_P(GradientCheck, BackwardMatchesFiniteDifferences) {
+  // A batch of one through the batched passes the trainer runs:
+  // backward_batch's parameter gradients and input_grad_batch's dL/dX
+  // against central differences of the inference forward pass.
   Rng rng(3);
   Mlp net = small_net(GetParam(), rng);
   const std::vector<double> x = {0.3, -0.7, 0.9};
   // Loss = sum(output): output_grad = ones.
-  const std::vector<double> ones = {1.0, 1.0};
+  Matrix ones(1, 2);
+  ones.fill(1.0);
 
-  Mlp::Workspace ws;
-  (void)net.forward(x, ws);
+  Mlp::BatchWorkspace ws;
+  ws.input.resize(1, x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) ws.input(0, i) = x[i];
+  (void)net.forward_batch(ws);
   Mlp::Gradients grads = net.make_gradients();
-  grads.zero();
-  const auto input_grad = net.backward(ones, ws, grads);
+  net.backward_batch(ones, ws, grads);
+  const Matrix& input_grad = net.input_grad_batch(ones, ws);
 
   // Check dL/dinput against central differences.
   const double eps = 1e-6;
@@ -63,7 +69,7 @@ TEST_P(GradientCheck, BackwardMatchesFiniteDifferences) {
     const auto om = net.forward(xm);
     const double fd =
         ((op[0] + op[1]) - (om[0] + om[1])) / (2.0 * eps);
-    EXPECT_NEAR(input_grad[i], fd, 1e-5)
+    EXPECT_NEAR(input_grad(0, i), fd, 1e-5)
         << "input grad mismatch at dim " << i;
   }
 
@@ -124,42 +130,30 @@ TEST(Mlp, AdamFitsLinearRegression) {
   Mlp net(2, {{1, Activation::kLinear}}, rng);
   AdamOptimizer opt(net, 0.05);
   Rng data_rng(6);
+  Mlp::BatchWorkspace ws;
+  ws.input.resize(16, 2);
+  Matrix dy(16, 1);
+  Mlp::Gradients grads = net.make_gradients();
   double final_loss = 1e9;
   for (int step = 0; step < 800; ++step) {
-    Mlp::Gradients grads = net.make_gradients();
-    grads.zero();
-    double loss = 0.0;
-    Mlp::Workspace ws;
-    for (int i = 0; i < 16; ++i) {
-      const std::vector<double> x = {data_rng.uniform(-1, 1),
-                                     data_rng.uniform(-1, 1)};
-      const double target = 2.0 * x[0] - 3.0 * x[1] + 1.0;
-      const auto out = net.forward(x, ws);
-      const double err = out[0] - target;
-      loss += err * err;
-      const double g[1] = {2.0 * err / 16.0};
-      (void)net.backward(std::span<const double>(g, 1), ws, grads);
+    for (std::size_t i = 0; i < 16; ++i) {
+      ws.input(i, 0) = data_rng.uniform(-1, 1);
+      ws.input(i, 1) = data_rng.uniform(-1, 1);
     }
+    const Matrix& out = net.forward_batch(ws);
+    double loss = 0.0;
+    for (std::size_t i = 0; i < 16; ++i) {
+      const double target = 2.0 * ws.input(i, 0) - 3.0 * ws.input(i, 1) + 1.0;
+      const double err = out(i, 0) - target;
+      loss += err * err;
+      dy(i, 0) = 2.0 * err / 16.0;
+    }
+    net.backward_batch(dy, ws, grads);
     opt.step(net, grads);
     final_loss = loss / 16.0;
   }
   EXPECT_LT(final_loss, 1e-3);
   EXPECT_GT(opt.steps_taken(), 0);
-}
-
-TEST(Mlp, GradientsAddAndScale) {
-  Rng rng(7);
-  Mlp net = small_net(Activation::kTanh, rng);
-  Mlp::Gradients a = net.make_gradients();
-  a.zero();
-  a.db[0][0] = 2.0;
-  Mlp::Gradients b = net.make_gradients();
-  b.zero();
-  b.db[0][0] = 3.0;
-  a.add(b);
-  EXPECT_DOUBLE_EQ(a.db[0][0], 5.0);
-  a.scale(0.5);
-  EXPECT_DOUBLE_EQ(a.db[0][0], 2.5);
 }
 
 TEST(Mlp, RejectsBadShapes) {

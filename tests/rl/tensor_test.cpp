@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 
 namespace greennfv::rl {
@@ -35,12 +34,13 @@ TEST(Matrix, XavierBounds) {
   Matrix m(64, 64);
   m.xavier_init(rng);
   const double bound = std::sqrt(6.0 / 128.0);
+  double sum_sq = 0.0;
   for (const double w : m.flat()) {
     EXPECT_GE(w, -bound);
     EXPECT_LE(w, bound);
+    sum_sq += w * w;
   }
-  // Not all zero.
-  EXPECT_GT(norm2(m.flat()), 0.1);
+  EXPECT_GT(std::sqrt(sum_sq), 0.1);  // not all zero
 }
 
 TEST(Matrix, UniformInitBounds) {
@@ -51,51 +51,17 @@ TEST(Matrix, UniformInitBounds) {
 }
 
 TEST(Kernels, MatvecKnownValues) {
-  Matrix w(2, 3);
-  // [1 2 3; 4 5 6] * [1;1;1] + [10;20] = [16;35]
-  double vals[] = {1, 2, 3, 4, 5, 6};
-  std::copy(vals, vals + 6, w.data());
+  // Five rows: one four-row block and the one-row tail.
+  // [1 2 3; 4 5 6; ...; 13 14 15] * [1;1;1] + [10;...;50]
+  Matrix w(5, 3);
+  for (std::size_t e = 0; e < w.size(); ++e)
+    w.data()[e] = static_cast<double>(e + 1);
   const std::vector<double> x = {1, 1, 1};
-  const std::vector<double> b = {10, 20};
-  std::vector<double> y(2);
-  matvec(w, x, b, y);
-  EXPECT_DOUBLE_EQ(y[0], 16.0);
-  EXPECT_DOUBLE_EQ(y[1], 35.0);
-}
-
-TEST(Kernels, MatvecTransposeKnownValues) {
-  Matrix w(2, 3);
-  double vals[] = {1, 2, 3, 4, 5, 6};
-  std::copy(vals, vals + 6, w.data());
-  const std::vector<double> g = {1, 2};  // y-grad
-  std::vector<double> xg(3);
-  matvec_transpose(w, g, xg);
-  // W^T g = [1+8, 2+10, 3+12]
-  EXPECT_DOUBLE_EQ(xg[0], 9.0);
-  EXPECT_DOUBLE_EQ(xg[1], 12.0);
-  EXPECT_DOUBLE_EQ(xg[2], 15.0);
-}
-
-TEST(Kernels, OuterAccumulation) {
-  Matrix dw(2, 2);
-  const std::vector<double> g = {1, 2};
-  const std::vector<double> x = {3, 4};
-  accumulate_outer(dw, g, x);
-  accumulate_outer(dw, g, x);  // accumulates, not overwrites
-  EXPECT_DOUBLE_EQ(dw(0, 0), 6.0);
-  EXPECT_DOUBLE_EQ(dw(0, 1), 8.0);
-  EXPECT_DOUBLE_EQ(dw(1, 0), 12.0);
-  EXPECT_DOUBLE_EQ(dw(1, 1), 16.0);
-}
-
-TEST(Kernels, DotAxpyNorm) {
-  const std::vector<double> a = {1, 2, 3};
-  std::vector<double> b = {4, 5, 6};
-  EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
-  axpy(2.0, a, b);
-  EXPECT_DOUBLE_EQ(b[0], 6.0);
-  EXPECT_DOUBLE_EQ(b[2], 12.0);
-  EXPECT_DOUBLE_EQ(norm2(std::vector<double>{3.0, 4.0}), 5.0);
+  const std::vector<double> b = {10, 20, 30, 40, 50};
+  std::vector<double> y(5);
+  matvec4(w, x, b, y);
+  const double want[] = {16.0, 35.0, 54.0, 73.0, 92.0};
+  for (std::size_t r = 0; r < 5; ++r) EXPECT_DOUBLE_EQ(y[r], want[r]);
 }
 
 }  // namespace
